@@ -57,9 +57,16 @@ def read_pgm(path) -> np.ndarray:
         raise InputDataError(f"{path}: malformed PGM header: {exc}") from exc
     if maxval <= 0 or maxval > 65535:
         raise InputDataError(f"{path}: unsupported PGM maxval {maxval}")
+    if width <= 0 or height <= 0:
+        raise InputDataError(f"{path}: PGM size {width}x{height} is not positive")
     if raw[:2] == b"P5":
         pos += 1  # single whitespace after maxval
-        dt = np.dtype(">u2") if maxval > 255 else np.uint8
+        dt = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
+        need = width * height * dt.itemsize
+        if len(raw) - pos < need:
+            raise InputDataError(
+                f"{path}: truncated PGM data: expected {need} bytes, found {max(len(raw) - pos, 0)}"
+            )
         data = np.frombuffer(raw, dtype=dt, count=width * height, offset=pos)
     else:
         data = np.array(raw[pos:].split(), dtype=float)
@@ -189,20 +196,34 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
         raise InputDataError(
             f"{p}: format tag {doc.get('format')!r}, expected {DATASET_FORMAT!r}"
         )
-    grid = GridSpec.from_json_dict(doc["grid"])
+    try:
+        grid = GridSpec.from_json_dict(doc["grid"])
+        shoes = list(doc["shoes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDataError(f"{p}: malformed dataset: {exc!r}") from exc
     shape = (grid.ny, grid.nx)
     records = []
-    for s in doc["shoes"]:
-        rec = ShoeRecord(
-            shoe_id=str(s["shoe_id"]),
-            side=s["side"],
-            contact=np.array(s["contact"], dtype=float).reshape(shape),
-            contact_binary=np.array(s["contact_binary"], dtype=np.uint8).reshape(shape),
-            gradient=np.array(s["gradient"], dtype=float).reshape(shape),
-            counts=np.array(s["counts"], dtype=np.int64).reshape(shape),
-            threshold=float(s.get("threshold", float("nan"))),
-        )
-        rec.validate(grid)
+    for i, s in enumerate(shoes):
+        sid = s.get("shoe_id", f"#{i}") if isinstance(s, dict) else f"#{i}"
+        try:
+            cells = {
+                key: np.array(s[key], dtype=float).reshape(shape)
+                for key in ("contact", "contact_binary", "gradient", "counts")
+            }
+            rec = ShoeRecord(
+                shoe_id=str(s["shoe_id"]),
+                side=s["side"],
+                threshold=float(s.get("threshold", float("nan"))),
+                **cells,
+            )
+            # binary contact is checked for 0/1 before the cast can hide it
+            rec.validate(grid)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputDataError(f"{p}: shoe {sid}: malformed record: {exc!r}") from exc
+        except InputDataError as exc:
+            raise InputDataError(f"{p}: {exc}") from exc
+        rec.contact_binary = rec.contact_binary.astype(np.uint8)
+        rec.counts = rec.counts.astype(np.int64)
         records.append(rec)
     return records, grid
 
@@ -223,7 +244,10 @@ def load_fit(path):
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise InputDataError(f"{p}: not valid JSON: {exc}") from exc
-    return FitResult.from_json_dict(doc)
+    try:
+        return FitResult.from_json_dict(doc)
+    except InputDataError as exc:
+        raise InputDataError(f"{p}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

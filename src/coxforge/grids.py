@@ -162,6 +162,17 @@ class ShoeRecord:
                 )
         if np.any(self.counts < 0):
             raise InputDataError(f"shoe {self.shoe_id}: negative accidental counts")
+        for name in ("contact", "gradient"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InputDataError(f"shoe {self.shoe_id}: non-finite {name} values")
+        # the tolerance matches the one crop_reflect allows scan intensities
+        if np.any((self.contact < -1e-9) | (self.contact > 1 + 1e-9)):
+            raise InputDataError(
+                f"shoe {self.shoe_id}: contact must lie in [0, 1], found "
+                f"[{self.contact.min()}, {self.contact.max()}]"
+            )
+        if not np.all((self.contact_binary == 0) | (self.contact_binary == 1)):
+            raise InputDataError(f"shoe {self.shoe_id}: binary contact must be 0 or 1")
 
 
 def crop_reflect(image: RawImage, spec: GridSpec) -> np.ndarray:

@@ -2,17 +2,25 @@
 
 The posterior over the latent vector given precisions psi is approximated
 by a Gaussian at its mode; the mode is found by damped Newton iteration
-restricted to the sum-to-zero subspaces of the spatial-field blocks. The
-restriction is handled through the sparse KKT ("bordered") system
+restricted to the sum-to-zero subspaces of the spatial-field blocks.
 
-    [ H  A' ] [ delta ]   [ g ]
-    [ A  0  ] [  nu   ] = [ 0 ]
+Each iterate factors the negative Hessian ``H`` — positive definite on
+the whole space, since the shoe and fixed-effect priors are proper — as
+an arrow matrix. The coordinates of the constrained blocks form a sparse
+field block ``F``, ordered to a narrow band and factored by banded
+Cholesky; the remaining coordinates (shoe and fixed effects) form a small
+dense border, factored through its Schur complement ``B - C'F^-1 C``.
+The sum-to-zero rows ``A`` are then imposed by conditioning by kriging
+(Rue & Held 2005, §2.3.3): with ``V = H^-1 A'``, ``M = A V`` and ``g``
+the gradient projected onto A x = 0,
 
-with ``H`` the negative Hessian and ``A`` the block-sum constraint rows.
-One LU factorization of that system per iterate yields the step, the
-constrained log-determinant (via |det| of the bordered matrix divided by
-det(AA')), and — at the mode — the marginal variances, since the top-left
-block of its inverse is exactly the constrained covariance.
+    step           delta_c = H^-1 g - V M^-1 A H^-1 g
+    log-determinant of H on the subspace
+                   log det H + log det M - log det(AA')
+    covariance     H^-1 - V M^-1 V'
+
+so one factorization per iterate yields the step, the constrained
+log-determinant and, at the mode, the marginal variances.
 
 The hyperparameter posterior uses the standard Laplace identity
 p(psi|y) ∝ p(y|th*) p(th*|psi) p(psi) / N(th*; th*, H^-1), maximized by
@@ -32,17 +40,18 @@ from __future__ import annotations
 import itertools
 import logging
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import cho_solve, lapack
 
 from .design import ModelSpec, index_to_string
 from .errors import ConfigError, InputDataError, NumericError
 from .grids import GridSpec, ShoeRecord
-from .model import Hyperparams, LOG_2PI, PriorSpec, ShoeModel, ThetaLayout
+from .model import Hyperparams, PriorSpec, ShoeModel, ThetaLayout
 from .util import parallel_map
 
 log = logging.getLogger("coxforge.inference")
@@ -64,7 +73,8 @@ class ModeResult:
     ``value`` is the psi-free part of the log-joint at the mode
     (log-likelihood minus half the prior quadratic form); ``log_det_H``
     the log-determinant of the negative Hessian restricted to the
-    constraint subspace.
+    constraint subspace. ``factorizations`` and ``halvings`` count the
+    work the search did; ``_lu`` holds the factorization at the mode.
     """
 
     theta_star: np.ndarray
@@ -73,44 +83,209 @@ class ModeResult:
     grad_norm: float
     iterations: int
     converged: bool
+    factorizations: int = 0
+    halvings: int = 0
     _lu: Any = field(default=None, repr=False)
-    _n_aug: int = field(default=0, repr=False)
 
 
-def _center_blocks(theta: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+def _center_blocks(x: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Subtract each block's mean in place: the projection onto A x = 0."""
     for blk in blocks:
-        theta[blk] -= theta[blk].mean()
-    return theta
+        x[blk] -= x[blk].mean()
+    return x
 
 
-def _project_grad(grad: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
-    out = grad.copy()
-    for blk in blocks:
-        out[blk] -= out[blk].mean()
-    return out
+# ---------------------------------------------------------------------------
+# the negative-Hessian factorization
 
 
-def _constraint_rows(blocks: Sequence[np.ndarray], n: int) -> sp.csr_matrix:
-    c = len(blocks)
-    if c == 0:
-        return sp.csr_matrix((0, n))
-    rows = np.concatenate([np.full(len(b), i) for i, b in enumerate(blocks)])
-    cols = np.concatenate(blocks)
-    return sp.csr_matrix((np.ones(cols.size), (rows, cols)), shape=(c, n))
+class _ArrowPlan:
+    """Where each stored entry of one CSC pattern of ``H`` goes in the factor.
+
+    The field coordinates (the union of the constraint blocks) come first,
+    in block order, or interleaved position by position when the blocks
+    share a length: fields on one grid couple cell by cell, so that keeps
+    the band as narrow as one field's. The plan is a function of the
+    pattern alone, so it is built once and reused while the pattern
+    repeats.
+    """
+
+    def __init__(self, H: sp.csc_matrix, blocks: Sequence[np.ndarray]):
+        n = self.n = H.shape[0]
+        self.indptr, self.indices = H.indptr.copy(), H.indices.copy()
+        self.blocks = [np.asarray(b) for b in blocks]
+        if len(blocks) > 1 and len({len(b) for b in blocks}) == 1:
+            self.field = np.stack(self.blocks, axis=1).ravel()
+        elif blocks:
+            self.field = np.concatenate(self.blocks)
+        else:
+            self.field = np.zeros(0, dtype=np.intp)
+        in_field = np.zeros(n, dtype=bool)
+        in_field[self.field] = True
+        self.border = np.flatnonzero(~in_field)
+        nf, nb = self.nf, self.nb = self.field.size, self.border.size
+        pos = np.empty(n, dtype=np.intp)
+        pos[self.field] = np.arange(nf)
+        pos[self.border] = np.arange(nb)
+        rows = H.indices
+        cols = np.repeat(np.arange(n), np.diff(H.indptr))
+        pr, pc = pos[rows], pos[cols]
+        row_f, col_f = in_field[rows], in_field[cols]
+        lower = row_f & col_f & (pr >= pc)
+        self.bandwidth = int((pr[lower] - pc[lower]).max()) if nf else 0
+        # LAPACK lower band storage: ab[i - j, j] = F[i, j]
+        self.f_src = np.flatnonzero(lower)
+        self.f_dst = (pr[lower] - pc[lower]) * nf + pc[lower]
+        self.c_src = np.flatnonzero(row_f & ~col_f)
+        self.c_dst = pr[self.c_src] * nb + pc[self.c_src]
+        self.b_src = np.flatnonzero(~row_f & ~col_f)
+        self.b_dst = pr[self.b_src] * nb + pc[self.b_src]
+
+    def matches(self, H: sp.csc_matrix, blocks: Sequence[np.ndarray]) -> bool:
+        return (
+            H.shape[0] == self.n
+            and np.array_equal(H.indptr, self.indptr)
+            and np.array_equal(H.indices, self.indices)
+            and len(blocks) == len(self.blocks)
+            and all(np.array_equal(a, b) for a, b in zip(blocks, self.blocks))
+        )
 
 
-def _bordered(H: sp.spmatrix, A: sp.spmatrix) -> sp.csc_matrix:
-    if A.shape[0] == 0:
-        return H.tocsc()
-    z = sp.csc_matrix((A.shape[0], A.shape[0]))
-    return sp.bmat([[H, A.T], [A, z]], format="csc")
+_last_plan: _ArrowPlan | None = None
 
 
-def _logabsdet_from_lu(lu) -> float:
-    diag = lu.U.diagonal()
-    if np.any(diag == 0) or not np.all(np.isfinite(diag)):
-        raise NumericError("singular factor in log-determinant")
-    return float(np.sum(np.log(np.abs(diag))))
+def _plan_for(H: sp.csc_matrix, blocks: Sequence[np.ndarray]) -> _ArrowPlan:
+    """The plan for H's pattern and blocks.
+
+    Every Newton step of a fit has one pattern, and building a plan costs
+    most of a factorization, so the last plan is kept. A plan is a pure
+    function of what ``matches`` compares and is not changed after it is
+    built, so sharing it between callers and threads changes no result.
+    """
+    global _last_plan
+    plan = _last_plan
+    if plan is None or not plan.matches(H, blocks):
+        plan = _last_plan = _ArrowPlan(H, blocks)
+    return plan
+
+
+class _Factor:
+    """Cholesky factor of the SPD ``H`` in arrow form, with kriging on ``A``.
+
+    ``H`` permuted to [field, border] is [[F, C], [C', B]] = L L' with
+    L = [[Lf, 0], [W', Ls]], Lf the banded Cholesky factor of F,
+    W = Lf^-1 C and Ls the dense Cholesky factor of B - W'W.
+    """
+
+    def __init__(self, H: sp.spmatrix, blocks: Sequence[np.ndarray]):
+        H = sp.csc_matrix(H)
+        H.sum_duplicates()
+        p = self.plan = _plan_for(H, blocks)
+        self.n = p.n
+        nf, nb = p.nf, p.nb
+        log_det = 0.0
+        W = _scatter(H.data, p.c_src, p.c_dst, (nf, nb))
+        S = _scatter(H.data, p.b_src, p.b_dst, (nb, nb))
+        if nf:
+            ab = _scatter(H.data, p.f_src, p.f_dst, (p.bandwidth + 1, nf))
+            self.Lf, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise NumericError(f"field block is not positive definite (minor {info})")
+            log_det += 2.0 * float(np.log(self.Lf[0]).sum())
+            if nb:
+                W = self._field_solve(W)
+                S -= W.T @ W
+        self.W = W
+        if nb:
+            self.Ls, info = lapack.dpotrf(S, lower=1, clean=1, overwrite_a=1)
+            if info != 0:
+                raise NumericError(f"border Schur complement is not positive definite (minor {info})")
+            log_det += 2.0 * float(np.log(np.diag(self.Ls)).sum())
+
+        # conditioning by kriging on the block-sum rows; A has disjoint
+        # indicator rows, so log det(AA') is the sum of log block sizes
+        self.blocks = p.blocks
+        if self.blocks:
+            self.V = self.solve(self._at(np.eye(len(self.blocks))))
+            try:
+                self.Lm = np.linalg.cholesky(self._a(self.V))
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"A H^-1 A' is not positive definite: {exc}") from exc
+            log_det += 2.0 * float(np.log(np.diag(self.Lm)).sum())
+            log_det -= float(sum(np.log(len(b)) for b in self.blocks))
+        if not np.isfinite(log_det):
+            raise NumericError("non-finite log-determinant of the negative Hessian")
+        self.log_det = log_det
+
+    def _a(self, X: np.ndarray) -> np.ndarray:
+        """A @ X: block sums of the rows of X."""
+        return np.array([X[b].sum(axis=0) for b in self.blocks])
+
+    def _at(self, Y: np.ndarray) -> np.ndarray:
+        """A' @ Y for Y with one row per block."""
+        out = np.zeros((self.n, Y.shape[1]))
+        for b, row in zip(self.blocks, Y):
+            out[b] = row
+        return out
+
+    def _field_solve(self, X: np.ndarray, trans: str = "N") -> np.ndarray:
+        """Lf^-1 X (or Lf'^-1 X)."""
+        return lapack.dtbtrs(self.Lf, X, uplo="L", trans=trans)[0]
+
+    def _border_solve(self, X: np.ndarray, trans: int = 0) -> np.ndarray:
+        """Ls^-1 X (or Ls'^-1 X)."""
+        return lapack.dtrtrs(self.Ls, X, lower=1, trans=trans)[0]
+
+    def solve(self, R: np.ndarray) -> np.ndarray:
+        """H^-1 R for R of shape (n, k)."""
+        p = self.plan
+        out = np.empty(R.shape)
+        zf = self._field_solve(R[p.field]) if p.nf else R[p.field]
+        xb = R[p.border]
+        if p.nb:
+            zb = self._border_solve(xb - self.W.T @ zf)
+            xb = self._border_solve(zb, trans=1)
+            out[p.border] = xb
+        if p.nf:
+            out[p.field] = self._field_solve(zf - self.W @ xb, trans="T")
+        return out
+
+    def step(self, g: np.ndarray) -> np.ndarray:
+        """The Newton step on A delta = 0: H^-1 g - V M^-1 A H^-1 g."""
+        d = self.solve(g.reshape(-1, 1))
+        if self.blocks:
+            d -= self.V @ cho_solve((self.Lm, True), self._a(d))
+        return d[:, 0]
+
+    def variances(self, chunk: int) -> np.ndarray:
+        """Diagonal of the constrained covariance H^-1 - V M^-1 V'."""
+        p = self.plan
+        var = np.empty(self.n)
+        if p.nb:
+            Ls_inv = lapack.dtrtri(self.Ls, lower=1)[0]
+            var[p.border] = (Ls_inv**2).sum(axis=0)
+        if p.nf:
+            # diag(F^-1) from column norms of Lf^-1; column j is zero above j
+            d = np.empty(p.nf)
+            for start in range(0, p.nf, chunk):
+                stop = min(start + chunk, p.nf)
+                E = np.eye(p.nf - start, stop - start)
+                Z = lapack.dtbtrs(self.Lf[:, start:], E, uplo="L")[0]
+                d[start:stop] = (Z**2).sum(axis=0)
+            if p.nb:
+                # + diag(F^-1 C S^-1 C' F^-1), rows of Lf'^-1 W Ls'^-1
+                Y = self._field_solve(self._border_solve(self.W.T).T, trans="T")
+                d += (Y**2).sum(axis=1)
+            var[p.field] = d
+        if self.blocks:
+            var -= (np.linalg.solve(self.Lm, self.V.T) ** 2).sum(axis=0)
+        return var
+
+
+def _scatter(data: np.ndarray, src: np.ndarray, dst: np.ndarray, shape) -> np.ndarray:
+    out = np.zeros(shape[0] * shape[1])
+    out[dst] = data[src]
+    return out.reshape(shape)
 
 
 def find_mode(
@@ -128,13 +303,12 @@ def find_mode(
     Convergence means the gradient projected onto the constraint nullspace
     has norm <= tol; non-convergence is reported in the result, not
     raised. Line search backtracks by halving and requires strict ascent.
+    A negative Hessian that fails to factor raises NumericError.
     """
     if tol <= 0:
         raise ConfigError("tol must be positive")
     n = model.n_total
     blocks = model.constraint_blocks
-    A = _constraint_rows(blocks, n)
-    c = A.shape[0]
     sigma = model.prior_precision(psi)
 
     theta = np.zeros(n) if theta0 is None else np.array(theta0, dtype=float)
@@ -148,6 +322,14 @@ def find_mode(
             return -np.inf
         return ll - 0.5 * model.prior_quad(th, psi)
 
+    def factor(fish, where: str) -> _Factor:
+        nonlocal factorizations
+        factorizations += 1
+        try:
+            return _Factor(sigma + fish, blocks)
+        except NumericError as exc:
+            raise NumericError(f"negative-Hessian factorization failed {where}: {exc}") from exc
+
     value = core(theta)
     if value == -np.inf:
         raise NumericError("log-joint is -inf at the starting point")
@@ -155,22 +337,21 @@ def find_mode(
     converged = False
     grad_norm = np.inf
     it = 0
+    factorizations = halvings = 0
+    fish = fac = None  # Fisher matrix and factor at theta, while current
     for it in range(1, max_iter + 1):
         ll, lgrad, fish = model.lik_parts(theta)
-        grad = lgrad - sigma @ theta
-        pgrad = _project_grad(grad, blocks)
+        # the projected gradient gives the same step as the raw one, whose
+        # part in the span of A' does not vanish at the mode: kriging would
+        # cancel it only to within rounding, an error that does not shrink
+        # with the step
+        pgrad = _center_blocks(lgrad - sigma @ theta, blocks)
         grad_norm = float(np.linalg.norm(pgrad))
         if grad_norm <= tol:
             converged = True
             break
-        H = (sigma + fish).tocsc()
-        try:
-            lu = spla.splu(_bordered(H, A))
-        except RuntimeError as exc:
-            log.warning("Newton factorization failed at iteration %d: %s", it, exc)
-            break
-        rhs = np.concatenate([grad, np.zeros(c)])
-        delta = lu.solve(rhs)[:n]
+        fac = factor(fish, f"at iteration {it}")
+        delta = fac.step(pgrad)
         accepted = False
         moved = False
         t = 1.0
@@ -186,32 +367,29 @@ def find_mode(
                 accepted = True
                 break
             t *= 0.5
+            halvings += 1
         if not accepted or not moved:
             log.debug("line search stalled at iteration %d (|g|=%.3e)", it, grad_norm)
             break
+        fish = fac = None
 
-    # Factor the bordered system at the final point: it provides the
-    # constrained log-determinant now and the marginal variances later.
-    _, _, fish = model.lik_parts(theta)
-    H = (sigma + fish).tocsc()
-    try:
-        lu = spla.splu(_bordered(H, A))
-        log_det = _logabsdet_from_lu(lu)
-    except (RuntimeError, NumericError) as exc:
-        raise NumericError(f"negative-Hessian factorization failed at mode: {exc}") from exc
-    # |det(bordered)| = det(H restricted to the subspace) * det(AA'); the
-    # constraint rows are disjoint indicators, so AA' is diagonal.
-    log_det -= float(sum(np.log(len(b)) for b in blocks))
+    # The factor at the final point gives the constrained log-determinant
+    # now and the marginal variances later.
+    if fac is None:
+        if fish is None:
+            _, _, fish = model.lik_parts(theta)
+        fac = factor(fish, "at mode")
 
     return ModeResult(
         theta_star=theta,
         value=value,
-        log_det_H=log_det,
+        log_det_H=fac.log_det,
         grad_norm=grad_norm,
         iterations=it,
         converged=converged,
-        _lu=lu,
-        _n_aug=n + c,
+        factorizations=factorizations,
+        halvings=halvings,
+        _lu=fac,
     )
 
 
@@ -224,8 +402,9 @@ def log_psi_posterior(
     """Unnormalized log posterior of the precisions, by Laplace approximation.
 
     log p(y|th*) + log p(th*|psi) + log p(psi) + (d/2) log 2pi
-    − ½ log det H, with d the constrained dimension. Raises on
-    non-convergence of the inner mode search.
+    − ½ log det H, with d the constrained dimension; the (d/2) log 2pi
+    cancels against the prior's normalizer. Raises on non-convergence of
+    the inner mode search.
     """
     return _psi_objective(psi, model, theta0, opts)[0]
 
@@ -241,40 +420,38 @@ def _psi_objective(
         psi, model, theta0=theta0, tol=o.tol, max_iter=o.max_iter,
         max_halvings=o.max_halvings,
     )
+    return _laplace_value(psi, model, mode), mode
+
+
+def _laplace_value(psi, model, mode: ModeResult) -> float:
     if not mode.converged:
         raise NumericError(
             f"mode search did not converge (final |grad| = {mode.grad_norm:.3e})"
         )
-    d = model.n_total - len(model.constraint_blocks)
     # mode.value already holds loglik − ½ th' Sigma th; add the prior's
     # normalization, the hyperprior, and the Gaussian-integral correction.
     lp = (
         mode.value
         + 0.5 * model.log_prior_gendet(psi)
-        - 0.5 * d * LOG_2PI
         + model.log_hyperprior(psi)
-        + 0.5 * d * LOG_2PI
         - 0.5 * mode.log_det_H
     )
-    return float(lp), mode
+    return float(lp)
 
 
 def marginal_sd(mode: ModeResult, n: int, chunk: int = 256) -> np.ndarray:
     """Posterior marginal standard deviations at one mode.
 
-    Solves the bordered KKT system against identity columns in chunks and
-    reads the diagonal of the inverse's top-left block, which equals the
-    covariance of the constrained Gaussian approximation.
+    The variances are the diagonal of H^-1 less the kriging correction,
+    i.e. of the covariance of the constrained Gaussian approximation;
+    ``chunk`` bounds the identity columns solved against the banded field
+    factor at once.
     """
     if mode._lu is None:
         raise NumericError("mode result carries no factorization")
-    var = np.empty(n)
-    for start in range(0, n, chunk):
-        cols = np.arange(start, min(start + chunk, n))
-        E = np.zeros((mode._n_aug, cols.size))
-        E[cols, np.arange(cols.size)] = 1.0
-        X = mode._lu.solve(E)
-        var[cols] = X[cols, np.arange(cols.size)]
+    if n != mode._lu.n:
+        raise ConfigError(f"asked for {n} marginal sds of a {mode._lu.n}-coordinate mode")
+    var = mode._lu.variances(chunk)
     bad = var <= 0
     if np.any(bad):
         raise NumericError(
@@ -326,7 +503,7 @@ class _Search:
 
     Only the best candidate's ModeResult keeps its factorization; cached
     entries are stripped, since a search touches on the order of a hundred
-    points and each LU factor of the bordered system costs megabytes.
+    points and each factor holds dense blocks of n × (border + constraints).
     """
 
     def __init__(self, model, opts: NewtonOptions):
@@ -337,27 +514,44 @@ class _Search:
         self.best_value = -np.inf
         self.best_mode: ModeResult | None = None
         self.evals = 0
+        self.cache_hits = 0
+        self.rejected = 0
+        self.work: Counter = Counter()
 
     def __call__(self, vec: np.ndarray) -> float:
         key = tuple(np.round(vec, 10))
         hit = self.cache.get(key)
         if hit is None:
             psi = self.model.psi_from_free(vec)
+            o = self.opts
             try:
-                lp, mode = _psi_objective(
-                    psi, self.model, theta0=self.warm, opts=self.opts
+                mode = find_mode(
+                    psi, self.model, theta0=self.warm, tol=o.tol,
+                    max_iter=o.max_iter, max_halvings=o.max_halvings,
                 )
+                _tally(self.work, mode)
+                lp = _laplace_value(psi, self.model, mode)
             except NumericError as exc:
                 log.warning("rejecting candidate %s: %s", np.round(vec, 3), exc)
                 lp, mode = -np.inf, None
+                self.rejected += 1
             self.evals += 1
             if mode is not None and lp > self.best_value:
                 self.best_value = lp
                 self.best_mode = mode
                 self.warm = mode.theta_star
-            stripped = None if mode is None else replace(mode, _lu=None, _n_aug=0)
+            stripped = None if mode is None else replace(mode, _lu=None)
             self.cache[key] = hit = (lp, stripped)
+        else:
+            self.cache_hits += 1
         return hit[0]
+
+
+def _tally(work: Counter, mode: ModeResult) -> None:
+    """Add one mode search's deterministic work counts."""
+    work["newton_iterations"] += mode.iterations
+    work["factorizations"] += mode.factorizations
+    work["line_search_halvings"] += mode.halvings
 
 
 def empirical_bayes(
@@ -498,21 +692,24 @@ class FitResult:
     def from_json_dict(cls, d: dict) -> "FitResult":
         if d.get("format") != "coxforge-fit-v1":
             raise InputDataError("not a fit result file (format tag mismatch)")
-        spec = ModelSpec.from_json_dict(d["model"])
-        return cls(
-            spec=spec,
-            grid=GridSpec.from_json_dict(d["grid"]),
-            prior=PriorSpec.from_json_dict(d["prior"]),
-            layout=ThetaLayout.from_json_dict(d["layout"]),
-            shoe_ids=list(d["shoe_ids"]),
-            strategy=str(d["strategy"]),
-            seed=int(d["seed"]),
-            psi_map=Hyperparams.from_json_dict(d["psi_map"], spec),
-            psi_grid=PsiGrid.from_json_dict(d["psi_grid"]),
-            marginal_mean=np.array(d["marginal_mean"], dtype=float),
-            marginal_sd=np.array(d["marginal_sd"], dtype=float),
-            diagnostics=dict(d.get("diagnostics", {})),
-        )
+        try:
+            spec = ModelSpec.from_json_dict(d["model"])
+            return cls(
+                spec=spec,
+                grid=GridSpec.from_json_dict(d["grid"]),
+                prior=PriorSpec.from_json_dict(d["prior"]),
+                layout=ThetaLayout.from_json_dict(d["layout"]),
+                shoe_ids=list(d["shoe_ids"]),
+                strategy=str(d["strategy"]),
+                seed=int(d["seed"]),
+                psi_map=Hyperparams.from_json_dict(d["psi_map"], spec),
+                psi_grid=PsiGrid.from_json_dict(d["psi_grid"]),
+                marginal_mean=np.array(d["marginal_mean"], dtype=float),
+                marginal_sd=np.array(d["marginal_sd"], dtype=float),
+                diagnostics=dict(d.get("diagnostics", {})),
+            )
+        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+            raise InputDataError(f"malformed fit result: {exc!r}") from exc
 
 
 def fit(
@@ -566,6 +763,11 @@ def fit(
             warm=map_mode.theta_star, threads=threads,
         )
 
+    work = Counter(search.work)
+    if strategy == "grid":
+        for m in modes:
+            _tally(work, m)
+
     n = model.n_total
     sds = [marginal_sd(m, n) for m in modes]
     means = np.stack([m.theta_star for m in modes])
@@ -585,6 +787,11 @@ def fit(
         "psi_evaluations": int(search.evals),
         "map_newton_iterations": int(map_mode.iterations),
         "map_grad_norm": float(map_mode.grad_norm),
+        "newton_iterations": int(work["newton_iterations"]),
+        "factorizations": int(work["factorizations"]),
+        "line_search_halvings": int(work["line_search_halvings"]),
+        "psi_rejected": int(search.rejected),
+        "psi_cache_hits": int(search.cache_hits),
         "search_start_log_tau": 0.0,
         "search_initial_step": 1.0,
         "seconds": float(elapsed),

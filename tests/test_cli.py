@@ -318,3 +318,71 @@ class TestGradient:
     def test_missing_image_exits_1(self, tmp_path):
         assert main(["gradient", "--image", str(tmp_path / "no.pgm"),
                      "--raw", "--out", str(tmp_path / "x")]) == 1
+
+
+class TestMalformedInput:
+    """Broken files end in exit 1 with the file (and shoe) named."""
+
+    @staticmethod
+    def _exit_and_message(caplog, argv):
+        caplog.clear()
+        code = main(argv)
+        return code, " ".join(r.getMessage() for r in caplog.records)
+
+    @pytest.fixture()
+    def dataset_doc(self, simdir):
+        return json.loads((simdir / "dataset.json").read_text())
+
+    def _fit_argv(self, doc, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return path, ["fit", "--dataset", str(path), "--model", "m_a",
+                      "--out", str(tmp_path / "f.json"), "--threads", "1"]
+
+    def test_truncated_p5_pgm(self, tmp_path, caplog):
+        path = tmp_path / "cut.pgm"
+        path.write_bytes(b"P5\n6 8\n255\n" + bytes(20))
+        code, msg = self._exit_and_message(caplog, [
+            "gradient", "--image", str(path), "--raw",
+            "--out", str(tmp_path / "edges"),
+        ])
+        assert code == 1
+        assert str(path) in msg and "truncated" in msg
+
+    def test_dataset_array_of_wrong_length(self, dataset_doc, tmp_path, caplog):
+        shoe = dataset_doc["shoes"][2]
+        shoe["gradient"] = shoe["gradient"][:-1]
+        path, argv = self._fit_argv(dataset_doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and shoe["shoe_id"] in msg
+
+    @pytest.mark.parametrize("value", [float("nan"), 7.5])
+    def test_contact_outside_unit_interval(self, dataset_doc, tmp_path,
+                                           caplog, value):
+        shoe = dataset_doc["shoes"][1]
+        shoe["contact"][3] = value
+        path, argv = self._fit_argv(dataset_doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and shoe["shoe_id"] in msg and "contact" in msg
+
+    def test_binary_contact_not_zero_one(self, dataset_doc, tmp_path, caplog):
+        shoe = dataset_doc["shoes"][0]
+        shoe["contact_binary"][0] = 0.5
+        path, argv = self._fit_argv(dataset_doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and "binary contact" in msg
+
+    def test_fit_json_with_keys_missing(self, simdir, fitfile, tmp_path, caplog):
+        doc = json.loads(fitfile.read_text())
+        del doc["model"]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(path), "--dataset",
+            str(simdir / "dataset.json"), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg and "model" in msg

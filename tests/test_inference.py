@@ -7,6 +7,7 @@ import scipy.integrate
 import scipy.optimize
 
 from _toys import GaussianSurrogateToy, ScalarPoissonToy
+from coxforge import inference
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError, InputDataError, NumericError
 from coxforge.inference import (
@@ -317,8 +318,21 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(records, get_spec("uniform"), cfg.grid, strategy="mcmc")
 
-    def test_diagnostics_counts(self, small_dataset):
+    def test_diagnostics_counts(self, small_dataset, monkeypatch):
         cfg, records = small_dataset
+        modes, factors = [], []
+        real_find_mode, real_factor = inference.find_mode, inference._Factor
+
+        def counted_find_mode(*args, **kwargs):
+            modes.append(real_find_mode(*args, **kwargs))
+            return modes[-1]
+
+        def counted_factor(*args, **kwargs):
+            factors.append(real_factor(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(inference, "find_mode", counted_find_mode)
+        monkeypatch.setattr(inference, "_Factor", counted_factor)
         res = fit(records, get_spec("m_a"), cfg.grid)
         d = res.diagnostics
         n_cells = cfg.grid.n_cells
@@ -328,3 +342,15 @@ class TestFit:
         assert d["n_parameters"] == d["constrained_dim"] + 2
         assert d["psi_evaluations"] > 0
         assert np.isfinite(d["log_psi_posterior_map"])
+        # work counters: every evaluation ran one mode search, and the
+        # totals are those of the searches and factorizations that ran
+        assert d["psi_rejected"] == 0
+        assert len(modes) == d["psi_evaluations"]
+        assert d["newton_iterations"] == sum(m.iterations for m in modes)
+        assert d["factorizations"] == len(factors)
+        assert d["factorizations"] >= d["newton_iterations"] >= len(modes)
+        assert d["line_search_halvings"] == sum(m.halvings for m in modes)
+        assert d["psi_cache_hits"] > 0
+        assert all(type(d[k]) is int for k in (
+            "newton_iterations", "factorizations", "line_search_halvings",
+            "psi_rejected", "psi_cache_hits"))
