@@ -216,7 +216,8 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
                 threshold=float(s.get("threshold", float("nan"))),
                 **cells,
             )
-            # binary contact is checked for 0/1 before the cast can hide it
+            # binary contact (0/1) and counts (whole, within int64) are
+            # checked before the casts below can hide a bad value
             rec.validate(grid)
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"{p}: shoe {sid}: malformed record: {exc!r}") from exc

@@ -33,6 +33,9 @@ log = logging.getLogger("coxforge.grids")
 
 Side = Literal["left", "right"]
 
+# a Sobel response of a surface in [0, 1] is at most 4 per direction
+_MAX_GRADIENT = 4.0 * np.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -160,11 +163,18 @@ class ShoeRecord:
                     f"shoe {self.shoe_id}: {name} has shape {arr.shape}, "
                     f"expected {shape}"
                 )
-        if np.any(self.counts < 0):
-            raise InputDataError(f"shoe {self.shoe_id}: negative accidental counts")
-        for name in ("contact", "gradient"):
+        for name in ("contact", "gradient", "counts"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise InputDataError(f"shoe {self.shoe_id}: non-finite {name} values")
+        if np.any(self.counts < 0):
+            raise InputDataError(f"shoe {self.shoe_id}: negative accidental counts")
+        if np.any(self.counts != np.round(self.counts)):
+            raise InputDataError(f"shoe {self.shoe_id}: accidental counts must be whole numbers")
+        # counts are stored and summed as int64
+        with np.errstate(over="ignore"):
+            total = float(np.sum(self.counts, dtype=float))
+        if total >= 2.0**63:
+            raise InputDataError(f"shoe {self.shoe_id}: accidental counts exceed the int64 range")
         # the tolerance matches the one crop_reflect allows scan intensities
         if np.any((self.contact < -1e-9) | (self.contact > 1 + 1e-9)):
             raise InputDataError(
@@ -173,6 +183,12 @@ class ShoeRecord:
             )
         if not np.all((self.contact_binary == 0) | (self.contact_binary == 1)):
             raise InputDataError(f"shoe {self.shoe_id}: binary contact must be 0 or 1")
+        # the slack covers the 1e-9 that contact may stray outside [0, 1]
+        if np.any((self.gradient < 0) | (self.gradient > _MAX_GRADIENT + 1e-6)):
+            raise InputDataError(
+                f"shoe {self.shoe_id}: gradient must lie in [0, 4*sqrt(2)], found "
+                f"[{self.gradient.min()}, {self.gradient.max()}]"
+            )
 
 
 def crop_reflect(image: RawImage, spec: GridSpec) -> np.ndarray:

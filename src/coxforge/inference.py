@@ -28,11 +28,11 @@ deterministic coordinate search in log-precision space (empirical Bayes)
 or summed over a centered grid with log-scale Jacobian weights.
 
 Any object with the :class:`coxforge.model.ShoeModel` likelihood/prior
-surface (``n_total``, ``n_free``, ``constraint_blocks``, ``lik_parts``,
-``prior_precision``, ``prior_quad``, ``log_prior_gendet``,
-``log_hyperprior``, ``psi_from_free``) can be driven by these routines;
-the test suite uses small synthetic problems with closed-form answers
-through the same entry points.
+surface (``n_total``, ``n_free``, ``constraint_blocks``, ``loglik``,
+``lik_parts``, ``prior_precision``, ``prior_quad``, ``log_prior_gendet``,
+``log_hyperprior``, ``psi_from_free``, ``free_names``) can be driven by
+these routines; the test suite uses small synthetic problems with
+closed-form answers through the same entry points.
 """
 
 from __future__ import annotations
@@ -56,14 +56,28 @@ from .util import parallel_map
 
 log = logging.getLogger("coxforge.inference")
 
+# the empirical-Bayes compass search: log-precision box, first and last step
 SEARCH_BOUNDS = (-12.0, 12.0)
+SEARCH_STEP0 = 1.0
+SEARCH_MIN_STEP = 1e-3
 
 
 @dataclass
 class NewtonOptions:
+    """Stopping rule of :func:`find_mode`.
+
+    ``tol`` bounds the norm of the projected gradient at convergence;
+    ``max_iter`` the Newton iterations and ``max_halvings`` the step
+    halvings of one line search.
+    """
+
     tol: float = 1e-8
     max_iter: int = 50
     max_halvings: int = 30
+
+    def __post_init__(self) -> None:
+        if not self.tol > 0:
+            raise ConfigError("tol must be positive")
 
 
 @dataclass
@@ -292,21 +306,18 @@ def find_mode(
     psi,
     model,
     theta0: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-    max_halvings: int = 30,
+    opts: NewtonOptions | None = None,
 ) -> ModeResult:
     """Damped Newton ascent of the log-joint on the constrained subspace.
 
     Starts from zero (always feasible) unless ``theta0`` is given; every
     iterate is re-centered so the constrained blocks sum to zero exactly.
     Convergence means the gradient projected onto the constraint nullspace
-    has norm <= tol; non-convergence is reported in the result, not
-    raised. Line search backtracks by halving and requires strict ascent.
+    has norm <= ``opts.tol``; non-convergence is reported in the result,
+    not raised. Line search backtracks by halving and accepts ties.
     A negative Hessian that fails to factor raises NumericError.
     """
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
+    o = opts or NewtonOptions()
     n = model.n_total
     blocks = model.constraint_blocks
     sigma = model.prior_precision(psi)
@@ -339,7 +350,7 @@ def find_mode(
     it = 0
     factorizations = halvings = 0
     fish = fac = None  # Fisher matrix and factor at theta, while current
-    for it in range(1, max_iter + 1):
+    for it in range(1, o.max_iter + 1):
         ll, lgrad, fish = model.lik_parts(theta)
         # the projected gradient gives the same step as the raw one, whose
         # part in the span of A' does not vanish at the mode: kriging would
@@ -347,7 +358,7 @@ def find_mode(
         # with the step
         pgrad = _center_blocks(lgrad - sigma @ theta, blocks)
         grad_norm = float(np.linalg.norm(pgrad))
-        if grad_norm <= tol:
+        if grad_norm <= o.tol:
             converged = True
             break
         fac = factor(fish, f"at iteration {it}")
@@ -355,7 +366,7 @@ def find_mode(
         accepted = False
         moved = False
         t = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(o.max_halvings + 1):
             cand = _center_blocks(theta + t * delta, blocks)
             v = core(cand)
             # ties are accepted: near the mode the true ascent of a Newton
@@ -415,11 +426,7 @@ def _psi_objective(
     theta0: np.ndarray | None = None,
     opts: NewtonOptions | None = None,
 ) -> tuple[float, ModeResult]:
-    o = opts or NewtonOptions()
-    mode = find_mode(
-        psi, model, theta0=theta0, tol=o.tol, max_iter=o.max_iter,
-        max_halvings=o.max_halvings,
-    )
+    mode = find_mode(psi, model, theta0=theta0, opts=opts)
     return _laplace_value(psi, model, mode), mode
 
 
@@ -506,7 +513,7 @@ class _Search:
     points and each factor holds dense blocks of n × (border + constraints).
     """
 
-    def __init__(self, model, opts: NewtonOptions):
+    def __init__(self, model, opts: NewtonOptions | None):
         self.model = model
         self.opts = opts
         self.cache: dict[tuple, tuple[float, ModeResult | None]] = {}
@@ -523,12 +530,8 @@ class _Search:
         hit = self.cache.get(key)
         if hit is None:
             psi = self.model.psi_from_free(vec)
-            o = self.opts
             try:
-                mode = find_mode(
-                    psi, self.model, theta0=self.warm, tol=o.tol,
-                    max_iter=o.max_iter, max_halvings=o.max_halvings,
-                )
+                mode = find_mode(psi, self.model, theta0=self.warm, opts=self.opts)
                 _tally(self.work, mode)
                 lp = _laplace_value(psi, self.model, mode)
             except NumericError as exc:
@@ -555,31 +558,26 @@ def _tally(work: Counter, mode: ModeResult) -> None:
 
 
 def empirical_bayes(
-    model,
-    opts: NewtonOptions | None = None,
-    step0: float = 1.0,
-    min_step: float = 1e-3,
-    bounds: tuple[float, float] = SEARCH_BOUNDS,
+    model, opts: NewtonOptions | None = None
 ) -> tuple[np.ndarray, _Search]:
     """Maximize the hyperparameter posterior over log precisions.
 
     Coordinate search from the origin: at each scale, sweep coordinates
     trying +/- step and accept improvements until a full sweep fails, then
-    halve the step; stop below ``min_step``. Entirely deterministic.
+    halve the step; stop below ``SEARCH_MIN_STEP``. Entirely deterministic.
     """
-    o = opts or NewtonOptions()
-    ev = _Search(model, o)
+    ev = _Search(model, opts)
     x = np.zeros(model.n_free)
     best = ev(x)
-    step = step0
-    while step >= min_step:
+    step = SEARCH_STEP0
+    while step >= SEARCH_MIN_STEP:
         improved_any = True
         while improved_any:
             improved_any = False
             for j in range(model.n_free):
                 for sgn in (1.0, -1.0):
                     cand = x.copy()
-                    cand[j] = float(np.clip(cand[j] + sgn * step, *bounds))
+                    cand[j] = float(np.clip(cand[j] + sgn * step, *SEARCH_BOUNDS))
                     if cand[j] == x[j]:
                         continue
                     v = ev(cand)
@@ -606,7 +604,6 @@ def grid_posterior(
     warm-started from the same center mode, so results are independent of
     evaluation order and thread count.
     """
-    o = opts or NewtonOptions()
     k = model.n_free
     offsets = config.spacing * (np.arange(config.points) - (config.points - 1) / 2)
     points = np.array([
@@ -616,7 +613,7 @@ def grid_posterior(
 
     def one(vec: np.ndarray) -> tuple[float, ModeResult]:
         psi = model.psi_from_free(vec)
-        return _psi_objective(psi, model, theta0=warm, opts=o)
+        return _psi_objective(psi, model, theta0=warm, opts=opts)
 
     results = parallel_map(one, points, threads)
     lp = np.array([r[0] for r in results])
@@ -625,10 +622,7 @@ def grid_posterior(
     log_mass -= log_mass.max()
     w = np.exp(log_mass)
     w /= w.sum()
-    names = model.free_names() if hasattr(model, "free_names") else [
-        f"log_tau[{i}]" for i in range(k)
-    ]
-    return PsiGrid(points=points, weights=w, free_names=names), modes
+    return PsiGrid(points=points, weights=w, free_names=model.free_names()), modes
 
 
 # ---------------------------------------------------------------------------
@@ -793,7 +787,7 @@ def fit(
         "psi_rejected": int(search.rejected),
         "psi_cache_hits": int(search.cache_hits),
         "search_start_log_tau": 0.0,
-        "search_initial_step": 1.0,
+        "search_initial_step": SEARCH_STEP0,
         "seconds": float(elapsed),
     }
     log.info(

@@ -117,12 +117,28 @@ def _near_constant(v: np.ndarray, s: float) -> bool:
     return s <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
 
 
+def _concordance(xv: np.ndarray, yv: np.ndarray) -> tuple[float, float, float, float]:
+    """(pearson, nu, u, ccc) of two equal-length vectors.
+
+    NaNs when fewer than two points or either input has (numerically)
+    zero variance, where the statistics are undefined.
+    """
+    sx = xv.std(ddof=1) if xv.size > 1 else 0.0
+    sy = yv.std(ddof=1) if yv.size > 1 else 0.0
+    if xv.size < 2 or _near_constant(xv, sx) or _near_constant(yv, sy):
+        return (float("nan"),) * 4
+    rho = float(np.corrcoef(xv, yv)[0, 1])
+    nu = float(sx / sy)
+    u = float((xv.mean() - yv.mean()) / np.sqrt(sx * sy))
+    return rho, nu, u, float(rho * 2.0 / (nu + 1.0 / nu + u * u))
+
+
 def ccc(x, y) -> float:
     """Concordance correlation: Pearson rho scaled by accuracy.
 
     rho * 2 / (nu + 1/nu + u^2) with nu the ratio of sample standard
     deviations and u the standardized mean difference. NaN when either
-    input has zero variance.
+    input has zero variance (or a non-finite entry).
     """
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
@@ -130,32 +146,20 @@ def ccc(x, y) -> float:
         raise ConfigError("ccc wants two equal-length vectors")
     if xv.size < 2:
         raise ConfigError("ccc needs at least two points")
-    sx = xv.std(ddof=1)
-    sy = yv.std(ddof=1)
-    if _near_constant(xv, sx) or _near_constant(yv, sy):
-        log.warning("ccc undefined: an input has (numerically) zero variance")
-        return float("nan")
-    rho = float(np.corrcoef(xv, yv)[0, 1])
-    nu = sx / sy
-    u = (xv.mean() - yv.mean()) / np.sqrt(sx * sy)
-    return float(rho * 2.0 / (nu + 1.0 / nu + u * u))
+    c = _concordance(xv, yv)[3]
+    if np.isnan(c):
+        log.warning("ccc undefined: an input has (numerically) zero variance "
+                    "or a non-finite entry")
+    return c
 
 
 def compare(
     metrics_m1, metrics_m2, per_fold_avg_m1, per_fold_avg_m2
 ) -> ComparisonStats:
     """Bundle the pairwise statistics for one ordered model pair."""
-    xv = np.asarray(metrics_m1, dtype=float)
-    yv = np.asarray(metrics_m2, dtype=float)
-    sx = xv.std(ddof=1) if xv.size > 1 else 0.0
-    sy = yv.std(ddof=1) if yv.size > 1 else 0.0
-    if xv.size > 1 and not (_near_constant(xv, sx) or _near_constant(yv, sy)):
-        rho = float(np.corrcoef(xv, yv)[0, 1])
-        nu = float(sx / sy)
-        u = float((xv.mean() - yv.mean()) / np.sqrt(sx * sy))
-        c = float(rho * 2.0 / (nu + 1.0 / nu + u * u))
-    else:
-        rho = nu = u = c = float("nan")
+    rho, nu, u, c = _concordance(
+        np.asarray(metrics_m1, dtype=float), np.asarray(metrics_m2, dtype=float)
+    )
     return ComparisonStats(
         median_loss_ratio=median_loss_ratio(metrics_m1, metrics_m2),
         fold_gain=fold_gain(per_fold_avg_m1, per_fold_avg_m2),

@@ -9,6 +9,9 @@ with ``x``/``xv`` the covariate tensors of :mod:`coxforge.design`, counts
 Poisson(exp(eta)), Gaussian priors on every block (intrinsic ones on the
 spatial fields), and Exponential hyperpriors on the free precisions.
 
+:class:`Design` holds the tensors and computes eta; every predictor in the
+package, fitted or predictive, is its :meth:`Design.eta`.
+
 :class:`ShoeModel` packages all of that behind the small interface the
 inference engine consumes (log-likelihood, gradient, Fisher information,
 prior precision, hyperprior). The Fisher matrix is assembled from dense
@@ -206,7 +209,35 @@ class ThetaLayout:
         )
 
 
-class ShoeModel:
+class Design:
+    """Covariate tensors of a list of records under a spec, and their predictor.
+
+    ``x`` (S, A, K) and ``xv`` (S, A, V) hold the fixed-effect and
+    varying-coefficient covariates; ``layout`` places the blocks of theta.
+    :meth:`eta` is the package's one linear predictor. The records share
+    one grid shape, which sets the cell count.
+    """
+
+    def __init__(self, records: Sequence[ShoeRecord], spec: ModelSpec) -> None:
+        self.spec = spec
+        self.records = list(records)
+        n_cells = self.records[0].contact.size
+        self.layout = ThetaLayout.for_model(len(self.records), spec, n_cells)
+        self.x = dz.build_tensor(self.records, spec.fixed, spec)  # (S, A, K)
+        self.xv = dz.build_tensor(self.records, spec.varying, spec)  # (S, A, V)
+
+    def eta(self, theta: np.ndarray) -> np.ndarray:
+        """Linear predictor per (shoe, cell), shape (S, A)."""
+        lay = self.layout
+        out = theta[lay.shoe][:, None] + self.x @ theta[lay.fixed]
+        if lay.smooth:
+            out = out + theta[lay.smooth_block][None, :]
+        for j in range(lay.n_varying):
+            out = out + self.xv[:, :, j] * theta[lay.varying_block(j)][None, :]
+        return out
+
+
+class ShoeModel(Design):
     """Likelihood, priors, and derivatives for a set of shoe records.
 
     Parameters
@@ -229,17 +260,12 @@ class ShoeModel:
             raise InputDataError("no shoe records")
         for rec in records:
             rec.validate(grid)
-        self.spec = spec
         self.grid = grid
         self.prior = prior or PriorSpec()
-        self.records = list(records)
-        self.shoe_ids = [r.shoe_id for r in self.records]
+        self.shoe_ids = [r.shoe_id for r in records]
         if len(set(self.shoe_ids)) != len(self.shoe_ids):
             raise ConfigError("duplicate shoe_ids in record list")
-        self.layout = ThetaLayout.for_model(len(records), spec, grid.n_cells)
-
-        self.x = dz.build_tensor(self.records, spec.fixed, spec, grid)  # (S, A, K)
-        self.xv = dz.build_tensor(self.records, spec.varying, spec, grid)  # (S, A, V)
+        super().__init__(records, spec)
         self.y = np.stack([r.counts.reshape(-1) for r in self.records]).astype(float)
         self._log_yfact = float(gammaln(self.y + 1.0).sum())
 
@@ -281,15 +307,6 @@ class ShoeModel:
             tau_v.append(next(it) if self.free_v[j] else self.prior.fixed_tau_high_order)
         return Hyperparams(tau_s=tau_s, tau_sm=tau_sm, tau_v=tuple(tau_v))
 
-    def free_from_psi(self, psi: Hyperparams) -> np.ndarray:
-        out = [np.log(psi.tau_s)]
-        if self.spec.smooth:
-            out.append(np.log(psi.tau_sm))
-        for j in range(self.layout.n_varying):
-            if self.free_v[j]:
-                out.append(np.log(psi.tau_v[j]))
-        return np.array(out)
-
     def log_hyperprior(self, psi: Hyperparams) -> float:
         """Sum of Exponential log-densities over the *free* precisions."""
         p = self.prior
@@ -315,28 +332,6 @@ class ShoeModel:
 
     # -- likelihood and derivatives ------------------------------------------
 
-    def eta(self, theta: np.ndarray) -> np.ndarray:
-        """Linear predictor per (shoe, cell), shape (S, A)."""
-        lay = self.layout
-        out = theta[lay.shoe][:, None] + self.x @ theta[lay.fixed]
-        if lay.smooth:
-            out = out + theta[lay.smooth_block][None, :]
-        for j in range(lay.n_varying):
-            out = out + self.xv[:, :, j] * theta[lay.varying_block(j)][None, :]
-        return out
-
-    def eta1(self, theta: np.ndarray, record: ShoeRecord) -> np.ndarray:
-        """Shoe-effect-free predictor over cells for one record, shape (A,)."""
-        lay = self.layout
-        x = dz.build_tensor([record], self.spec.fixed, self.spec, self.grid)[0]
-        xv = dz.build_tensor([record], self.spec.varying, self.spec, self.grid)[0]
-        out = x @ theta[lay.fixed]
-        if lay.smooth:
-            out = out + theta[lay.smooth_block]
-        for j in range(lay.n_varying):
-            out = out + xv[:, j] * theta[lay.varying_block(j)]
-        return out
-
     def loglik(self, theta: np.ndarray) -> float:
         eta = self.eta(theta)
         with np.errstate(over="ignore"):
@@ -344,12 +339,6 @@ class ShoeModel:
         if not np.isfinite(lam_sum):
             return -np.inf
         return float((self.y * eta).sum() - lam_sum - self._log_yfact)
-
-    def loglik_grad(self, theta: np.ndarray) -> np.ndarray:
-        resid = self.y - np.exp(self.eta(theta))  # (S, A)
-        if not np.all(np.isfinite(resid)):
-            raise NumericError("non-finite intensity in gradient evaluation")
-        return self._project_rows(resid)
 
     def lik_parts(
         self, theta: np.ndarray
@@ -470,13 +459,6 @@ class ShoeModel:
                     parts.append(d)
         return np.concatenate(parts)
 
-    def fisher(self, theta: np.ndarray) -> sp.csc_matrix:
-        """Negative Hessian of the likelihood: sum_sa lambda b b', sparse."""
-        w = np.exp(self.eta(theta))
-        if not np.all(np.isfinite(w)):
-            raise NumericError("non-finite intensity in Fisher assembly")
-        return self._fisher_matrix(w)
-
     # -- prior ---------------------------------------------------------------
 
     def _block_taus(self, psi: Hyperparams) -> list[float]:
@@ -541,7 +523,7 @@ class ShoeModel:
 # module-level operations in terms of ShoeModel
 
 
-def linear_predictor(theta: np.ndarray, model: ShoeModel) -> np.ndarray:
+def linear_predictor(theta: np.ndarray, model: Design) -> np.ndarray:
     """eta[s, a] for every shoe and cell; exp of this is the intensity."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.layout.n_total,):
@@ -579,6 +561,5 @@ def grad_hessian(
     """
     theta = np.asarray(theta, dtype=float)
     sigma = model.prior_precision(psi)
-    grad = model.loglik_grad(theta) - sigma @ theta
-    neg_hess = (sigma + model.fisher(theta)).tocsc()
-    return grad, neg_hess
+    _, lgrad, fish = model.lik_parts(theta)
+    return lgrad - sigma @ theta, (sigma + fish).tocsc()

@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from . import design as dz
 from .design import ModelSpec
 from .errors import ConfigError, NumericError
 from .grids import ShoeRecord
-from .model import Hyperparams
+from .model import Design, Hyperparams
 
 log = logging.getLogger("coxforge.predict")
 
@@ -42,23 +40,6 @@ class PredictiveField:
         return self.q.reshape(self.grid_shape)
 
 
-def _theta_without_shoes(theta_point, spec: ModelSpec, n_cells: int) -> np.ndarray:
-    """Strip a leading shoe block if present; accept FitResult for means."""
-    if hasattr(theta_point, "marginal_mean"):
-        theta_point = theta_point.marginal_mean
-    theta = np.asarray(theta_point, dtype=float).reshape(-1)
-    base = len(spec.fixed)
-    if spec.smooth:
-        base += n_cells
-    base += len(spec.varying) * n_cells
-    extra = theta.size - base
-    if extra < 0:
-        raise ConfigError(
-            f"theta has {theta.size} entries but the spec needs at least {base}"
-        )
-    return theta[extra:]
-
-
 def predictive_q(theta_point, shoe: ShoeRecord, spec: ModelSpec) -> PredictiveField:
     """Softmax of the shoe-effect-free predictor over the shoe's cells.
 
@@ -66,21 +47,18 @@ def predictive_q(theta_point, shoe: ShoeRecord, spec: ModelSpec) -> PredictiveFi
     without the leading per-shoe block, which cancels anyway — or a
     FitResult, whose posterior marginal means are used.
     """
-    ny, nx = shoe.contact.shape
-    n_cells = ny * nx
-    theta = _theta_without_shoes(theta_point, spec, n_cells)
-
-    x = dz.build_tensor([shoe], spec.fixed, spec, None)[0]       # (A, K)
-    xv = dz.build_tensor([shoe], spec.varying, spec, None)[0]    # (A, V)
-    k = len(spec.fixed)
-    eta1 = x @ theta[:k]
-    pos = k
-    if spec.smooth:
-        eta1 = eta1 + theta[pos:pos + n_cells]
-        pos += n_cells
-    for j in range(len(spec.varying)):
-        eta1 = eta1 + xv[:, j] * theta[pos:pos + n_cells]
-        pos += n_cells
+    if hasattr(theta_point, "marginal_mean"):
+        theta_point = theta_point.marginal_mean
+    theta = np.asarray(theta_point, dtype=float).reshape(-1)
+    design = Design([shoe], spec)
+    # the last n_total - 1 entries are the shared blocks; the one shoe
+    # effect is set to 0, which adds exactly nothing to the predictor
+    n_shared = design.layout.n_total - 1
+    if theta.size < n_shared:
+        raise ConfigError(
+            f"theta has {theta.size} entries but the spec needs at least {n_shared}"
+        )
+    eta1 = design.eta(np.concatenate(([0.0], theta[theta.size - n_shared:])))[0]
 
     m = eta1.max()
     if not np.isfinite(m):
@@ -89,7 +67,7 @@ def predictive_q(theta_point, shoe: ShoeRecord, spec: ModelSpec) -> PredictiveFi
             "every cell has predictor -inf"
         )
     w = np.exp(eta1 - m)
-    return PredictiveField(q=w / w.sum(), eta1=eta1, grid_shape=(ny, nx))
+    return PredictiveField(q=w / w.sum(), eta1=eta1, grid_shape=shoe.contact.shape)
 
 
 def log_multinomial(counts, q, include_coefficient: bool = False) -> float:
@@ -157,8 +135,6 @@ def factorized_log_prob(
     shoe: ShoeRecord,
     spec: ModelSpec,
     psi: Hyperparams,
-    grid_d: int = 1024,
-    half_width: float = 8.0,
 ) -> tuple[float, float]:
     """The two factors of the marginalized count likelihood for one shoe.
 
@@ -171,17 +147,6 @@ def factorized_log_prob(
     y = np.asarray(getattr(counts, "counts", counts), dtype=float).reshape(-1)
     total = int(round(float(y.sum())))
     lambda1 = float(np.exp(field.eta1).sum())
-    log_poisson = poisson_marginal(
-        total, lambda1, psi.tau_s, grid_d=grid_d, half_width=half_width
-    )
+    log_poisson = poisson_marginal(total, lambda1, psi.tau_s)
     log_multi = 0.0 if total == 0 else log_multinomial(y, field.q)
     return log_poisson, log_multi
-
-
-def predictive_fields(
-    theta_point, records: Sequence[ShoeRecord], spec: ModelSpec, threads: int = 1
-) -> list[PredictiveField]:
-    """predictive_q over many shoes, optionally threaded (pure per-shoe work)."""
-    from .util import parallel_map
-
-    return parallel_map(lambda r: predictive_q(theta_point, r, spec), records, threads)

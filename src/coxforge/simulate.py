@@ -25,7 +25,7 @@ from .errors import ConfigError
 from .gmrf import ConstrainedGaussian, sample_constrained
 from .gradient import sobel_magnitude
 from .grids import GridSpec, ShoeRecord, binarize, otsu_threshold
-from .model import Hyperparams, ShoeModel, ThetaLayout
+from .model import Design, Hyperparams, ThetaLayout
 
 CONTACT_KINDS = ("blobs", "stripes", "uniform_noise")
 
@@ -149,8 +149,7 @@ def gen_dataset(config: SimConfig) -> tuple[list[ShoeRecord], np.ndarray]:
     rng = np.random.default_rng(config.seed)
     records = [_record_for_surface(config, i) for i in range(config.n_shoes)]
     theta = true_theta(config, rng)
-    model = ShoeModel(records, config.spec, config.grid)
-    lam = np.exp(model.eta(theta))  # (S, A)
+    lam = np.exp(Design(records, config.spec).eta(theta))  # (S, A)
     counts = rng.poisson(lam)
     out = [
         replace(rec, counts=counts[s].reshape(config.ny, config.nx).astype(np.int64))

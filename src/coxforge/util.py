@@ -17,7 +17,7 @@ def default_threads() -> int:
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
     """Map preserving input order, optionally across a thread pool.
 
-    The heavy lifting in this package happens inside BLAS/SuiteSparse
+    The heavy lifting in this package happens inside NumPy and LAPACK
     calls that release the GIL, so threads give real speedups without the
     pickling constraints of processes. Results are returned in input
     order regardless of completion order.

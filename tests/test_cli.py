@@ -5,10 +5,13 @@ can be asserted directly; the heavy lifting happens on tiny synthetic
 grids to keep the suite quick.
 """
 
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxforge import datasets as ds
 from coxforge.cli import main
@@ -367,6 +370,34 @@ class TestMalformedInput:
         assert code == 1
         assert str(path) in msg and shoe["shoe_id"] in msg and "contact" in msg
 
+    @pytest.mark.parametrize("value", [2.5, float("nan"), 1e30])
+    def test_bad_accidental_count(self, dataset_doc, fitfile, tmp_path, caplog,
+                                  value):
+        shoe = dataset_doc["shoes"][4]
+        shoe["counts"][7] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dataset_doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(fitfile), "--dataset", str(path),
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg and shoe["shoe_id"] in msg and "counts" in msg
+
+    @pytest.mark.parametrize("value", [-1.0, 1e308])
+    def test_gradient_outside_sobel_range(self, dataset_doc, fitfile, tmp_path,
+                                          caplog, value):
+        shoe = dataset_doc["shoes"][5]
+        shoe["gradient"][2] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dataset_doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(fitfile), "--dataset", str(path),
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg and shoe["shoe_id"] in msg and "gradient" in msg
+
     def test_binary_contact_not_zero_one(self, dataset_doc, tmp_path, caplog):
         shoe = dataset_doc["shoes"][0]
         shoe["contact_binary"][0] = 0.5
@@ -386,3 +417,50 @@ class TestMalformedInput:
         ])
         assert code == 1
         assert str(path) in msg and "model" in msg
+
+
+@pytest.fixture(scope="module")
+def gradient_fitfile(simdir, tmp_path_factory):
+    """A variant_b fit: its fixed effects use contact and gradient."""
+    out = tmp_path_factory.mktemp("fit_variant_b") / "fit.json"
+    code = main([
+        "fit", "--dataset", str(simdir / "dataset.json"), "--model", "variant_b",
+        "--out", str(out), "--threads", "1",
+    ])
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    array=st.sampled_from(["contact", "contact_binary", "gradient", "counts"]),
+    shoe=st.integers(0, 7),
+    cell=st.integers(0, 29),
+    value=st.one_of(
+        st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0, 2.5, 1e308]),
+        st.floats(),
+    ),
+)
+def test_evaluate_survives_one_bad_dataset_entry(simdir, gradient_fitfile, fuzz_dir,
+                                                 array, shoe, cell, value):
+    """One entry of a dataset array replaced: a documented exit code, sane output."""
+    doc = json.loads((simdir / "dataset.json").read_text())
+    doc["shoes"][shoe][array][cell] = value
+    path = fuzz_dir / "dataset.json"
+    path.write_text(json.dumps(doc))
+    out = fuzz_dir / "ev"
+    (out / "metrics.csv").unlink(missing_ok=True)
+    code = main(["evaluate", "--fit", str(gradient_fitfile), "--dataset", str(path),
+                 "--out", str(out)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        with (out / "metrics.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows
+        for row in rows:
+            assert row["n_accidentals"].isdigit(), row

@@ -35,10 +35,10 @@ def mode_and_oracle():
     records, _ = gen_dataset(cfg)
     model = ShoeModel(records, cfg.spec, cfg.grid)
     psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
-    mode = find_mode(psi, model, tol=1e-9)
+    mode = find_mode(psi, model, opts=NewtonOptions(tol=1e-9))
 
     n = model.n_total
-    H = (model.prior_precision(psi) + model.fisher(mode.theta_star)).toarray()
+    H = (model.prior_precision(psi) + model.lik_parts(mode.theta_star)[2]).toarray()
     A = np.zeros((len(model.constraint_blocks), n))
     for i, blk in enumerate(model.constraint_blocks):
         A[i, blk] = 1.0

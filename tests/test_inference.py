@@ -24,10 +24,10 @@ from coxforge.inference import (
 )
 from coxforge.simulate import SimConfig, gen_dataset
 
-TIGHT = dict(tol=1e-12)
+TIGHT = dict(opts=NewtonOptions(tol=1e-12))
 # the 1-D toy's objective cannot certify ascent much below |grad| ~ 1e-10,
 # so scalar tests converge at a tolerance the float landscape supports
-SCALAR = dict(tol=1e-9)
+SCALAR = dict(opts=NewtonOptions(tol=1e-9))
 
 
 def scalar_mode_oracle(y, psi):
@@ -78,7 +78,7 @@ class TestScalarPoisson:
     def test_monotone_ascent_across_iteration_budgets(self):
         toy = ScalarPoissonToy(20.0)
         values = [
-            find_mode(1.0, toy, tol=1e-14, max_iter=k).value
+            find_mode(1.0, toy, opts=NewtonOptions(tol=1e-14, max_iter=k)).value
             for k in range(1, 8)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -93,7 +93,7 @@ class TestScalarPoisson:
 
     def test_nonconvergence_reported_not_raised(self):
         toy = ScalarPoissonToy(20.0)
-        mode = find_mode(1.0, toy, tol=1e-14, max_iter=1)
+        mode = find_mode(1.0, toy, opts=NewtonOptions(tol=1e-14, max_iter=1))
         assert not mode.converged
         with pytest.raises(NumericError):
             log_psi_posterior(1.0, toy, opts=NewtonOptions(tol=1e-14, max_iter=1))
@@ -101,7 +101,7 @@ class TestScalarPoisson:
     def test_bad_options_rejected(self):
         toy = ScalarPoissonToy()
         with pytest.raises(ConfigError):
-            find_mode(1.0, toy, tol=0.0)
+            NewtonOptions(tol=0.0)
         with pytest.raises(ConfigError):
             find_mode(1.0, toy, theta0=np.zeros(3))
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from coxforge.design import ModelSpec, get_spec
+from coxforge.design import ModelSpec, covariate_value, get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec, ShoeRecord
 from coxforge.model import (
+    Design,
     Hyperparams,
     PriorSpec,
     ShoeModel,
@@ -14,6 +15,7 @@ from coxforge.model import (
     linear_predictor,
     log_joint,
 )
+from coxforge.simulate import SimConfig, gen_dataset
 
 SMALL_SPEC = ModelSpec(
     "small",
@@ -45,6 +47,33 @@ def _small_model(seed=0):
     rng = np.random.default_rng(seed + 100)
     theta = 0.1 * rng.normal(size=model.n_total)
     return model, psi, theta
+
+
+def _m_final_model():
+    cfg = SimConfig(nx=3, ny=4, n_shoes=6, spec=get_spec("m_final"), seed=3)
+    records, theta = gen_dataset(cfg)
+    return ShoeModel(records, cfg.spec, cfg.grid), theta
+
+
+def _dense_design(model):
+    """The design matrix B, one row per (shoe, cell), from scalar covariates."""
+    lay, spec = model.layout, model.spec
+    rows = []
+    for s, rec in enumerate(model.records):
+        contact = rec.contact if spec.contact == "continuous" else rec.contact_binary
+        for a in range(lay.n_cells):
+            cell = divmod(a, model.grid.nx)
+            b = np.zeros(lay.n_total)
+            b[s] = 1.0
+            for k, idx in enumerate(spec.fixed):
+                b[lay.fixed.start + k] = covariate_value(contact, rec.gradient, idx, cell)
+            if lay.smooth:
+                b[lay.smooth_block.start + a] = 1.0
+            for j, idx in enumerate(spec.varying):
+                b[lay.varying_block(j).start + a] = covariate_value(
+                    contact, rec.gradient, idx, cell)
+            rows.append(b)
+    return np.array(rows)
 
 
 class TestLayout:
@@ -113,7 +142,7 @@ class TestHyperparams:
 class TestFreeVectorPlumbing:
     def test_round_trip(self):
         model, psi, _ = _small_model()
-        vec = model.free_from_psi(psi)
+        vec = np.log([psi.tau_s, psi.tau_sm, psi.tau_v[0]])
         assert model.psi_from_free(vec) == psi
         assert np.allclose(vec, [0.3, -0.2, 0.5])
 
@@ -174,8 +203,9 @@ class TestLikelihood:
         theta = theta.copy()
         theta[model.layout.shoe] = [0.7, -0.3]
         full = model.eta(theta)
+        no_shoe = np.concatenate(([0.0], theta[model.layout.n_shoes:]))
         for s, rec in enumerate(model.records):
-            got = model.eta1(theta, rec)
+            got = Design([rec], model.spec).eta(no_shoe)[0]
             assert np.allclose(got, full[s] - theta[s], atol=1e-12)
 
     def test_shoe_intercept_shift_invariance(self):
@@ -186,12 +216,17 @@ class TestLikelihood:
         assert model.loglik(shifted) == pytest.approx(model.loglik(theta), rel=1e-12)
 
     def test_lik_parts_consistent_with_pieces(self):
-        model, _, theta = _small_model()
-        value, grad, fish = model.lik_parts(theta)
-        assert value == pytest.approx(model.loglik(theta), rel=1e-14)
-        assert np.allclose(grad, model.loglik_grad(theta), atol=1e-12)
-        diff = (fish - model.fisher(theta)).toarray()
-        assert np.abs(diff).max() < 1e-12
+        """Gradient B'(y - lambda) and Fisher B' diag(lambda) B, B built densely."""
+        small, _, small_theta = _small_model()
+        for model, theta in ((small, small_theta), _m_final_model()):
+            value, grad, fish = model.lik_parts(theta)
+            assert value == pytest.approx(model.loglik(theta), rel=1e-14)
+            B = _dense_design(model)
+            y = np.concatenate([r.counts.ravel() for r in model.records])
+            lam = np.exp(B @ theta)
+            assert np.allclose(grad, B.T @ (y - lam), rtol=0, atol=1e-12)
+            diff = fish.toarray() - B.T @ (lam[:, None] * B)
+            assert np.abs(diff).max() < 1e-12
 
     def test_linear_predictor_shape_check(self):
         model, _, _ = _small_model()

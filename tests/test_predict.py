@@ -16,7 +16,6 @@ from coxforge.predict import (
     factorized_log_prob,
     log_multinomial,
     poisson_marginal,
-    predictive_fields,
     predictive_q,
 )
 
@@ -285,12 +284,3 @@ class TestFactorization:
             shoe.counts, theta, shoe, M_A, psi)
         assert log_multi == 0.0
         assert np.isfinite(log_pois)
-
-
-def test_predictive_fields_threading_matches_sequential():
-    shoes = [_shoe(4, 3, seed=s) for s in range(6)]
-    theta = 0.1 * np.random.default_rng(30).normal(size=1 + 12)
-    seq = predictive_fields(theta, shoes, M_A, threads=1)
-    par = predictive_fields(theta, shoes, M_A, threads=3)
-    for a, b in zip(seq, par):
-        assert np.array_equal(a.q, b.q)
