@@ -36,7 +36,7 @@ from .crossval import make_folds, run_cv, write_cv_outputs
 from .design import ModelSpec, builtin_specs, get_spec, index_to_string
 from .errors import ConfigError, CoxforgeError, InputDataError, NumericError
 from .grids import GridSpec, make_record
-from .inference import FitResult, GridConfig, NewtonOptions, fit
+from .inference import FitResult, GridConfig, fit
 from .metrics import shoe_metric
 from .model import PriorSpec
 from .predict import predictive_q
@@ -119,7 +119,11 @@ def cmd_prep(args) -> int:
                 break
         if path is None:
             raise InputDataError(f"no image found for shoe {sid!r} in {imgdir}")
-        rec, rejects = make_record(ds.read_image(path, side), sid, points, grid, thr)
+        img = ds.read_image(path, side)
+        try:
+            rec, rejects = make_record(img, sid, points, grid, thr)
+        except InputDataError as exc:
+            raise InputDataError(f"{path}: {exc}") from exc
         records.append(rec)
         print(f"{sid}: cells={grid.n_cells} counts={int(rec.counts.sum())} "
               f"rejects={len(rejects)}")
@@ -183,7 +187,6 @@ def cmd_fit(args) -> int:
     records, grid = ds.load_dataset(args.dataset)
     spec = _load_model(args)
     prior = _load_prior(args)
-    opts = NewtonOptions(tol=args.tol, max_iter=args.max_iter)
     if args.dump_precision:
         from scipy.io import mmwrite
 
@@ -195,7 +198,7 @@ def cmd_fit(args) -> int:
         res = fit(
             records, spec, grid, prior=prior, strategy=args.strategy,
             grid_config=GridConfig(points=args.grid_points, spacing=args.grid_spacing),
-            seed=args.seed, threads=args.threads, opts=opts,
+            seed=args.seed, threads=args.threads,
         )
     except NumericError as exc:
         Path(args.out).write_text(json.dumps({
@@ -348,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("empirical_bayes", "grid"))
     p.add_argument("--grid-points", type=int, default=5)
     p.add_argument("--grid-spacing", type=float, default=0.75)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=50)
     p.add_argument("--out", required=True, help="output fit JSON")
     p.add_argument("--heatmaps", help="directory for field heatmaps")
     p.add_argument("--dump-precision",

@@ -22,7 +22,7 @@ import numpy as np
 from .design import ModelSpec
 from .errors import ConfigError, CoxforgeError
 from .grids import GridSpec, ShoeRecord
-from .inference import FitResult, GridConfig, NewtonOptions, fit
+from .inference import GridConfig, fit
 from .metrics import compare, shoe_metric
 from .model import PriorSpec
 from .predict import predictive_q
@@ -144,12 +144,11 @@ def _score_cell(
     strategy: str,
     grid_config: GridConfig | None,
     seed: int,
-    opts: NewtonOptions | None,
 ) -> tuple[int, str, dict[str, float], str | None]:
     try:
         res = fit(
             train, spec, grid, prior=prior, strategy=strategy,
-            grid_config=grid_config, seed=seed, opts=opts,
+            grid_config=grid_config, seed=seed,
         )
     except CoxforgeError as exc:
         log.warning("fold %d, model %s: fit failed: %s", fold, spec.name, exc)
@@ -172,7 +171,6 @@ def run_cv(
     prior: PriorSpec | None = None,
     grid_config: GridConfig | None = None,
     threads: int = 1,
-    opts: NewtonOptions | None = None,
 ) -> CvResult:
     """Fit every (fold, model) cell and score held-out shoes.
 
@@ -205,7 +203,7 @@ def run_cv(
     results = parallel_map(
         lambda c: _score_cell(
             c[0], c[1], c[2], c[3], grid, prior, fit_strategy,
-            grid_config, plan.seed, opts,
+            grid_config, plan.seed,
         ),
         cells,
         threads,

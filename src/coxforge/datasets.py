@@ -69,11 +69,16 @@ def read_pgm(path) -> np.ndarray:
             )
         data = np.frombuffer(raw, dtype=dt, count=width * height, offset=pos)
     else:
-        data = np.array(raw[pos:].split(), dtype=float)
+        try:
+            data = np.array(raw[pos:].split(), dtype=float)
+        except ValueError as exc:
+            raise InputDataError(f"{path}: non-numeric PGM sample: {exc}") from exc
         if data.size != width * height:
             raise InputDataError(
                 f"{path}: expected {width * height} samples, found {data.size}"
             )
+    if not np.all((data >= 0) & (data <= maxval)):
+        raise InputDataError(f"{path}: PGM samples must lie in [0, {maxval}]")
     img = data.reshape(height, width).astype(float) / maxval
     return img
 
@@ -137,7 +142,10 @@ def read_accidentals(path) -> dict[str, tuple[Side, list[tuple[float, float]]]]:
                 f"{p}: header must contain shoe_id,side,x,y "
                 f"(found {reader.fieldnames})"
             )
-        for i, row in enumerate(reader, start=2):
+        for row in reader:
+            i = reader.line_num
+            if any(row[k] is None for k in need):
+                raise InputDataError(f"{p}:{i}: row has fewer than the 4 fields shoe_id,side,x,y")
             sid = row["shoe_id"].strip()
             side = row["side"].strip().lower()
             if side not in ("left", "right"):
@@ -159,8 +167,8 @@ def read_accidentals(path) -> dict[str, tuple[Side, list[tuple[float, float]]]]:
 # dataset JSON
 
 
-def _grid_to_list(arr: np.ndarray) -> list:
-    return [float(v) for v in np.asarray(arr).reshape(-1)]
+def _grid_to_list(arr: np.ndarray, dtype=float) -> list:
+    return np.asarray(arr, dtype=dtype).ravel().tolist()
 
 
 def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
@@ -171,9 +179,9 @@ def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
             "side": r.side,
             "threshold": float(r.threshold),
             "contact": _grid_to_list(r.contact),
-            "contact_binary": [int(v) for v in r.contact_binary.reshape(-1)],
+            "contact_binary": _grid_to_list(r.contact_binary, np.int64),
             "gradient": _grid_to_list(r.gradient),
-            "counts": [int(v) for v in r.counts.reshape(-1)],
+            "counts": _grid_to_list(r.counts, np.int64),
         })
     doc = {
         "format": DATASET_FORMAT,

@@ -118,7 +118,7 @@ class GridSpec:
                 x_range=(float(d["x_range"][0]), float(d["x_range"][1])),
                 y_range=(float(d["y_range"][0]), float(d["y_range"][1])),
             )
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
+        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
             raise InputDataError(f"malformed grid description: {exc}") from exc
 
 

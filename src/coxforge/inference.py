@@ -4,6 +4,18 @@ The posterior over the latent vector given precisions psi is approximated
 by a Gaussian at its mode; the mode is found by damped Newton iteration
 restricted to the sum-to-zero subspaces of the spatial-field blocks.
 
+The Newton iteration has one stopping rule and no setting. With ``g`` the
+projected gradient and ``delta`` the constrained Newton step, half the
+Newton decrement ``g'delta / 2`` is the ascent the quadratic model still
+predicts; it is affine-invariant (Boyd & Vandenberghe, *Convex
+Optimization*, §9.5.1), and the iteration has converged once it is at
+most ``DECREMENT_RTOL * max(1, |value|)``, a bound relative to the
+log-joint itself, so the rule does not depend on the scale of the data.
+The backtracking line search accepts a step that loses at most
+``ROUNDING_RTOL * max(1, |value|)``, the rounding level of the log-joint
+(the slack of Hager & Zhang's approximate Wolfe conditions), since near
+the mode the true ascent falls below what the log-joint can resolve.
+
 Each iterate factors the negative Hessian ``H`` — positive definite on
 the whole space, since the shoe and fixed-effect priors are proper — as
 an arrow matrix. The coordinates of the constrained blocks form a sparse
@@ -61,23 +73,32 @@ SEARCH_BOUNDS = (-12.0, 12.0)
 SEARCH_STEP0 = 1.0
 SEARCH_MIN_STEP = 1e-3
 
+# the Newton stopping rule: the largest power of ten at which every oracle
+# test passes (a scalar-toy iterate 1.9e-9 from its root has 3.1e-18)
+DECREMENT_RTOL = 1e-18
+# the line search's slack: the log-joint sums ~1e5 (shoe, cell) terms, so
+# its rounding error is some 1e-14 of its size, not one machine epsilon
+ROUNDING_RTOL = 1e-12
+# Newton converges quadratically near the mode; 50 iterations only end a
+# search that is not converging
+MAX_NEWTON_ITER = 50
+# 30 halvings shrink a step below 1e-9 of its length
+MAX_HALVINGS = 30
 
-@dataclass
-class NewtonOptions:
-    """Stopping rule of :func:`find_mode`.
+# why a hyperparameter candidate could not be scored
+REJECT_REASONS = ("unconverged", "factorization", "nonfinite")
 
-    ``tol`` bounds the norm of the projected gradient at convergence;
-    ``max_iter`` the Newton iterations and ``max_halvings`` the step
-    halvings of one line search.
+
+class _Reject(NumericError):
+    """A mode search that cannot score its psi, with one of REJECT_REASONS.
+
+    Any other NumericError met while scoring a candidate (a non-finite
+    intensity or log-determinant of the prior) counts as ``nonfinite``.
     """
 
-    tol: float = 1e-8
-    max_iter: int = 50
-    max_halvings: int = 30
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ConfigError("tol must be positive")
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass
@@ -87,8 +108,11 @@ class ModeResult:
     ``value`` is the psi-free part of the log-joint at the mode
     (log-likelihood minus half the prior quadratic form); ``log_det_H``
     the log-determinant of the negative Hessian restricted to the
-    constraint subspace. ``factorizations`` and ``halvings`` count the
-    work the search did; ``_lu`` holds the factorization at the mode.
+    constraint subspace. ``decrement`` is the relative half-decrement
+    g'delta / (2 max(1, |value|)) of the last iterate tested and
+    ``grad_norm`` its projected-gradient norm; both only report.
+    ``factorizations`` and ``halvings`` count the work the search did;
+    ``_lu`` holds the factorization at the mode.
     """
 
     theta_star: np.ndarray
@@ -97,6 +121,7 @@ class ModeResult:
     grad_norm: float
     iterations: int
     converged: bool
+    decrement: float = np.inf
     factorizations: int = 0
     halvings: int = 0
     _lu: Any = field(default=None, repr=False)
@@ -302,22 +327,20 @@ def _scatter(data: np.ndarray, src: np.ndarray, dst: np.ndarray, shape) -> np.nd
     return out.reshape(shape)
 
 
-def find_mode(
-    psi,
-    model,
-    theta0: np.ndarray | None = None,
-    opts: NewtonOptions | None = None,
-) -> ModeResult:
+def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
     """Damped Newton ascent of the log-joint on the constrained subspace.
 
     Starts from zero (always feasible) unless ``theta0`` is given; every
     iterate is re-centered so the constrained blocks sum to zero exactly.
-    Convergence means the gradient projected onto the constraint nullspace
-    has norm <= ``opts.tol``; non-convergence is reported in the result,
-    not raised. Line search backtracks by halving and accepts ties.
+    Convergence means half the Newton decrement g'delta is at most
+    ``DECREMENT_RTOL * max(1, |value|)``, so the factor that gave the last
+    step is the factor at the mode. The line search halves the step from
+    t = 1 and accepts a log-joint of at least
+    ``value - ROUNDING_RTOL * max(1, |value|)``. No convergence within
+    ``MAX_NEWTON_ITER`` iterations, or no accepted step within
+    ``MAX_HALVINGS`` halvings, is reported in the result, not raised.
     A negative Hessian that fails to factor raises NumericError.
     """
-    o = opts or NewtonOptions()
     n = model.n_total
     blocks = model.constraint_blocks
     sigma = model.prior_precision(psi)
@@ -339,57 +362,52 @@ def find_mode(
         try:
             return _Factor(sigma + fish, blocks)
         except NumericError as exc:
-            raise NumericError(f"negative-Hessian factorization failed {where}: {exc}") from exc
+            raise _Reject(
+                "factorization", f"negative-Hessian factorization failed {where}: {exc}"
+            ) from exc
 
     value = core(theta)
-    if value == -np.inf:
-        raise NumericError("log-joint is -inf at the starting point")
+    if not np.isfinite(value):
+        raise _Reject("nonfinite", f"log-joint is {value} at the starting point")
 
     converged = False
-    grad_norm = np.inf
+    grad_norm = decrement = np.inf
     it = 0
     factorizations = halvings = 0
-    fish = fac = None  # Fisher matrix and factor at theta, while current
-    for it in range(1, o.max_iter + 1):
-        ll, lgrad, fish = model.lik_parts(theta)
+    fac = None  # the factor at theta, while current
+    for it in range(1, MAX_NEWTON_ITER + 1):
+        _, lgrad, fish = model.lik_parts(theta)
         # the projected gradient gives the same step as the raw one, whose
         # part in the span of A' does not vanish at the mode: kriging would
         # cancel it only to within rounding, an error that does not shrink
         # with the step
         pgrad = _center_blocks(lgrad - sigma @ theta, blocks)
         grad_norm = float(np.linalg.norm(pgrad))
-        if grad_norm <= o.tol:
-            converged = True
-            break
         fac = factor(fish, f"at iteration {it}")
         delta = fac.step(pgrad)
-        accepted = False
-        moved = False
+        scale = max(1.0, abs(value))
+        decrement = 0.5 * float(pgrad @ delta) / scale
+        if decrement <= DECREMENT_RTOL:
+            converged = True
+            break
+        floor = value - ROUNDING_RTOL * scale
         t = 1.0
-        for _ in range(o.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cand = _center_blocks(theta + t * delta, blocks)
             v = core(cand)
-            # ties are accepted: near the mode the true ascent of a Newton
-            # step falls below the objective's floating-point resolution
-            # while the step itself still contracts toward the optimum.
-            if v >= value:
-                moved = bool(np.any(cand != theta))
-                theta, value = cand, v
-                accepted = True
+            if v >= floor:
+                theta, value, fac = cand, v, None
                 break
             t *= 0.5
             halvings += 1
-        if not accepted or not moved:
-            log.debug("line search stalled at iteration %d (|g|=%.3e)", it, grad_norm)
+        else:
+            log.debug("line search failed at iteration %d (decrement %.3e)", it, decrement)
             break
-        fish = fac = None
 
     # The factor at the final point gives the constrained log-determinant
     # now and the marginal variances later.
     if fac is None:
-        if fish is None:
-            _, _, fish = model.lik_parts(theta)
-        fac = factor(fish, "at mode")
+        fac = factor(model.lik_parts(theta)[2], "at the last iterate")
 
     return ModeResult(
         theta_star=theta,
@@ -398,18 +416,14 @@ def find_mode(
         grad_norm=grad_norm,
         iterations=it,
         converged=converged,
+        decrement=decrement,
         factorizations=factorizations,
         halvings=halvings,
         _lu=fac,
     )
 
 
-def log_psi_posterior(
-    psi,
-    model,
-    theta0: np.ndarray | None = None,
-    opts: NewtonOptions | None = None,
-) -> float:
+def log_psi_posterior(psi, model, theta0: np.ndarray | None = None) -> float:
     """Unnormalized log posterior of the precisions, by Laplace approximation.
 
     log p(y|th*) + log p(th*|psi) + log p(psi) + (d/2) log 2pi
@@ -417,23 +431,22 @@ def log_psi_posterior(
     cancels against the prior's normalizer. Raises on non-convergence of
     the inner mode search.
     """
-    return _psi_objective(psi, model, theta0, opts)[0]
+    return _psi_objective(psi, model, theta0)[0]
 
 
 def _psi_objective(
-    psi,
-    model,
-    theta0: np.ndarray | None = None,
-    opts: NewtonOptions | None = None,
+    psi, model, theta0: np.ndarray | None = None
 ) -> tuple[float, ModeResult]:
-    mode = find_mode(psi, model, theta0=theta0, opts=opts)
+    mode = find_mode(psi, model, theta0=theta0)
     return _laplace_value(psi, model, mode), mode
 
 
 def _laplace_value(psi, model, mode: ModeResult) -> float:
     if not mode.converged:
-        raise NumericError(
-            f"mode search did not converge (final |grad| = {mode.grad_norm:.3e})"
+        raise _Reject(
+            "unconverged",
+            f"mode search did not converge in {mode.iterations} iterations "
+            f"(relative decrement {mode.decrement:.3e}, |grad| {mode.grad_norm:.3e})",
         )
     # mode.value already holds loglik − ½ th' Sigma th; add the prior's
     # normalization, the hyperprior, and the Gaussian-integral correction.
@@ -513,16 +526,15 @@ class _Search:
     points and each factor holds dense blocks of n × (border + constraints).
     """
 
-    def __init__(self, model, opts: NewtonOptions | None):
+    def __init__(self, model):
         self.model = model
-        self.opts = opts
         self.cache: dict[tuple, tuple[float, ModeResult | None]] = {}
         self.warm: np.ndarray | None = None
         self.best_value = -np.inf
         self.best_mode: ModeResult | None = None
         self.evals = 0
         self.cache_hits = 0
-        self.rejected = 0
+        self.rejected_by_reason: Counter = Counter()
         self.work: Counter = Counter()
 
     def __call__(self, vec: np.ndarray) -> float:
@@ -531,13 +543,13 @@ class _Search:
         if hit is None:
             psi = self.model.psi_from_free(vec)
             try:
-                mode = find_mode(psi, self.model, theta0=self.warm, opts=self.opts)
+                mode = find_mode(psi, self.model, theta0=self.warm)
                 _tally(self.work, mode)
                 lp = _laplace_value(psi, self.model, mode)
             except NumericError as exc:
                 log.warning("rejecting candidate %s: %s", np.round(vec, 3), exc)
                 lp, mode = -np.inf, None
-                self.rejected += 1
+                self.rejected_by_reason[getattr(exc, "reason", "nonfinite")] += 1
             self.evals += 1
             if mode is not None and lp > self.best_value:
                 self.best_value = lp
@@ -549,6 +561,10 @@ class _Search:
             self.cache_hits += 1
         return hit[0]
 
+    @property
+    def rejected(self) -> int:
+        return sum(self.rejected_by_reason.values())
+
 
 def _tally(work: Counter, mode: ModeResult) -> None:
     """Add one mode search's deterministic work counts."""
@@ -557,16 +573,14 @@ def _tally(work: Counter, mode: ModeResult) -> None:
     work["line_search_halvings"] += mode.halvings
 
 
-def empirical_bayes(
-    model, opts: NewtonOptions | None = None
-) -> tuple[np.ndarray, _Search]:
+def empirical_bayes(model) -> tuple[np.ndarray, _Search]:
     """Maximize the hyperparameter posterior over log precisions.
 
     Coordinate search from the origin: at each scale, sweep coordinates
     trying +/- step and accept improvements until a full sweep fails, then
     halve the step; stop below ``SEARCH_MIN_STEP``. Entirely deterministic.
     """
-    ev = _Search(model, opts)
+    ev = _Search(model)
     x = np.zeros(model.n_free)
     best = ev(x)
     step = SEARCH_STEP0
@@ -592,7 +606,6 @@ def grid_posterior(
     model,
     center: np.ndarray,
     config: GridConfig,
-    opts: NewtonOptions | None = None,
     warm: np.ndarray | None = None,
     threads: int = 1,
 ) -> tuple[PsiGrid, list[ModeResult]]:
@@ -613,7 +626,7 @@ def grid_posterior(
 
     def one(vec: np.ndarray) -> tuple[float, ModeResult]:
         psi = model.psi_from_free(vec)
-        return _psi_objective(psi, model, theta0=warm, opts=opts)
+        return _psi_objective(psi, model, theta0=warm)
 
     results = parallel_map(one, points, threads)
     lp = np.array([r[0] for r in results])
@@ -688,7 +701,7 @@ class FitResult:
             raise InputDataError("not a fit result file (format tag mismatch)")
         try:
             spec = ModelSpec.from_json_dict(d["model"])
-            return cls(
+            res = cls(
                 spec=spec,
                 grid=GridSpec.from_json_dict(d["grid"]),
                 prior=PriorSpec.from_json_dict(d["prior"]),
@@ -702,8 +715,21 @@ class FitResult:
                 marginal_sd=np.array(d["marginal_sd"], dtype=float),
                 diagnostics=dict(d.get("diagnostics", {})),
             )
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise InputDataError(f"malformed fit result: {exc!r}") from exc
+        want = ThetaLayout.for_model(len(res.shoe_ids), spec, res.grid.n_cells)
+        if res.layout != want:
+            raise InputDataError(
+                f"fit layout {res.layout} does not match its model, shoes and grid ({want})"
+            )
+        for name, v in (("marginal_mean", res.marginal_mean), ("marginal_sd", res.marginal_sd)):
+            if v.shape != (want.n_total,):
+                raise InputDataError(f"{name} has {v.size} entries, the layout needs {want.n_total}")
+        if not np.all(np.isfinite(res.marginal_mean)):
+            raise InputDataError("marginal_mean has a non-finite entry")
+        if not np.all(np.isfinite(res.marginal_sd) & (res.marginal_sd > 0)):
+            raise InputDataError("marginal_sd has an entry that is not finite and positive")
+        return res
 
 
 def fit(
@@ -715,7 +741,6 @@ def fit(
     grid_config: GridConfig | None = None,
     seed: int = 0,
     threads: int = 1,
-    opts: NewtonOptions | None = None,
 ) -> FitResult:
     """Fit the model: hyperparameter search, then Gaussian marginals.
 
@@ -725,11 +750,6 @@ def fit(
     constrained block sum to zero. Deterministic for fixed inputs; the
     seed is carried into the result for provenance but no randomness is
     consumed.
-
-    The inner Newton tolerance defaults to 1e-6 here (pass ``opts`` to
-    tighten): on dataset-sized problems the log-joint cannot resolve the
-    ascent left below that, and the mode is already located far more
-    precisely than the posterior spread.
     """
     if strategy not in ("empirical_bayes", "grid"):
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -737,9 +757,8 @@ def fit(
     model = ShoeModel(records, spec, grid, prior)
     if model.y.sum() == 0:
         raise InputDataError("degenerate dataset: every accidental count is zero")
-    o = opts or NewtonOptions(tol=1e-6)
 
-    map_vec, search = empirical_bayes(model, opts=o)
+    map_vec, search = empirical_bayes(model)
     lp_map, map_mode = search.best_value, search.best_mode
     if map_mode is None:
         raise NumericError("hyperparameter search found no evaluable point")
@@ -753,7 +772,7 @@ def fit(
         modes = [map_mode]
     else:
         psi_grid, modes = grid_posterior(
-            model, map_vec, grid_config or GridConfig(), opts=o,
+            model, map_vec, grid_config or GridConfig(),
             warm=map_mode.theta_star, threads=threads,
         )
 
@@ -770,6 +789,8 @@ def fit(
     second = (w * (np.stack(sds) ** 2 + means**2)).sum(axis=0)
     var = np.maximum(second - mean**2, 0.0)
     sd = np.sqrt(var)
+    # every scored evaluation's mode: the cache holds None for a reject
+    scored = [m for _, m in search.cache.values() if m is not None] + modes
 
     elapsed = time.perf_counter() - t_start
     diagnostics = {
@@ -785,6 +806,10 @@ def fit(
         "factorizations": int(work["factorizations"]),
         "line_search_halvings": int(work["line_search_halvings"]),
         "psi_rejected": int(search.rejected),
+        "psi_rejected_by_reason": {
+            r: int(search.rejected_by_reason[r]) for r in REJECT_REASONS
+        },
+        "max_accepted_decrement": float(max(m.decrement for m in scored)),
         "psi_cache_hits": int(search.cache_hits),
         "search_start_log_tau": 0.0,
         "search_initial_step": SEARCH_STEP0,

@@ -45,9 +45,16 @@ def predictive_q(theta_point, shoe: ShoeRecord, spec: ModelSpec) -> PredictiveFi
 
     ``theta_point`` is a parameter vector laid out per the spec — with or
     without the leading per-shoe block, which cancels anyway — or a
-    FitResult, whose posterior marginal means are used.
+    FitResult, whose posterior marginal means are used; the shoe must then
+    lie on the fit's grid.
     """
     if hasattr(theta_point, "marginal_mean"):
+        g = getattr(theta_point, "grid", None)
+        if g is not None and shoe.contact.shape != (g.ny, g.nx):
+            raise ConfigError(
+                f"shoe {shoe.shoe_id!r} is on a {shoe.contact.shape[1]}x{shoe.contact.shape[0]} "
+                f"grid, the fit on {g.nx}x{g.ny}"
+            )
         theta_point = theta_point.marginal_mean
     theta = np.asarray(theta_point, dtype=float).reshape(-1)
     design = Design([shoe], spec)

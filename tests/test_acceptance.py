@@ -24,7 +24,7 @@ from coxforge.design import ModelSpec, builtin_specs, get_spec
 from coxforge.gmrf import besag_precision, log_gen_det
 from coxforge.gradient import fft_convolve2d, sobel_magnitude
 from coxforge.grids import GridSpec, ShoeRecord
-from coxforge.inference import NewtonOptions, fit, log_psi_posterior
+from coxforge.inference import fit, log_psi_posterior
 from coxforge.metrics import shoe_metric
 from coxforge.model import ShoeModel, grad_hessian, log_joint
 from coxforge.predict import log_multinomial, poisson_marginal, predictive_q
@@ -160,7 +160,7 @@ def test_criterion_04_laplace_fidelity():
     worst_pois = 0.0
     for y in (5.0, 9.0, 20.0):
         toy = ScalarPoissonToy(y)
-        lp = log_psi_posterior(1.0, toy, opts=NewtonOptions(tol=1e-10))
+        lp = log_psi_posterior(1.0, toy)
         worst_pois = max(worst_pois,
                          abs(lp - _scalar_evidence_by_quadrature(toy, 1.0)))
     rng = np.random.default_rng(42)
@@ -170,7 +170,7 @@ def test_criterion_04_laplace_fidelity():
     for blocks in ((), (np.arange(1, 4),)):
         toy = GaussianSurrogateToy(B, yv, 0.5, blocks=blocks)
         for psi in (0.3, 1.0, 4.0):
-            lp = log_psi_posterior(psi, toy, opts=NewtonOptions(tol=1e-12))
+            lp = log_psi_posterior(psi, toy)
             worst_gauss = max(worst_gauss, abs(lp - toy.exact_evidence(psi)))
     ok = worst_pois <= 2e-2 and worst_gauss <= 1e-8
     _conclude(4, ok, f"Poisson toys |Laplace - quadrature| {worst_pois:.2e} "

@@ -7,13 +7,15 @@ grids to keep the suite quick.
 
 import csv
 import json
+import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coxforge import datasets as ds
+from coxforge import inference
 from coxforge.cli import main
 from coxforge.grids import GridSpec
 from coxforge.metrics import uniform_metric
@@ -66,6 +68,17 @@ class TestSimulate:
         a = _strip_metadata(json.loads((simdir / "dataset.json").read_text()))
         b = _strip_metadata(json.loads((tmp_path / "dataset.json").read_text()))
         assert a == b
+
+    def test_dataset_arrays_saved_as_element_by_element(self, simdir, tmp_path):
+        """save_dataset writes each array as the per-element float/int lists would."""
+        records, grid = ds.load_dataset(simdir / "dataset.json")
+        ds.save_dataset(records, grid, tmp_path / "again.json")
+        shoes = json.loads((tmp_path / "again.json").read_text())["shoes"]
+        for rec, shoe in zip(records, shoes):
+            for key, cast in (("contact", float), ("contact_binary", int),
+                              ("gradient", float), ("counts", int)):
+                want = [cast(v) for v in getattr(rec, key).reshape(-1)]
+                assert json.dumps(shoe[key]) == json.dumps(want)
 
     def test_bad_grid_string_is_config_error(self, tmp_path):
         assert main(["simulate", "--grid", "5by6",
@@ -130,13 +143,14 @@ class TestFit:
                      "--out", str(tmp_path / "f.json")]) == 2
 
     def test_numeric_failure_exits_3_with_error_artifact(self, simdir,
-                                                         tmp_path):
+                                                         tmp_path, monkeypatch):
         out = tmp_path / "f.json"
-        # one Newton iteration cannot reach tol on this data, so every
+        # one Newton iteration cannot converge on this data, so every
         # hyperparameter candidate fails and the search has nothing to use
+        monkeypatch.setattr(inference, "MAX_NEWTON_ITER", 1)
         code = main([
             "fit", "--dataset", str(simdir / "dataset.json"), "--model",
-            "m_a", "--out", str(out), "--threads", "1", "--max-iter", "1",
+            "m_a", "--out", str(out), "--threads", "1",
         ])
         assert code == 3
         doc = json.loads(out.read_text())
@@ -303,6 +317,36 @@ class TestPrep:
         ]) == 1
 
 
+    @staticmethod
+    def _prep_exit_and_message(toydir, caplog):
+        caplog.clear()
+        code = main([
+            "prep", "--images", str(toydir), "--accidentals",
+            str(toydir / "acc.csv"), "--grid-file",
+            str(toydir / "grid.json"), "--out", str(toydir / "d.json"),
+        ])
+        return code, " ".join(r.getMessage() for r in caplog.records)
+
+    @pytest.mark.parametrize("sample", ["2x5", "300"])
+    def test_prep_bad_pgm_sample_exits_1(self, toydir, caplog, sample):
+        """A non-numeric sample, or one above maxval, names the file."""
+        path = toydir / "s1.pgm"
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(" ", 1)[0] + " " + sample
+        path.write_text("\n".join(lines) + "\n")
+        code, msg = self._prep_exit_and_message(toydir, caplog)
+        assert code == 1
+        assert str(path) in msg
+
+    @pytest.mark.parametrize("row", ["s1,left,2.5", "s2"])
+    def test_prep_accidentals_row_with_missing_fields_exits_1(self, toydir, caplog, row):
+        path = toydir / "acc.csv"
+        path.write_text(f"shoe_id,side,x,y\ns1,left,2.5,3.5\n{row}\n")
+        code, msg = self._prep_exit_and_message(toydir, caplog)
+        assert code == 1
+        assert f"{path}:3" in msg
+
+
 class TestGradient:
     def test_raw_heatmap(self, tmp_path):
         rows = ["255 255 255 255 255 255"] * 4 + ["0 0 0 0 0 0"] * 4
@@ -406,6 +450,38 @@ class TestMalformedInput:
         assert code == 1
         assert str(path) in msg and "binary contact" in msg
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["marginal_mean"].append(0.5),
+        lambda d: d.update(marginal_mean=d["marginal_mean"][:-3]),
+        lambda d: d["layout"].update(n_cells=d["layout"]["n_cells"] + 1),
+        lambda d: d["marginal_mean"].__setitem__(4, float("nan")),
+        lambda d: d["marginal_sd"].__setitem__(2, 0.0),
+    ], ids=["one_mean_too_many", "three_means_short", "layout_cells_not_grid",
+            "nan_mean", "zero_sd"])
+    def test_fit_json_that_does_not_match_its_layout(self, simdir, fitfile, tmp_path,
+                                                     caplog, edit):
+        doc = json.loads(fitfile.read_text())
+        edit(doc)
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(path), "--dataset",
+            str(simdir / "dataset.json"), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_fit_on_another_grid_exits_2(self, fitfile, tmp_path, caplog, command):
+        assert main(["simulate", "--grid", "4x5", "--shoes", "3", "--model", "m_a",
+                     "--out", str(tmp_path / "sim")]) == 0
+        code, msg = self._exit_and_message(caplog, [
+            command, "--fit", str(fitfile), "--dataset",
+            str(tmp_path / "sim" / "dataset.json"), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "4x5" in msg and "5x6" in msg
+
     def test_fit_json_with_keys_missing(self, simdir, fitfile, tmp_path, caplog):
         doc = json.loads(fitfile.read_text())
         del doc["model"]
@@ -464,3 +540,90 @@ def test_evaluate_survives_one_bad_dataset_entry(simdir, gradient_fitfile, fuzz_
         assert rows
         for row in rows:
             assert row["n_accidentals"].isdigit(), row
+
+
+# ---------------------------------------------------------------------------
+# fuzz tests of prep and evaluate inputs: a documented exit code, never a traceback
+
+ACCIDENTALS = "shoe_id,side,x,y\nscan,left,3.5,4.5\nscan,left,6.0,2.0\n"
+
+
+@pytest.fixture(scope="module")
+def scan_dir(tmp_path_factory):
+    """A directory for one 10x10 scan, its annotations and a 5x5 grid on an 8x8 crop."""
+    d = tmp_path_factory.mktemp("scan")
+    (d / "img").mkdir()
+    grid = GridSpec(nx=5, ny=5, src_w=8, src_h=8, crop_x=(1, 8), crop_y=(1, 8))
+    (d / "grid.json").write_text(json.dumps(grid.to_json_dict()))
+    return d
+
+
+def _pgm_bytes(fmt):
+    y, x = np.mgrid[0:10, 0:10]
+    px = ((25 * x + 7 * y) % 256).astype(np.uint8)
+    header = f"{fmt}\n10 10\n255\n".encode()
+    if fmt == "P5":
+        return header + px.tobytes()
+    return header + "\n".join(" ".join(map(str, row)) for row in px).encode() + b"\n"
+
+
+def _prep(d, pgm: bytes, accidentals: str) -> int:
+    (d / "img" / "scan.pgm").write_bytes(pgm)
+    (d / "acc.csv").write_text(accidentals)
+    return main(["prep", "--images", str(d / "img"), "--accidentals", str(d / "acc.csv"),
+                 "--grid-file", str(d / "grid.json"), "--out", str(d / "data.json")])
+
+
+def test_prep_fuzz_inputs_are_valid(scan_dir):
+    for fmt in ("P2", "P5"):
+        assert _prep(scan_dir, _pgm_bytes(fmt), ACCIDENTALS) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(fmt=st.sampled_from(["P2", "P5"]), truncate=st.booleans(),
+       where=st.floats(0.0, 1.0, exclude_max=True),
+       byte=st.sampled_from(sorted(set(string.printable.encode()))))
+def test_prep_survives_one_corrupt_pgm(scan_dir, fmt, truncate, where, byte):
+    """A PGM cut short at, or with one printable byte replaced at, a drawn offset."""
+    raw = _pgm_bytes(fmt)
+    at = int(where * len(raw))
+    raw = raw[:at] if truncate else raw[:at] + bytes([byte]) + raw[at + 1:]
+    assert _prep(scan_dir, raw, ACCIDENTALS) in (0, 1, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(row=st.integers(0, 2), col=st.integers(0, 3),
+       value=st.one_of(
+           st.none(),
+           st.sampled_from(["", "nan", "inf", "-1e308", "right", "ghost"]),
+           st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=6),
+       ))
+def test_prep_survives_one_bad_accidentals_field(scan_dir, row, col, value):
+    """One field of the annotation CSV removed (None) or replaced."""
+    rows = [line.split(",") for line in ACCIDENTALS.splitlines()]
+    if value is None:
+        del rows[row][col]
+    else:
+        rows[row][col] = value
+    accidentals = "\n".join(",".join(r) for r in rows) + "\n"
+    assert _prep(scan_dir, _pgm_bytes("P2"), accidentals) in (0, 1, 2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(["marginal_mean", "marginal_sd", "layout"]),
+       where=st.floats(0.0, 1.0, exclude_max=True),
+       value=st.one_of(
+           st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e308]),
+           st.floats(),
+       ))
+@example(key="layout", where=0.0, value=float("inf"))  # int(inf) in n_cells
+def test_evaluate_survives_one_bad_fit_entry(simdir, fitfile, fuzz_dir, key, where, value):
+    doc = json.loads(fitfile.read_text())
+    entries = doc[key]
+    names = sorted(entries) if key == "layout" else range(len(entries))
+    entries[names[int(where * len(names))]] = value
+    path = fuzz_dir / "fit.json"
+    path.write_text(json.dumps(doc))
+    code = main(["evaluate", "--fit", str(path), "--dataset", str(simdir / "dataset.json"),
+                 "--out", str(fuzz_dir / "ev_fit")])
+    assert code in (0, 1, 2)

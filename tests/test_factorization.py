@@ -21,7 +21,7 @@ import scipy.sparse as sp
 from _toys import GaussianSurrogateToy
 from coxforge.design import get_spec
 from coxforge.errors import NumericError
-from coxforge.inference import NewtonOptions, empirical_bayes, find_mode, marginal_sd
+from coxforge.inference import empirical_bayes, find_mode, marginal_sd
 from coxforge.model import ShoeModel
 from coxforge.simulate import SimConfig, gen_dataset
 
@@ -35,7 +35,7 @@ def mode_and_oracle():
     records, _ = gen_dataset(cfg)
     model = ShoeModel(records, cfg.spec, cfg.grid)
     psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
-    mode = find_mode(psi, model, opts=NewtonOptions(tol=1e-9))
+    mode = find_mode(psi, model)
 
     n = model.n_total
     H = (model.prior_precision(psi) + model.lik_parts(mode.theta_star)[2]).toarray()
@@ -85,6 +85,7 @@ def test_indefinite_hessian_is_a_rejected_candidate():
                         blocks=(np.arange(0, 2),))
     with pytest.raises(NumericError, match="not positive definite"):
         find_mode(1.0, toy)
-    _, search = empirical_bayes(toy, opts=NewtonOptions(tol=1e-10))
+    _, search = empirical_bayes(toy)
     assert search.best_mode is None
     assert search.rejected == search.evals > 0
+    assert search.rejected_by_reason == {"factorization": search.rejected}

@@ -13,7 +13,6 @@ from coxforge.errors import ConfigError, InputDataError, NumericError
 from coxforge.inference import (
     FitResult,
     GridConfig,
-    NewtonOptions,
     PsiGrid,
     empirical_bayes,
     find_mode,
@@ -23,11 +22,6 @@ from coxforge.inference import (
     marginal_sd,
 )
 from coxforge.simulate import SimConfig, gen_dataset
-
-TIGHT = dict(opts=NewtonOptions(tol=1e-12))
-# the 1-D toy's objective cannot certify ascent much below |grad| ~ 1e-10,
-# so scalar tests converge at a tolerance the float landscape supports
-SCALAR = dict(opts=NewtonOptions(tol=1e-9))
 
 
 def scalar_mode_oracle(y, psi):
@@ -59,49 +53,73 @@ def scalar_evidence_oracle(toy, psi):
     return v_star + np.log(val) + 0.5 * np.log(psi) - 0.5 * np.log(2 * np.pi)
 
 
+class OffsetPoissonToy(ScalarPoissonToy):
+    """The scalar toy with 1e12 added to the log-likelihood: the mode is unmoved."""
+
+    OFFSET = 1e12
+
+    def loglik(self, theta):
+        return super().loglik(theta) + self.OFFSET
+
+    def lik_parts(self, theta):
+        value, grad, fisher = super().lik_parts(theta)
+        return value + self.OFFSET, grad, fisher
+
+
 class TestScalarPoisson:
     @pytest.mark.parametrize("y,psi", [(3.0, 1.0), (5.0, 0.5), (20.0, 2.0)])
     def test_mode_matches_root_finder(self, y, psi):
         toy = ScalarPoissonToy(y)
-        mode = find_mode(psi, toy, **SCALAR)
+        mode = find_mode(psi, toy)
         assert mode.converged
         assert mode.theta_star[0] == pytest.approx(
             scalar_mode_oracle(y, psi), abs=1e-9
         )
 
+    @pytest.mark.parametrize("y", [3.0, 20.0, 200.0])
+    def test_constant_offset_does_not_change_where_newton_stops(self, y):
+        toy = OffsetPoissonToy(y)
+        mode = find_mode(1.0, toy)
+        assert mode.converged
+        # the bound the stopping rule implies: half the decrement,
+        # h (t - t*)^2 / 2, is at most DECREMENT_RTOL * max(1, |value|)
+        t_star = scalar_mode_oracle(y, 1.0)
+        h = np.exp(t_star) + 1.0
+        bound = np.sqrt(2 * inference.DECREMENT_RTOL * max(1.0, abs(mode.value)) / h)
+        assert abs(mode.theta_star[0] - t_star) <= bound
+
     def test_log_det_is_curvature(self):
         toy = ScalarPoissonToy(3.0)
-        mode = find_mode(1.0, toy, **SCALAR)
+        mode = find_mode(1.0, toy)
         want = np.log(np.exp(mode.theta_star[0]) + 1.0)
         assert mode.log_det_H == pytest.approx(want, rel=1e-12)
 
-    def test_monotone_ascent_across_iteration_budgets(self):
+    def test_monotone_ascent_across_iteration_budgets(self, monkeypatch):
         toy = ScalarPoissonToy(20.0)
-        values = [
-            find_mode(1.0, toy, opts=NewtonOptions(tol=1e-14, max_iter=k)).value
-            for k in range(1, 8)
-        ]
+        values = []
+        for k in range(1, 8):
+            monkeypatch.setattr(inference, "MAX_NEWTON_ITER", k)
+            values.append(find_mode(1.0, toy).value)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("y", [5.0, 9.0, 20.0])
     def test_laplace_close_to_and_below_quadrature(self, y):
         toy = ScalarPoissonToy(y)
-        lp = log_psi_posterior(1.0, toy, opts=NewtonOptions(tol=1e-10))
+        lp = log_psi_posterior(1.0, toy)
         truth = scalar_evidence_oracle(toy, 1.0)
         assert lp <= truth + 1e-12
         assert lp == pytest.approx(truth, abs=2e-2)
 
-    def test_nonconvergence_reported_not_raised(self):
+    def test_nonconvergence_reported_not_raised(self, monkeypatch):
         toy = ScalarPoissonToy(20.0)
-        mode = find_mode(1.0, toy, opts=NewtonOptions(tol=1e-14, max_iter=1))
+        monkeypatch.setattr(inference, "MAX_NEWTON_ITER", 1)
+        mode = find_mode(1.0, toy)
         assert not mode.converged
         with pytest.raises(NumericError):
-            log_psi_posterior(1.0, toy, opts=NewtonOptions(tol=1e-14, max_iter=1))
+            log_psi_posterior(1.0, toy)
 
     def test_bad_options_rejected(self):
         toy = ScalarPoissonToy()
-        with pytest.raises(ConfigError):
-            NewtonOptions(tol=0.0)
         with pytest.raises(ConfigError):
             find_mode(1.0, toy, theta0=np.zeros(3))
 
@@ -117,20 +135,20 @@ class TestGaussianSurrogate:
     def test_unconstrained_mode_is_gls(self):
         toy = _gaussian_toy()
         psi = 0.8
-        mode = find_mode(psi, toy, **TIGHT)
+        mode = find_mode(psi, toy)
         assert mode.converged
         assert np.abs(mode.theta_star - toy.exact_mode(psi)).max() < 1e-8
 
     def test_quadratic_objective_converges_immediately(self):
         toy = _gaussian_toy(seed=1)
-        mode = find_mode(1.5, toy, **TIGHT)
+        mode = find_mode(1.5, toy)
         assert mode.iterations <= 2
 
     def test_constrained_mode_and_feasibility(self):
         blocks = (np.arange(0, 3), np.arange(3, 7))
         toy = _gaussian_toy(seed=2, n=7, m=12, blocks=blocks)
         psi = 1.2
-        mode = find_mode(psi, toy, **TIGHT)
+        mode = find_mode(psi, toy)
         for blk in blocks:
             assert abs(mode.theta_star[blk].sum()) < 1e-12
         assert np.abs(mode.theta_star - toy.exact_mode(psi)).max() < 1e-8
@@ -139,7 +157,7 @@ class TestGaussianSurrogate:
         blocks = (np.arange(0, 4),)
         toy = _gaussian_toy(seed=3, n=6, m=9, blocks=blocks)
         psi = 0.7
-        mode = find_mode(psi, toy, **TIGHT)
+        mode = find_mode(psi, toy)
         U = toy.nullspace_basis()
         H = toy.B.T @ toy.B / toy.s2 + psi * np.eye(6)
         _, want = np.linalg.slogdet(U.T @ H @ U)
@@ -149,44 +167,44 @@ class TestGaussianSurrogate:
     def test_evidence_is_exact_for_conjugate_problem(self, blocks):
         toy = _gaussian_toy(seed=4, n=6, m=11, blocks=blocks)
         for psi in (0.3, 1.0, 4.0):
-            lp = log_psi_posterior(psi, toy, opts=NewtonOptions(tol=1e-12))
+            lp = log_psi_posterior(psi, toy)
             assert lp == pytest.approx(toy.exact_evidence(psi), abs=1e-8)
 
     def test_evidence_invariant_under_coordinate_permutation(self):
         toy = _gaussian_toy(seed=5, n=6, m=10)
         perm = np.array([3, 0, 5, 1, 4, 2])
         permuted = GaussianSurrogateToy(toy.B[:, perm], toy.yv, toy.s2)
-        a = log_psi_posterior(0.9, toy, opts=NewtonOptions(tol=1e-12))
-        b = log_psi_posterior(0.9, permuted, opts=NewtonOptions(tol=1e-12))
+        a = log_psi_posterior(0.9, toy)
+        b = log_psi_posterior(0.9, permuted)
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_marginal_sd_matches_exact_covariance(self):
         blocks = (np.arange(0, 3),)
         toy = _gaussian_toy(seed=6, n=7, m=14, blocks=blocks)
         psi = 1.1
-        mode = find_mode(psi, toy, **TIGHT)
+        mode = find_mode(psi, toy)
         got = marginal_sd(mode, toy.n_total, chunk=3)
         want = np.sqrt(np.diag(toy.exact_covariance(psi)))
         assert np.abs(got - want).max() < 1e-6
 
     def test_marginal_sd_needs_factorization(self):
         toy = _gaussian_toy(seed=7)
-        mode = find_mode(1.0, toy, **TIGHT)
+        mode = find_mode(1.0, toy)
         stripped = dataclasses.replace(mode, _lu=None)
         with pytest.raises(NumericError):
             marginal_sd(stripped, toy.n_total)
 
     def test_warm_start_agrees_with_cold_start(self):
         toy = _gaussian_toy(seed=8)
-        cold = find_mode(1.0, toy, **TIGHT)
-        warm = find_mode(1.0, toy, theta0=cold.theta_star + 0.1, **TIGHT)
+        cold = find_mode(1.0, toy)
+        warm = find_mode(1.0, toy, theta0=cold.theta_star + 0.1)
         assert np.abs(cold.theta_star - warm.theta_star).max() < 1e-8
 
 
 class TestHyperparameterSearch:
     def test_empirical_bayes_finds_evidence_maximum(self):
         toy = _gaussian_toy(seed=9, n=5, m=40, s2=0.3)
-        x, ev = empirical_bayes(toy, opts=NewtonOptions(tol=1e-12))
+        x, ev = empirical_bayes(toy)
         res = scipy.optimize.minimize_scalar(
             lambda v: -toy.exact_evidence(np.exp(v)), bounds=(-12, 12),
             method="bounded", options={"xatol": 1e-10},
@@ -196,16 +214,15 @@ class TestHyperparameterSearch:
 
     def test_search_is_deterministic(self):
         toy = _gaussian_toy(seed=10)
-        x1, _ = empirical_bayes(toy, opts=NewtonOptions(tol=1e-12))
-        x2, _ = empirical_bayes(toy, opts=NewtonOptions(tol=1e-12))
+        x1, _ = empirical_bayes(toy)
+        x2, _ = empirical_bayes(toy)
         assert np.array_equal(x1, x2)
 
     def test_grid_posterior_weights(self):
         toy = _gaussian_toy(seed=11)
         center = np.array([0.2])
         cfg = GridConfig(points=5, spacing=0.5)
-        grid, modes = grid_posterior(toy, center, cfg,
-                                     opts=NewtonOptions(tol=1e-12))
+        grid, modes = grid_posterior(toy, center, cfg)
         assert grid.points.shape == (5, 1)
         assert np.allclose(grid.points[:, 0],
                            center[0] + 0.5 * (np.arange(5) - 2))
@@ -351,6 +368,12 @@ class TestFit:
         assert d["factorizations"] >= d["newton_iterations"] >= len(modes)
         assert d["line_search_halvings"] == sum(m.halvings for m in modes)
         assert d["psi_cache_hits"] > 0
+        assert d["psi_rejected_by_reason"] == {
+            "unconverged": 0, "factorization": 0, "nonfinite": 0}
+        # every search converged, so the largest stopping decrement is the
+        # margin to the stopping rule
+        assert d["max_accepted_decrement"] == max(m.decrement for m in modes)
+        assert d["max_accepted_decrement"] <= inference.DECREMENT_RTOL
         assert all(type(d[k]) is int for k in (
             "newton_iterations", "factorizations", "line_search_halvings",
             "psi_rejected", "psi_cache_hits"))
