@@ -63,30 +63,43 @@ def _parse_grid_dims(text: str) -> tuple[int, int]:
     return nx, ny
 
 
+def _read_config(path: str, what: str, parse):
+    """``parse`` of the JSON object in a configuration file.
+
+    A file that is missing or is not a JSON object is an input error
+    (exit 1); an error in what it says keeps its kind. Every message
+    names the file.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise InputDataError(f"{what} file not found: {p}")
+    try:
+        doc = json.loads(p.read_text())
+    except ValueError as exc:
+        raise InputDataError(f"{p}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputDataError(f"{p}: a {what} file holds one JSON object")
+    try:
+        return parse(doc)
+    except (ConfigError, InputDataError) as exc:
+        raise type(exc)(f"{p}: {exc}") from exc
+
+
 def _load_grid(args) -> GridSpec:
     if getattr(args, "grid_file", None):
-        p = Path(args.grid_file)
-        if not p.exists():
-            raise InputDataError(f"grid file not found: {p}")
-        return GridSpec.from_json_dict(json.loads(p.read_text()))
+        return _read_config(args.grid_file, "grid", GridSpec.from_json_dict)
     return GridSpec()
 
 
 def _load_model(args) -> ModelSpec:
     if getattr(args, "model_file", None):
-        p = Path(args.model_file)
-        if not p.exists():
-            raise InputDataError(f"model file not found: {p}")
-        return ModelSpec.from_json_dict(json.loads(p.read_text()))
+        return _read_config(args.model_file, "model", ModelSpec.from_json_dict)
     return get_spec(args.model)
 
 
 def _load_prior(args) -> PriorSpec | None:
     if getattr(args, "prior_file", None):
-        p = Path(args.prior_file)
-        if not p.exists():
-            raise InputDataError(f"prior file not found: {p}")
-        return PriorSpec.from_json_dict(json.loads(p.read_text()))
+        return _read_config(args.prior_file, "prior", PriorSpec.from_json_dict)
     return None
 
 
@@ -187,13 +200,6 @@ def cmd_fit(args) -> int:
     records, grid = ds.load_dataset(args.dataset)
     spec = _load_model(args)
     prior = _load_prior(args)
-    if args.dump_precision:
-        from scipy.io import mmwrite
-
-        from .gmrf import besag_precision
-
-        mmwrite(args.dump_precision, besag_precision(grid))
-        log.info("dumped smoothing precision to %s", args.dump_precision)
     try:
         res = fit(
             records, spec, grid, prior=prior, strategy=args.strategy,
@@ -353,8 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-spacing", type=float, default=0.75)
     p.add_argument("--out", required=True, help="output fit JSON")
     p.add_argument("--heatmaps", help="directory for field heatmaps")
-    p.add_argument("--dump-precision",
-                   help="debug: write the smoothing precision in Matrix Market form")
     common(p, threads=True)
     p.set_defaults(func=cmd_fit)
 

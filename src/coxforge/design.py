@@ -79,6 +79,9 @@ class ModelSpec:
         for idx in self.fixed + self.varying:
             if len(idx) != N_BITS or any(b not in (0, 1) for b in idx):
                 raise ConfigError(f"model {self.name}: bad index {idx}")
+        if not isinstance(self.smooth, bool):
+            raise ConfigError(f"model {self.name}: smooth must be true or false, "
+                              f"got {self.smooth!r}")
         if not self.smooth and self.varying:
             raise ConfigError(
                 f"model {self.name}: varying coefficients require the smooth field"
@@ -101,10 +104,12 @@ class ModelSpec:
                 fixed=tuple(index_from_string(s) for s in d["fixed"]),
                 varying=tuple(index_from_string(s) for s in d.get("varying", [])),
                 contact=d.get("contact", "continuous"),
-                smooth=bool(d.get("smooth", True)),
+                smooth=d.get("smooth", True),
             )
         except KeyError as exc:
             raise ConfigError(f"model description missing key {exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"model description has a value of the wrong type: {exc}") from exc
 
 
 def _all_indices(include_gradient: bool) -> tuple[InteractionIndex, ...]:

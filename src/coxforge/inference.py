@@ -17,9 +17,10 @@ The backtracking line search accepts a step that loses at most
 the mode the true ascent falls below what the log-joint can resolve.
 
 Each iterate factors the negative Hessian ``H`` — positive definite on
-the whole space, since the shoe and fixed-effect priors are proper — as
-an arrow matrix. The coordinates of the constrained blocks form a sparse
-field block ``F``, ordered to a narrow band and factored by banded
+the whole space, since the shoe and fixed-effect priors are proper — in
+the arrow form the model gives it in (:class:`coxforge.model.ArrowMatrix`).
+The coordinates of the constrained blocks form a field block ``F``, which
+the model orders to a narrow band and which is factored by banded
 Cholesky; the remaining coordinates (shoe and fixed effects) form a small
 dense border, factored through its Schur complement ``B - C'F^-1 C``.
 The sum-to-zero rows ``A`` are then imposed by conditioning by kriging
@@ -43,7 +44,10 @@ Any object with the :class:`coxforge.model.ShoeModel` likelihood/prior
 surface (``n_total``, ``n_free``, ``constraint_blocks``, ``loglik``,
 ``lik_parts``, ``prior_precision``, ``prior_quad``, ``log_prior_gendet``,
 ``log_hyperprior``, ``psi_from_free``, ``free_names``) can be driven by
-these routines; the test suite uses small synthetic problems with
+these routines. ``lik_parts`` returns its Fisher term and
+``prior_precision`` the prior precision as ``ArrowMatrix`` over the same
+field and border coordinates; ``find_mode`` adds the two and factors the
+sum as given. The test suite uses small synthetic problems with
 closed-form answers through the same entry points.
 """
 
@@ -57,13 +61,12 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_solve, lapack
 
 from .design import ModelSpec, index_to_string
 from .errors import ConfigError, InputDataError, NumericError
 from .grids import GridSpec, ShoeRecord
-from .model import Hyperparams, PriorSpec, ShoeModel, ThetaLayout
+from .model import ArrowMatrix, Hyperparams, PriorSpec, ShoeModel, ThetaLayout
 from .util import parallel_map
 
 log = logging.getLogger("coxforge.inference")
@@ -138,76 +141,6 @@ def _center_blocks(x: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
 # the negative-Hessian factorization
 
 
-class _ArrowPlan:
-    """Where each stored entry of one CSC pattern of ``H`` goes in the factor.
-
-    The field coordinates (the union of the constraint blocks) come first,
-    in block order, or interleaved position by position when the blocks
-    share a length: fields on one grid couple cell by cell, so that keeps
-    the band as narrow as one field's. The plan is a function of the
-    pattern alone, so it is built once and reused while the pattern
-    repeats.
-    """
-
-    def __init__(self, H: sp.csc_matrix, blocks: Sequence[np.ndarray]):
-        n = self.n = H.shape[0]
-        self.indptr, self.indices = H.indptr.copy(), H.indices.copy()
-        self.blocks = [np.asarray(b) for b in blocks]
-        if len(blocks) > 1 and len({len(b) for b in blocks}) == 1:
-            self.field = np.stack(self.blocks, axis=1).ravel()
-        elif blocks:
-            self.field = np.concatenate(self.blocks)
-        else:
-            self.field = np.zeros(0, dtype=np.intp)
-        in_field = np.zeros(n, dtype=bool)
-        in_field[self.field] = True
-        self.border = np.flatnonzero(~in_field)
-        nf, nb = self.nf, self.nb = self.field.size, self.border.size
-        pos = np.empty(n, dtype=np.intp)
-        pos[self.field] = np.arange(nf)
-        pos[self.border] = np.arange(nb)
-        rows = H.indices
-        cols = np.repeat(np.arange(n), np.diff(H.indptr))
-        pr, pc = pos[rows], pos[cols]
-        row_f, col_f = in_field[rows], in_field[cols]
-        lower = row_f & col_f & (pr >= pc)
-        self.bandwidth = int((pr[lower] - pc[lower]).max()) if nf else 0
-        # LAPACK lower band storage: ab[i - j, j] = F[i, j]
-        self.f_src = np.flatnonzero(lower)
-        self.f_dst = (pr[lower] - pc[lower]) * nf + pc[lower]
-        self.c_src = np.flatnonzero(row_f & ~col_f)
-        self.c_dst = pr[self.c_src] * nb + pc[self.c_src]
-        self.b_src = np.flatnonzero(~row_f & ~col_f)
-        self.b_dst = pr[self.b_src] * nb + pc[self.b_src]
-
-    def matches(self, H: sp.csc_matrix, blocks: Sequence[np.ndarray]) -> bool:
-        return (
-            H.shape[0] == self.n
-            and np.array_equal(H.indptr, self.indptr)
-            and np.array_equal(H.indices, self.indices)
-            and len(blocks) == len(self.blocks)
-            and all(np.array_equal(a, b) for a, b in zip(blocks, self.blocks))
-        )
-
-
-_last_plan: _ArrowPlan | None = None
-
-
-def _plan_for(H: sp.csc_matrix, blocks: Sequence[np.ndarray]) -> _ArrowPlan:
-    """The plan for H's pattern and blocks.
-
-    Every Newton step of a fit has one pattern, and building a plan costs
-    most of a factorization, so the last plan is kept. A plan is a pure
-    function of what ``matches`` compares and is not changed after it is
-    built, so sharing it between callers and threads changes no result.
-    """
-    global _last_plan
-    plan = _last_plan
-    if plan is None or not plan.matches(H, blocks):
-        plan = _last_plan = _ArrowPlan(H, blocks)
-    return plan
-
-
 class _Factor:
     """Cholesky factor of the SPD ``H`` in arrow form, with kriging on ``A``.
 
@@ -216,34 +149,30 @@ class _Factor:
     W = Lf^-1 C and Ls the dense Cholesky factor of B - W'W.
     """
 
-    def __init__(self, H: sp.spmatrix, blocks: Sequence[np.ndarray]):
-        H = sp.csc_matrix(H)
-        H.sum_duplicates()
-        p = self.plan = _plan_for(H, blocks)
-        self.n = p.n
-        nf, nb = p.nf, p.nb
+    def __init__(self, H: ArrowMatrix, blocks: Sequence[np.ndarray]):
+        self.field, self.border = H.field, H.border
+        nf, nb = self.nf, self.nb = H.field.size, H.border.size
+        self.n = nf + nb
         log_det = 0.0
-        W = _scatter(H.data, p.c_src, p.c_dst, (nf, nb))
-        S = _scatter(H.data, p.b_src, p.b_dst, (nb, nb))
+        W, S = H.C, H.B
         if nf:
-            ab = _scatter(H.data, p.f_src, p.f_dst, (p.bandwidth + 1, nf))
-            self.Lf, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+            self.Lf, info = lapack.dpbtrf(H.band, lower=1)
             if info != 0:
                 raise NumericError(f"field block is not positive definite (minor {info})")
             log_det += 2.0 * float(np.log(self.Lf[0]).sum())
             if nb:
                 W = self._field_solve(W)
-                S -= W.T @ W
+                S = S - W.T @ W
         self.W = W
         if nb:
-            self.Ls, info = lapack.dpotrf(S, lower=1, clean=1, overwrite_a=1)
+            self.Ls, info = lapack.dpotrf(S, lower=1, clean=1)
             if info != 0:
                 raise NumericError(f"border Schur complement is not positive definite (minor {info})")
             log_det += 2.0 * float(np.log(np.diag(self.Ls)).sum())
 
         # conditioning by kriging on the block-sum rows; A has disjoint
         # indicator rows, so log det(AA') is the sum of log block sizes
-        self.blocks = p.blocks
+        self.blocks = blocks
         if self.blocks:
             self.V = self.solve(self._at(np.eye(len(self.blocks))))
             try:
@@ -277,16 +206,15 @@ class _Factor:
 
     def solve(self, R: np.ndarray) -> np.ndarray:
         """H^-1 R for R of shape (n, k)."""
-        p = self.plan
         out = np.empty(R.shape)
-        zf = self._field_solve(R[p.field]) if p.nf else R[p.field]
-        xb = R[p.border]
-        if p.nb:
+        zf = self._field_solve(R[self.field]) if self.nf else R[self.field]
+        xb = R[self.border]
+        if self.nb:
             zb = self._border_solve(xb - self.W.T @ zf)
             xb = self._border_solve(zb, trans=1)
-            out[p.border] = xb
-        if p.nf:
-            out[p.field] = self._field_solve(zf - self.W @ xb, trans="T")
+            out[self.border] = xb
+        if self.nf:
+            out[self.field] = self._field_solve(zf - self.W @ xb, trans="T")
         return out
 
     def step(self, g: np.ndarray) -> np.ndarray:
@@ -298,33 +226,27 @@ class _Factor:
 
     def variances(self, chunk: int) -> np.ndarray:
         """Diagonal of the constrained covariance H^-1 - V M^-1 V'."""
-        p = self.plan
+        nf = self.nf
         var = np.empty(self.n)
-        if p.nb:
+        if self.nb:
             Ls_inv = lapack.dtrtri(self.Ls, lower=1)[0]
-            var[p.border] = (Ls_inv**2).sum(axis=0)
-        if p.nf:
+            var[self.border] = (Ls_inv**2).sum(axis=0)
+        if nf:
             # diag(F^-1) from column norms of Lf^-1; column j is zero above j
-            d = np.empty(p.nf)
-            for start in range(0, p.nf, chunk):
-                stop = min(start + chunk, p.nf)
-                E = np.eye(p.nf - start, stop - start)
+            d = np.empty(nf)
+            for start in range(0, nf, chunk):
+                stop = min(start + chunk, nf)
+                E = np.eye(nf - start, stop - start)
                 Z = lapack.dtbtrs(self.Lf[:, start:], E, uplo="L")[0]
                 d[start:stop] = (Z**2).sum(axis=0)
-            if p.nb:
+            if self.nb:
                 # + diag(F^-1 C S^-1 C' F^-1), rows of Lf'^-1 W Ls'^-1
                 Y = self._field_solve(self._border_solve(self.W.T).T, trans="T")
                 d += (Y**2).sum(axis=1)
-            var[p.field] = d
+            var[self.field] = d
         if self.blocks:
             var -= (np.linalg.solve(self.Lm, self.V.T) ** 2).sum(axis=0)
         return var
-
-
-def _scatter(data: np.ndarray, src: np.ndarray, dst: np.ndarray, shape) -> np.ndarray:
-    out = np.zeros(shape[0] * shape[1])
-    out[dst] = data[src]
-    return out.reshape(shape)
 
 
 def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:

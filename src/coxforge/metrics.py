@@ -26,13 +26,6 @@ log = logging.getLogger("coxforge.metrics")
 
 
 @dataclass(frozen=True)
-class ShoeMetric:
-    shoe_id: str
-    value: float
-    n_accidentals: int
-
-
-@dataclass(frozen=True)
 class ComparisonStats:
     """Pairwise comparison of two models' per-shoe metrics."""
 

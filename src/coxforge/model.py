@@ -14,23 +14,23 @@ package, fitted or predictive, is its :meth:`Design.eta`.
 
 :class:`ShoeModel` packages all of that behind the small interface the
 inference engine consumes (log-likelihood, gradient, Fisher information,
-prior precision, hyperprior). The Fisher matrix is assembled from dense
-per-block products rather than a generic sparse triple product — the
-design matrix has exactly one entry per block per row, so every block of
-B' diag(w) B collapses to a small dense matrix or a diagonal, which is an
-order of magnitude faster at fitting scale — and gathered into a CSC
-pattern computed once per model.
+prior precision, hyperprior). The Fisher information and the prior
+precision come as :class:`ArrowMatrix`, the one format of the negative
+Hessian: a band over the field coordinates, interleaved cell by cell,
+and dense blocks for the shoe and fixed effects, the form the Newton
+solver factors. The Fisher blocks are dense per-block products written
+straight into that form — the design matrix has exactly one entry per
+block per row, so every block of B' diag(w) B collapses to a small dense
+matrix or a diagonal.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import gammaln
 
 from . import design as dz
@@ -65,8 +65,10 @@ class PriorSpec:
     def __post_init__(self) -> None:
         for name in ("rate_tau_s", "rate_tau_sm", "rate_tau_i", "fixef_var",
                      "fixed_tau_high_order"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"prior setting {name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigError(f"prior setting {name} must be finite and positive, "
+                                  f"got {value}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,7 +85,11 @@ class PriorSpec:
         extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown prior keys: {sorted(extra)}")
-        return cls(**{k: float(v) for k, v in known.items()})
+        try:
+            values = {k: float(v) for k, v in known.items()}
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"prior settings must be numbers: {exc}") from exc
+        return cls(**values)
 
 
 def free_varying_mask(spec: ModelSpec) -> np.ndarray:
@@ -202,11 +208,78 @@ class ThetaLayout:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ThetaLayout":
+        if not isinstance(d["smooth"], bool):
+            raise ConfigError(f"layout smooth must be true or false, got {d['smooth']!r}")
         return cls(
             n_shoes=int(d["n_shoes"]), n_fixed=int(d["n_fixed"]),
             n_cells=int(d["n_cells"]), n_varying=int(d["n_varying"]),
-            smooth=bool(d["smooth"]),
+            smooth=d["smooth"],
         )
+
+
+@dataclass(frozen=True, eq=False)
+class ArrowMatrix:
+    """A symmetric matrix over the field and border coordinates of theta.
+
+    ``field`` and ``border`` list coordinates of theta; together they
+    cover it once. With H the matrix in theta's order,
+
+        band[i - j, j] = H[field[i], field[j]]   (i >= j, LAPACK lower band)
+        C[i, k]        = H[field[i], border[k]]
+        B[k, l]        = H[border[k], border[l]]
+
+    so the field block is banded in ``field`` order and the rest is dense.
+    Entries of ``band`` past the end of its rows are zero and unused.
+    """
+
+    field: np.ndarray
+    border: np.ndarray
+    band: np.ndarray  # (bandwidth + 1, n_field)
+    C: np.ndarray     # (n_field, n_border)
+    B: np.ndarray     # (n_border, n_border)
+
+    def __add__(self, other: "ArrowMatrix") -> "ArrowMatrix":
+        if not (np.array_equal(self.field, other.field)
+                and np.array_equal(self.border, other.border)):
+            raise ValueError("arrow matrices over different coordinates")
+        wide, narrow = sorted((self.band, other.band), key=len, reverse=True)
+        band = wide.copy()
+        band[:len(narrow)] += narrow
+        return ArrowMatrix(self.field, self.border, band, self.C + other.C, self.B + other.B)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """H @ x for a vector x.
+
+        Each entry adds its terms in ascending column order; band rows
+        that are zero throughout are skipped.
+        """
+        xf, xb = x[self.field], x[self.border]
+        nf = xf.size
+        offsets = np.flatnonzero(self.band[1:].any(axis=1)) + 1
+        yf = np.zeros(nf)
+        for d in offsets[::-1]:                       # H[p, p - d]
+            yf[d:] += self.band[d, :nf - d] * xf[:nf - d]
+        yf += self.band[0] * xf
+        for d in offsets:                             # H[p, p + d]
+            yf[:nf - d] += self.band[d, :nf - d] * xf[d:]
+        y = np.empty(x.shape)
+        y[self.field] = yf + self.C @ xb
+        y[self.border] = self.C.T @ xf + self.B @ xb
+        return y
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix in theta's coordinate order."""
+        nf = self.field.size
+        F = np.zeros((nf, nf))
+        for d in range(len(self.band)):
+            i = np.arange(nf - d)
+            F[i + d, i] = F[i, i + d] = self.band[d, :nf - d]
+        out = np.empty((nf + self.border.size,) * 2)
+        out[np.ix_(self.field, self.field)] = F
+        out[np.ix_(self.field, self.border)] = self.C
+        out[np.ix_(self.border, self.field)] = self.C.T
+        out[np.ix_(self.border, self.border)] = self.B
+        return out
 
 
 class Design:
@@ -270,11 +343,16 @@ class ShoeModel(Design):
         self._log_yfact = float(gammaln(self.y + 1.0).sum())
 
         lay = self.layout
-        if lay.n_constraints > 0:
+        n_fields = lay.n_constraints
+        if n_fields > 0:
             self.Q = besag_precision(grid)
             self.log_gendet_q = log_gen_det(self.Q)
+            # Q's lower triangle in the band of the interleaved fields: cell
+            # a of field j sits at position a * n_fields + j
             qc = self.Q.tocoo()
-            self._q_rows, self._q_cols, self._q_data = qc.row, qc.col, qc.data
+            low = qc.row >= qc.col
+            self._q_band = ((qc.row - qc.col)[low] * n_fields, qc.col[low] * n_fields,
+                            qc.data[low])
         else:
             self.Q = None
             self.log_gendet_q = 0.0
@@ -282,6 +360,11 @@ class ShoeModel(Design):
         self.free_v = free_varying_mask(spec)
         self.n_free = 1 + (1 if spec.smooth else 0) + int(self.free_v.sum())
         self.constraint_blocks = self._constraint_blocks()
+        # fields on one grid couple cell by cell, so interleaving them keeps
+        # the band of the negative Hessian as narrow as one field's
+        self._field = (np.stack(self.constraint_blocks, axis=1).ravel() if n_fields
+                       else np.zeros(0, dtype=np.intp))
+        self._border = np.arange(lay.n_shoes + lay.n_fixed)
 
     # -- hyperparameter plumbing -------------------------------------------
 
@@ -340,9 +423,7 @@ class ShoeModel(Design):
             return -np.inf
         return float((self.y * eta).sum() - lam_sum - self._log_yfact)
 
-    def lik_parts(
-        self, theta: np.ndarray
-    ) -> tuple[float, np.ndarray, sp.csc_matrix]:
+    def lik_parts(self, theta: np.ndarray) -> tuple[float, np.ndarray, ArrowMatrix]:
         """(log-likelihood, its gradient, Fisher matrix) sharing one intensity pass."""
         eta = self.eta(theta)
         lam = np.exp(eta)
@@ -350,7 +431,7 @@ class ShoeModel(Design):
             raise NumericError("non-finite intensity in likelihood evaluation")
         value = float((self.y * eta).sum() - lam.sum() - self._log_yfact)
         grad = self._project_rows(self.y - lam)
-        return value, grad, self._fisher_matrix(lam)
+        return value, grad, self._fisher(lam)
 
     @property
     def n_total(self) -> int:
@@ -368,96 +449,36 @@ class ShoeModel(Design):
             g[lay.varying_block(j)] = (r * self.xv[:, :, j]).sum(axis=0)
         return g
 
-    # Fisher assembly: the CSC pattern is fixed by the layout; per-iteration
-    # work is only the dense block products and one gather into the pattern.
+    def _fisher(self, w: np.ndarray) -> ArrowMatrix:
+        """B' diag(w) B for weights w (S, A), block by block.
 
-    @cached_property
-    def _fisher_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gather order, row indices, column pointers) of the Fisher CSC matrix.
-
-        ``_fisher_data(w)[order]`` lists the entries column by column, rows
-        ascending; every (row, col) pair occurs once. Built on first use:
-        models made only to evaluate η never need it.
-        """
-        rows, cols = self._build_fisher_index()
-        order = np.lexsort((rows, cols))
-        n = self.layout.n_total
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-        return order, rows[order].astype(np.int32), indptr
-
-    def _fisher_matrix(self, w: np.ndarray) -> sp.csc_matrix:
-        order, indices, indptr = self._fisher_pattern
-        n = self.layout.n_total
-        return sp.csc_matrix((self._fisher_data(w)[order], indices, indptr), shape=(n, n))
-
-    def _build_fisher_index(self) -> tuple[np.ndarray, np.ndarray]:
-        lay = self.layout
-        S, K, A, V = lay.n_shoes, lay.n_fixed, lay.n_cells, lay.n_varying
-        sh = np.arange(S)
-        fx = lay.fixed.start + np.arange(K)
-        rows, cols = [], []
-
-        def block(r, c):
-            rows.append(r)
-            cols.append(c)
-
-        block(sh, sh)                                             # shoe diag
-        r = np.repeat(sh, K); c = np.tile(fx, S)
-        block(r, c); block(c, r)                                  # shoe x fixed
-        r = np.repeat(fx, K); c = np.tile(fx, K)
-        block(r, c)                                               # fixed x fixed
-        field_ids = []
-        if lay.smooth:
-            field_ids.append(lay.smooth_block.start + np.arange(A))
-        for j in range(V):
-            field_ids.append(lay.varying_block(j).start + np.arange(A))
-        for fid in field_ids:
-            r = np.repeat(sh, A); c = np.tile(fid, S)
-            block(r, c); block(c, r)                              # shoe x field
-            r = np.repeat(fid, K); c = np.tile(fx, A)
-            block(r, c); block(c, r)                              # field x fixed
-        for i, fi in enumerate(field_ids):
-            for fj in field_ids[i:]:
-                block(fi, fj)                                     # field x field diag
-                if fj is not fi:
-                    block(fj, fi)
-        return np.concatenate(rows), np.concatenate(cols)
-
-    def _fisher_data(self, w: np.ndarray) -> np.ndarray:
-        """Data vector matching :meth:`_build_fisher_index` for weights w (S, A).
-
-        Mirrored blocks reuse the same flattened data: the index arrays for
-        the (col, row) copy traverse entries in the original (row, col)
-        order, so the values repeat verbatim.
+        Field j's cell a is field position a * n_fields + j, so the
+        products of fields i <= j fill band row j - i at columns i, i +
+        n_fields, ...; the shoe and fixed effects form the border.
         """
         lay = self.layout
-        K = lay.n_fixed
+        S, K, n_fields = lay.n_shoes, lay.n_fixed, lay.n_constraints
         xw = self.x * w[:, :, None]                               # (S, A, K)
-        parts = [w.sum(axis=1)]                                   # shoe diag
-        m_sf = xw.sum(axis=1).ravel()                             # (S, K)
-        parts += [m_sf, m_sf]
-        m_ff = xw.reshape(-1, K).T @ self.x.reshape(-1, K)        # (K, K)
-        parts.append(m_ff.ravel())
+        B = np.zeros((S + K, S + K))
+        B[range(S), range(S)] = w.sum(axis=1)                     # shoe diag
+        m_sf = xw.sum(axis=1)                                     # (S, K)
+        B[:S, S:] = m_sf
+        B[S:, :S] = m_sf.T
+        B[S:, S:] = xw.reshape(-1, K).T @ self.x.reshape(-1, K)   # (K, K)
         fields = []
         if lay.smooth:
             fields.append(None)  # multiplier 1
         fields.extend(range(lay.n_varying))
         f_arrs = [w if f is None else w * self.xv[:, :, f] for f in fields]
-        for fa in f_arrs:
-            fa_flat = fa.ravel()
-            parts += [fa_flat, fa_flat]                           # shoe x field
-            m_af = np.einsum("sa,sak->ak", fa, self.x).ravel()    # (A, K)
-            parts += [m_af, m_af]
+        C = np.empty((self._field.size, S + K))
+        band = np.zeros((max(n_fields, 1), self._field.size))
         for i, fa in enumerate(f_arrs):
-            for fb_idx in range(i, len(f_arrs)):
-                fb = fields[fb_idx]
-                prod = fa if fb is None else fa * self.xv[:, :, fb]
-                d = prod.sum(axis=0)                              # (A,)
-                parts.append(d)
-                if fb_idx != i:
-                    parts.append(d)
-        return np.concatenate(parts)
+            C[i::n_fields, :S] = fa.T                             # field x shoe
+            C[i::n_fields, S:] = np.einsum("sa,sak->ak", fa, self.x)  # field x fixed
+            for j in range(i, n_fields):
+                prod = fa if fields[j] is None else fa * self.xv[:, :, fields[j]]
+                band[j - i, i::n_fields] = prod.sum(axis=0)       # field x field diag
+        return ArrowMatrix(self._field, self._border, band, C, B)
 
     # -- prior ---------------------------------------------------------------
 
@@ -468,26 +489,22 @@ class ShoeModel(Design):
         taus.extend(psi.tau_v)
         return taus
 
-    def prior_precision(self, psi: Hyperparams) -> sp.csc_matrix:
+    def prior_precision(self, psi: Hyperparams) -> ArrowMatrix:
         """Block-diagonal precision of theta given psi (singular on the fields)."""
         lay = self.layout
-        n = lay.n_total
-        rows = [np.arange(lay.n_shoes + lay.n_fixed)]
-        cols = [np.arange(lay.n_shoes + lay.n_fixed)]
-        data = [
-            np.concatenate([
-                np.full(lay.n_shoes, psi.tau_s),
-                np.full(lay.n_fixed, 1.0 / self.prior.fixef_var),
-            ])
-        ]
-        for tau, blk in zip(self._block_taus(psi), self.constraint_blocks):
-            rows.append(self._q_rows + blk[0])
-            cols.append(self._q_cols + blk[0])
-            data.append(tau * self._q_data)
-        return sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
-        ).tocsc()
+        n_fields = lay.n_constraints
+        band = np.zeros((1, 0))
+        if n_fields:
+            rows, cols, q = self._q_band
+            band = np.zeros((rows.max() + 1, self._field.size))
+            for j, tau in enumerate(self._block_taus(psi)):
+                band[rows, cols + j] = tau * q
+        diag = np.concatenate([
+            np.full(lay.n_shoes, psi.tau_s),
+            np.full(lay.n_fixed, 1.0 / self.prior.fixef_var),
+        ])
+        return ArrowMatrix(self._field, self._border, band,
+                           np.zeros((self._field.size, diag.size)), np.diag(diag))
 
     def prior_quad(self, theta: np.ndarray, psi: Hyperparams) -> float:
         """theta' Sigma(psi) theta, computed blockwise."""
@@ -552,8 +569,8 @@ def log_joint(theta: np.ndarray, psi: Hyperparams, model: ShoeModel) -> float:
 
 def grad_hessian(
     theta: np.ndarray, psi: Hyperparams, model: ShoeModel
-) -> tuple[np.ndarray, sp.csc_matrix]:
-    """Gradient of log_joint and the sparse *negative* Hessian.
+) -> tuple[np.ndarray, ArrowMatrix]:
+    """Gradient of log_joint and the *negative* Hessian.
 
     The negative Hessian is Sigma(psi) + sum_sa lambda[s,a] b b' — positive
     semidefinite everywhere and positive definite on the constrained
@@ -562,4 +579,4 @@ def grad_hessian(
     theta = np.asarray(theta, dtype=float)
     sigma = model.prior_precision(psi)
     _, lgrad, fish = model.lik_parts(theta)
-    return lgrad - sigma @ theta, (sigma + fish).tocsc()
+    return lgrad - sigma @ theta, sigma + fish

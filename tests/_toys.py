@@ -1,5 +1,5 @@
 """Small analytic problems driving the inference engine through its
-duck-typed model interface.
+duck-typed model interface, and dense builders for test oracles.
 
 The engine only needs likelihood parts, the prior precision/quadratic,
 and constraint metadata, so closed-form Gaussian and one-dimensional
@@ -10,8 +10,49 @@ while the correct answers stay computable by hand.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import gammaln
+
+from coxforge.design import covariate_value
+from coxforge.model import ArrowMatrix
+
+
+def dense_arrow(M, blocks=()) -> ArrowMatrix:
+    """The symmetric matrix M as an ArrowMatrix with a full band.
+
+    The field coordinates are the constraint blocks, concatenated; the
+    rest form the border.
+    """
+    M = np.asarray(M, dtype=float)
+    n = M.shape[0]
+    field = np.concatenate(blocks).astype(np.intp) if blocks else np.zeros(0, np.intp)
+    border = np.setdiff1d(np.arange(n), field)
+    F = M[np.ix_(field, field)]
+    band = np.zeros((max(field.size, 1), field.size))
+    for d in range(field.size):
+        band[d, :field.size - d] = np.diagonal(F, -d)
+    return ArrowMatrix(field, border, band,
+                       M[np.ix_(field, border)], M[np.ix_(border, border)])
+
+
+def dense_design(model):
+    """The design matrix B, one row per (shoe, cell), from scalar covariates."""
+    lay, spec = model.layout, model.spec
+    rows = []
+    for s, rec in enumerate(model.records):
+        contact = rec.contact if spec.contact == "continuous" else rec.contact_binary
+        for a in range(lay.n_cells):
+            cell = divmod(a, model.grid.nx)
+            b = np.zeros(lay.n_total)
+            b[s] = 1.0
+            for k, idx in enumerate(spec.fixed):
+                b[lay.fixed.start + k] = covariate_value(contact, rec.gradient, idx, cell)
+            if lay.smooth:
+                b[lay.smooth_block.start + a] = 1.0
+            for j, idx in enumerate(spec.varying):
+                b[lay.varying_block(j).start + a] = covariate_value(
+                    contact, rec.gradient, idx, cell)
+            rows.append(b)
+    return np.array(rows)
 
 
 class ScalarPoissonToy:
@@ -34,10 +75,10 @@ class ScalarPoissonToy:
         t = theta[0]
         lam = np.exp(t)
         value = float(self.y * t - lam - gammaln(self.y + 1))
-        return value, np.array([self.y - lam]), sp.csc_matrix([[lam]])
+        return value, np.array([self.y - lam]), dense_arrow([[lam]])
 
     def prior_precision(self, psi):
-        return sp.csc_matrix([[float(psi)]])
+        return dense_arrow([[float(psi)]])
 
     def prior_quad(self, theta, psi):
         return float(psi) * float(theta[0] ** 2)
@@ -81,11 +122,11 @@ class GaussianSurrogateToy:
         m = self.yv.size
         value = float(-0.5 * r @ r / self.s2 - 0.5 * m * np.log(2 * np.pi * self.s2))
         grad = self.B.T @ r / self.s2
-        fisher = sp.csc_matrix(self.B.T @ self.B / self.s2)
+        fisher = dense_arrow(self.B.T @ self.B / self.s2, self.constraint_blocks)
         return value, grad, fisher
 
     def prior_precision(self, psi):
-        return sp.csc_matrix(float(psi) * np.eye(self.n_total))
+        return dense_arrow(float(psi) * np.eye(self.n_total), self.constraint_blocks)
 
     def prior_quad(self, theta, psi):
         return float(psi) * float(theta @ theta)

@@ -482,6 +482,62 @@ class TestMalformedInput:
         assert code == 2
         assert "4x5" in msg and "5x6" in msg
 
+    @pytest.mark.parametrize("flag", ["--prior-file", "--model-file", "--grid-file"])
+    def test_truncated_config_file_exits_1(self, simdir, tmp_path, caplog, flag):
+        path = tmp_path / "config.json"
+        path.write_text('{"name": "m_a", "fixed": ["0000')
+        if flag == "--grid-file":
+            argv = ["prep", "--images", str(tmp_path), "--accidentals",
+                    str(tmp_path / "acc.csv"), flag, str(path),
+                    "--out", str(tmp_path / "data.json")]
+        else:
+            argv = ["fit", "--dataset", str(simdir / "dataset.json"), flag, str(path),
+                    "--out", str(tmp_path / "f.json"), "--threads", "1"]
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and "JSON" in msg
+
+    @pytest.mark.parametrize("spec,word", [
+        ({"name": "flat", "fixed": ["000000"], "smooth": "false"}, "smooth"),
+        ({"name": "flat", "fixed": 5}, "wrong type"),
+    ], ids=["smooth_not_boolean", "fixed_not_a_list"])
+    def test_model_file_with_bad_value_exits_2(self, simdir, tmp_path, caplog, spec, word):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(spec))
+        code, msg = self._exit_and_message(caplog, [
+            "fit", "--dataset", str(simdir / "dataset.json"), "--model-file", str(path),
+            "--out", str(tmp_path / "f.json"), "--threads", "1",
+        ])
+        assert code == 2
+        assert str(path) in msg and word in msg
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("setting", [{"rate_tau_s": float("nan")},
+                                         {"fixef_var": float("inf")}],
+                             ids=["nan_rate", "infinite_variance"])
+    def test_prior_file_setting_must_be_finite(self, simdir, tmp_path, caplog, setting):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(setting))
+        code, msg = self._exit_and_message(caplog, [
+            "fit", "--dataset", str(simdir / "dataset.json"), "--prior-file", str(path),
+            "--out", str(tmp_path / "f.json"), "--threads", "1",
+        ])
+        assert code == 2
+        assert str(path) in msg and next(iter(setting)) in msg
+
+    def test_fit_json_layout_smooth_must_be_boolean(self, simdir, fitfile, tmp_path,
+                                                    caplog):
+        doc = json.loads(fitfile.read_text())
+        doc["layout"]["smooth"] = float("nan")
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(path), "--dataset",
+            str(simdir / "dataset.json"), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg and "smooth" in msg
+
     def test_fit_json_with_keys_missing(self, simdir, fitfile, tmp_path, caplog):
         doc = json.loads(fitfile.read_text())
         del doc["model"]

@@ -16,17 +16,31 @@ NumericError, and in the hyperparameter search as a rejected candidate.
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 
-from _toys import GaussianSurrogateToy
+from _toys import GaussianSurrogateToy, dense_arrow, dense_design
 from coxforge.design import get_spec
 from coxforge.errors import NumericError
+from coxforge.gmrf import besag_precision
 from coxforge.inference import empirical_bayes, find_mode, marginal_sd
 from coxforge.model import ShoeModel
 from coxforge.simulate import SimConfig, gen_dataset
 
 LOG_DET_RTOL = 1e-9
 SD_RTOL = 1e-8
+
+
+def _dense_neg_hessian(model, psi, theta):
+    """Sigma(psi) + B' diag(lambda) B from the dense design and tau_j Q."""
+    lay = model.layout
+    Q = besag_precision(model.grid).toarray()
+    sigma = scipy.linalg.block_diag(
+        psi.tau_s * np.eye(lay.n_shoes),
+        np.eye(lay.n_fixed) / model.prior.fixef_var,
+        *[tau * Q for tau in (psi.tau_sm, *psi.tau_v)],
+    )
+    B = dense_design(model)
+    lam = np.exp(B @ theta)
+    return sigma + B.T @ (lam[:, None] * B)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +52,7 @@ def mode_and_oracle():
     mode = find_mode(psi, model)
 
     n = model.n_total
-    H = (model.prior_precision(psi) + model.lik_parts(mode.theta_star)[2]).toarray()
+    H = _dense_neg_hessian(model, psi, mode.theta_star)
     A = np.zeros((len(model.constraint_blocks), n))
     for i, blk in enumerate(model.constraint_blocks):
         A[i, blk] = 1.0
@@ -76,7 +90,8 @@ class IndefiniteToy(GaussianSurrogateToy):
 
     def lik_parts(self, theta):
         value, grad, fisher = super().lik_parts(theta)
-        return value, grad, fisher - 50.0 * sp.identity(self.n_total, format="csc")
+        return value, grad, fisher + dense_arrow(-50.0 * np.eye(self.n_total),
+                                                 self.constraint_blocks)
 
 
 def test_indefinite_hessian_is_a_rejected_candidate():

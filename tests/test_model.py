@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from coxforge.design import ModelSpec, covariate_value, get_spec
+from _toys import dense_design
+from coxforge.design import ModelSpec, get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec, ShoeRecord
 from coxforge.model import (
@@ -53,27 +55,6 @@ def _m_final_model():
     cfg = SimConfig(nx=3, ny=4, n_shoes=6, spec=get_spec("m_final"), seed=3)
     records, theta = gen_dataset(cfg)
     return ShoeModel(records, cfg.spec, cfg.grid), theta
-
-
-def _dense_design(model):
-    """The design matrix B, one row per (shoe, cell), from scalar covariates."""
-    lay, spec = model.layout, model.spec
-    rows = []
-    for s, rec in enumerate(model.records):
-        contact = rec.contact if spec.contact == "continuous" else rec.contact_binary
-        for a in range(lay.n_cells):
-            cell = divmod(a, model.grid.nx)
-            b = np.zeros(lay.n_total)
-            b[s] = 1.0
-            for k, idx in enumerate(spec.fixed):
-                b[lay.fixed.start + k] = covariate_value(contact, rec.gradient, idx, cell)
-            if lay.smooth:
-                b[lay.smooth_block.start + a] = 1.0
-            for j, idx in enumerate(spec.varying):
-                b[lay.varying_block(j).start + a] = covariate_value(
-                    contact, rec.gradient, idx, cell)
-            rows.append(b)
-    return np.array(rows)
 
 
 class TestLayout:
@@ -221,7 +202,7 @@ class TestLikelihood:
         for model, theta in ((small, small_theta), _m_final_model()):
             value, grad, fish = model.lik_parts(theta)
             assert value == pytest.approx(model.loglik(theta), rel=1e-14)
-            B = _dense_design(model)
+            B = dense_design(model)
             y = np.concatenate([r.counts.ravel() for r in model.records])
             lam = np.exp(B @ theta)
             assert np.allclose(grad, B.T @ (y - lam), rtol=0, atol=1e-12)
@@ -277,6 +258,14 @@ class TestDerivatives:
         dense = neg_hess.toarray()
         assert np.abs(dense - dense.T).max() < 1e-12
 
+    def test_arrow_product_matches_dense(self):
+        model, theta = _m_final_model()
+        psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
+        _, neg_hess = grad_hessian(theta, psi, model)
+        x = np.random.default_rng(5).normal(size=model.n_total)
+        dense = neg_hess.toarray()
+        assert np.allclose(neg_hess @ x, dense @ x, rtol=1e-13, atol=1e-10)
+
 
 class TestPrior:
     def test_prior_quad_matches_matrix_form(self):
@@ -296,6 +285,21 @@ class TestPrior:
             sigma[blk, blk],
             psi.tau_sm * model.Q.toarray(),
         )
+
+    def test_multi_field_prior_is_tau_q_per_field(self):
+        """Every field block of m_final's prior is tau_j Q, and nothing couples them."""
+        model, _ = _m_final_model()
+        lay = model.layout
+        psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
+        taus = [psi.tau_sm, *psi.tau_v]
+        assert len(taus) == 4
+        Q = model.Q.toarray()
+        want = scipy.linalg.block_diag(
+            psi.tau_s * np.eye(lay.n_shoes),
+            np.eye(lay.n_fixed) / model.prior.fixef_var,
+            *[tau * Q for tau in taus],
+        )
+        assert np.array_equal(model.prior_precision(psi).toarray(), want)
 
     def test_log_prior_gendet_matches_dense_spectrum(self):
         model, psi, _ = _small_model()
