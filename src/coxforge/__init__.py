@@ -23,9 +23,9 @@ from .grids import (
     make_record,
     otsu_threshold,
 )
-from .inference import FitResult, GridConfig, ModeResult, find_mode, fit, log_psi_posterior
+from .inference import FitResult, GridConfig, ModeResult, find_mode, fit
 from .metrics import ccc, fold_gain, median_loss_ratio, shoe_metric, uniform_metric
-from .model import Hyperparams, PriorSpec, ShoeModel, grad_hessian, linear_predictor, log_joint
+from .model import Hyperparams, PriorSpec, ShoeModel, grad_hessian, log_joint
 from .predict import (
     PredictiveField,
     factorized_log_prob,
@@ -45,10 +45,9 @@ __all__ = [
     "fft_convolve2d", "sobel_magnitude",
     "GridSpec", "RawImage", "ShoeRecord", "bin_accidentals", "binarize",
     "coarsen", "crop_reflect", "make_record", "otsu_threshold",
-    "FitResult", "GridConfig", "ModeResult", "find_mode", "fit", "log_psi_posterior",
+    "FitResult", "GridConfig", "ModeResult", "find_mode", "fit",
     "ccc", "fold_gain", "median_loss_ratio", "shoe_metric", "uniform_metric",
-    "Hyperparams", "PriorSpec", "ShoeModel", "grad_hessian", "linear_predictor",
-    "log_joint",
+    "Hyperparams", "PriorSpec", "ShoeModel", "grad_hessian", "log_joint",
     "PredictiveField", "factorized_log_prob", "log_multinomial", "poisson_marginal",
     "predictive_q",
     "FoldPlan", "make_folds", "run_cv",

@@ -6,6 +6,12 @@ the graph Laplacian of the grid under 8-neighbor (queen) adjacency:
 ``Q`` is singular — constant fields cost nothing — so densities use the
 generalized determinant (product of nonzero eigenvalues) and sampling is
 done under a sum-to-zero constraint.
+
+With cells ordered row-major, queen neighbors sit at index offsets 1,
+nx - 1, nx and nx + 1, so ``Q`` is kept as its lower band in LAPACK
+storage, ``band[d, j] = Q[j + d, j]``; the generalized determinant comes
+from a banded Cholesky factor (Rue & Held 2005, *Gaussian Markov Random
+Fields*, §2.4).
 """
 
 from __future__ import annotations
@@ -15,74 +21,78 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import ConfigError, NumericError
 from .grids import GridSpec
 
 
-def besag_precision(grid: GridSpec) -> sp.csc_matrix:
-    """Queen-adjacency graph Laplacian for the grid's cell lattice.
+def besag_precision(grid: GridSpec) -> np.ndarray:
+    """Queen-adjacency graph Laplacian of the grid's cells, as a lower band.
 
-    Cells are ordered row-major: cell (row y, col x) has index y*nx + x.
-    Rows sum to zero; diagonal entries are the neighbor counts (3, 5, or 8
-    for corner, edge, interior cells).
+    Cell (row y, col x) has index y*nx + x. Returns shape (nx + 2, n_cells)
+    with ``band[d, j] = Q[j + d, j]``; entries past the end of a row are
+    zero. Rows of Q sum to zero; diagonal entries are the neighbor counts
+    (3, 5, or 8 for corner, edge, interior cells).
     """
-    return _lattice_laplacian(grid.nx, grid.ny)
+    nx, ny = grid.nx, grid.ny
+    xs, ys = np.tile(np.arange(nx), ny), np.repeat(np.arange(ny), nx)
+    band = np.zeros((nx + 2, nx * ny))
+    # at nx = 2 the offsets 1 and nx - 1 share a band row, so accumulate
+    for dx, dy in ((1, 0), (-1, 1), (0, 1), (1, 1)):
+        ok = (xs + dx >= 0) & (xs + dx < nx) & (ys + dy < ny)
+        band[dy * nx + dx] -= ok
+    # a cell's neighbors and itself form a (cols in reach) x (rows in reach) block
+    reach_x = 1 + (xs > 0) + (xs < nx - 1)
+    reach_y = 1 + (ys > 0) + (ys < ny - 1)
+    band[0] = reach_x * reach_y - 1
+    return band
 
 
-def _lattice_laplacian(nx: int, ny: int) -> sp.csc_matrix:
-    if nx < 1 or ny < 1:
-        raise ConfigError("grid dimensions must be >= 1")
-    n = nx * ny
-    xs, ys = np.meshgrid(np.arange(nx), np.arange(ny))
-    xs, ys = xs.ravel(), ys.ravel()
-    rows, cols = [], []
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            if dx == 0 and dy == 0:
-                continue
-            ok = (
-                (xs + dx >= 0) & (xs + dx < nx) & (ys + dy >= 0) & (ys + dy < ny)
-            )
-            rows.append(np.flatnonzero(ok))
-            cols.append((ys[ok] + dy) * nx + (xs[ok] + dx))
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    W = sp.coo_matrix((np.ones(r.size), (r, c)), shape=(n, n)).tocsc()
-    deg = np.asarray(W.sum(axis=1)).ravel()
-    return (sp.diags(deg) - W).tocsc()
+def band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band (LAPACK storage) is ``band``."""
+    n = band.shape[1]
+    out = np.zeros((n, n))
+    for d in range(min(len(band), n)):
+        i = np.arange(n - d)
+        out[i + d, i] = out[i, i + d] = band[d, :n - d]
+    return out
 
 
-def _logdet_sparse_spd(M: sp.spmatrix) -> float:
-    """log det of a sparse SPD matrix via LU (the SPD sign makes |diag U| valid)."""
-    lu = spla.splu(M.tocsc())
-    diag = lu.U.diagonal()
-    if np.any(diag == 0) or not np.all(np.isfinite(diag)):
-        raise NumericError("singular or non-finite factor in sparse log-determinant")
-    return float(np.sum(np.log(np.abs(diag))))
+def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M @ x along the last axis of x, for M symmetric with lower band ``band``.
 
-
-def log_gen_det(Q: sp.spmatrix) -> float:
-    """Log of the product of the nonzero eigenvalues of a graph Laplacian.
-
-    Uses the cofactor identity for Laplacians of connected graphs: the
-    product of the n-1 nonzero eigenvalues equals n times the determinant
-    of Q with one row and column deleted, which keeps everything sparse.
-    For n = 1 the empty product is returned (0.0).
+    Each entry adds its terms in ascending column order; band rows that
+    are zero throughout are skipped.
     """
-    n = Q.shape[0]
+    n = x.shape[-1]
+    offsets = np.flatnonzero((band[1:] != 0).any(axis=1)) + 1
+    y = np.zeros(x.shape)
+    for d in offsets[::-1]:                       # M[p, p - d]
+        y[..., d:] += band[d, :n - d] * x[..., :n - d]
+    y += band[0] * x
+    for d in offsets:                             # M[p, p + d]
+        y[..., :n - d] += band[d, :n - d] * x[..., d:]
+    return y
+
+
+def log_gen_det(grid: GridSpec) -> float:
+    """Log of the product of the nonzero eigenvalues of the grid's Laplacian.
+
+    Uses the cofactor identity for Laplacians of connected graphs (and a
+    grid's queen lattice is always connected): the product of the n-1
+    nonzero eigenvalues equals n times the determinant of Q with its last
+    row and column deleted. That minor is positive definite and keeps
+    Q's band, so a banded Cholesky factor gives its determinant. For
+    n = 1 the empty product is returned (0.0).
+    """
+    n = grid.n_cells
     if n == 1:
         return 0.0
-    minor = Q.tocsc()[:-1, :][:, :-1]
-    try:
-        return float(np.log(n)) + _logdet_sparse_spd(minor)
-    except (RuntimeError, NumericError) as exc:
-        raise NumericError(
-            "generalized determinant needs a connected lattice "
-            "(zero eigenvalue with multiplicity one)"
-        ) from exc
+    factor, info = lapack.dpbtrf(besag_precision(grid)[:, :n - 1], lower=1)
+    if info != 0:
+        raise NumericError(f"Laplacian minor is not positive definite (minor {info})")
+    return float(np.log(n)) + 2.0 * float(np.log(factor[0]).sum())
 
 
 @dataclass(frozen=True)
@@ -102,10 +112,6 @@ class ConstrainedGaussian:
         if self.tau <= 0:
             raise ConfigError(f"precision must be positive, got {self.tau}")
 
-    @property
-    def precision(self) -> sp.csc_matrix:
-        return _lattice_laplacian(self.nx, self.ny).multiply(self.tau).tocsc()
-
 
 @lru_cache(maxsize=4)
 def _sampling_factor(nx: int, ny: int) -> np.ndarray:
@@ -117,7 +123,7 @@ def _sampling_factor(nx: int, ny: int) -> np.ndarray:
     pinv(Q). Dense is fine here: sampling happens only at simulation
     scale, never inside the fit path.
     """
-    Q = _lattice_laplacian(nx, ny).toarray()
+    Q = band_to_dense(besag_precision(GridSpec.synthetic(nx, ny)))
     n = Q.shape[0]
     Qtilde = Q + np.full((n, n), 1.0 / n)
     return scipy.linalg.cholesky(Qtilde, lower=False)

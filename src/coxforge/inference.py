@@ -345,20 +345,16 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
     )
 
 
-def log_psi_posterior(psi, model, theta0: np.ndarray | None = None) -> float:
+def _psi_objective(
+    psi, model, theta0: np.ndarray | None = None
+) -> tuple[float, ModeResult]:
     """Unnormalized log posterior of the precisions, by Laplace approximation.
 
     log p(y|th*) + log p(th*|psi) + log p(psi) + (d/2) log 2pi
     − ½ log det H, with d the constrained dimension; the (d/2) log 2pi
-    cancels against the prior's normalizer. Raises on non-convergence of
-    the inner mode search.
+    cancels against the prior's normalizer. Returns it with the mode;
+    raises on non-convergence of the inner mode search.
     """
-    return _psi_objective(psi, model, theta0)[0]
-
-
-def _psi_objective(
-    psi, model, theta0: np.ndarray | None = None
-) -> tuple[float, ModeResult]:
     mode = find_mode(psi, model, theta0=theta0)
     return _laplace_value(psi, model, mode), mode
 

@@ -36,7 +36,7 @@ from scipy.special import gammaln
 from . import design as dz
 from .design import ModelSpec, interaction_order
 from .errors import ConfigError, InputDataError, NumericError
-from .gmrf import besag_precision, log_gen_det
+from .gmrf import band_matvec, band_to_dense, besag_precision, log_gen_det
 from .grids import GridSpec, ShoeRecord
 
 log = logging.getLogger("coxforge.model")
@@ -248,34 +248,17 @@ class ArrowMatrix:
         return ArrowMatrix(self.field, self.border, band, self.C + other.C, self.B + other.B)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for a vector x.
-
-        Each entry adds its terms in ascending column order; band rows
-        that are zero throughout are skipped.
-        """
+        """H @ x for a vector x."""
         xf, xb = x[self.field], x[self.border]
-        nf = xf.size
-        offsets = np.flatnonzero(self.band[1:].any(axis=1)) + 1
-        yf = np.zeros(nf)
-        for d in offsets[::-1]:                       # H[p, p - d]
-            yf[d:] += self.band[d, :nf - d] * xf[:nf - d]
-        yf += self.band[0] * xf
-        for d in offsets:                             # H[p, p + d]
-            yf[:nf - d] += self.band[d, :nf - d] * xf[d:]
         y = np.empty(x.shape)
-        y[self.field] = yf + self.C @ xb
+        y[self.field] = band_matvec(self.band, xf) + self.C @ xb
         y[self.border] = self.C.T @ xf + self.B @ xb
         return y
 
     def toarray(self) -> np.ndarray:
         """The dense matrix in theta's coordinate order."""
-        nf = self.field.size
-        F = np.zeros((nf, nf))
-        for d in range(len(self.band)):
-            i = np.arange(nf - d)
-            F[i + d, i] = F[i, i + d] = self.band[d, :nf - d]
-        out = np.empty((nf + self.border.size,) * 2)
-        out[np.ix_(self.field, self.field)] = F
+        out = np.empty((self.field.size + self.border.size,) * 2)
+        out[np.ix_(self.field, self.field)] = band_to_dense(self.band)
         out[np.ix_(self.field, self.border)] = self.C
         out[np.ix_(self.border, self.field)] = self.C.T
         out[np.ix_(self.border, self.border)] = self.B
@@ -345,16 +328,10 @@ class ShoeModel(Design):
         lay = self.layout
         n_fields = lay.n_constraints
         if n_fields > 0:
-            self.Q = besag_precision(grid)
-            self.log_gendet_q = log_gen_det(self.Q)
-            # Q's lower triangle in the band of the interleaved fields: cell
-            # a of field j sits at position a * n_fields + j
-            qc = self.Q.tocoo()
-            low = qc.row >= qc.col
-            self._q_band = ((qc.row - qc.col)[low] * n_fields, qc.col[low] * n_fields,
-                            qc.data[low])
+            self.q_band = besag_precision(grid)
+            self.log_gendet_q = log_gen_det(grid)
         else:
-            self.Q = None
+            self.q_band = None
             self.log_gendet_q = 0.0
 
         self.free_v = free_varying_mask(spec)
@@ -457,14 +434,14 @@ class ShoeModel(Design):
         n_fields, ...; the shoe and fixed effects form the border.
         """
         lay = self.layout
-        S, K, n_fields = lay.n_shoes, lay.n_fixed, lay.n_constraints
+        S, A, K, n_fields = lay.n_shoes, lay.n_cells, lay.n_fixed, lay.n_constraints
         xw = self.x * w[:, :, None]                               # (S, A, K)
         B = np.zeros((S + K, S + K))
         B[range(S), range(S)] = w.sum(axis=1)                     # shoe diag
         m_sf = xw.sum(axis=1)                                     # (S, K)
         B[:S, S:] = m_sf
         B[S:, :S] = m_sf.T
-        B[S:, S:] = xw.reshape(-1, K).T @ self.x.reshape(-1, K)   # (K, K)
+        B[S:, S:] = xw.reshape(S * A, K).T @ self.x.reshape(S * A, K)  # (K, K)
         fields = []
         if lay.smooth:
             fields.append(None)  # multiplier 1
@@ -490,15 +467,21 @@ class ShoeModel(Design):
         return taus
 
     def prior_precision(self, psi: Hyperparams) -> ArrowMatrix:
-        """Block-diagonal precision of theta given psi (singular on the fields)."""
+        """Block-diagonal precision of theta given psi (singular on the fields).
+
+        Field j's block is tau_j Q. With the fields interleaved cell by cell
+        (cell a of field j at field position a * n_fields + j), Q's band row
+        d becomes band row d * n_fields, holding tau_j Q[a + d, a] at column
+        a * n_fields + j.
+        """
         lay = self.layout
         n_fields = lay.n_constraints
         band = np.zeros((1, 0))
         if n_fields:
-            rows, cols, q = self._q_band
-            band = np.zeros((rows.max() + 1, self._field.size))
-            for j, tau in enumerate(self._block_taus(psi)):
-                band[rows, cols + j] = tau * q
+            q = self.q_band
+            band = np.zeros(((len(q) - 1) * n_fields + 1, self._field.size))
+            taus = np.array(self._block_taus(psi))
+            band[::n_fields] = (q[:, :, None] * taus).reshape(len(q), -1)
         diag = np.concatenate([
             np.full(lay.n_shoes, psi.tau_s),
             np.full(lay.n_fixed, 1.0 / self.prior.fixef_var),
@@ -507,20 +490,25 @@ class ShoeModel(Design):
                            np.zeros((self._field.size, diag.size)), np.diag(diag))
 
     def prior_quad(self, theta: np.ndarray, psi: Hyperparams) -> float:
-        """theta' Sigma(psi) theta, computed blockwise."""
+        """theta' Sigma(psi) theta, computed blockwise.
+
+        The fields follow the fixed effects in theta, one after another, so
+        one band product gives Q v for all of them at once.
+        """
         lay = self.layout
         out = psi.tau_s * float(theta[lay.shoe] @ theta[lay.shoe])
         out += float(theta[lay.fixed] @ theta[lay.fixed]) / self.prior.fixef_var
-        for tau, blk in zip(self._block_taus(psi), self.constraint_blocks):
-            v = theta[blk]
-            out += tau * float(v @ (self.Q @ v))
+        if lay.n_constraints:
+            V = theta[lay.fixed.stop:].reshape(lay.n_constraints, lay.n_cells)
+            for tau, v, qv in zip(self._block_taus(psi), V, band_matvec(self.q_band, V)):
+                out += tau * float(v @ qv)
         return out
 
     def log_prior_gendet(self, psi: Hyperparams) -> float:
         """log |Sigma(psi)|_*: the product of Sigma's nonzero eigenvalues.
 
         Each intrinsic field block contributes its nonzero spectrum only,
-        i.e. (n_cells − 1)·log tau + log_gen_det(Q).
+        i.e. (n_cells − 1)·log tau + log_gen_det(grid).
         """
         lay = self.layout
         lgd = lay.n_shoes * np.log(psi.tau_s) - lay.n_fixed * np.log(self.prior.fixef_var)
@@ -538,16 +526,6 @@ class ShoeModel(Design):
 
 # ---------------------------------------------------------------------------
 # module-level operations in terms of ShoeModel
-
-
-def linear_predictor(theta: np.ndarray, model: Design) -> np.ndarray:
-    """eta[s, a] for every shoe and cell; exp of this is the intensity."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (model.layout.n_total,):
-        raise ConfigError(
-            f"theta has length {theta.shape}, layout wants {model.layout.n_total}"
-        )
-    return model.eta(theta)
 
 
 def log_joint(theta: np.ndarray, psi: Hyperparams, model: ShoeModel) -> float:

@@ -34,6 +34,24 @@ def dense_arrow(M, blocks=()) -> ArrowMatrix:
                        M[np.ix_(field, border)], M[np.ix_(border, border)])
 
 
+def queen_laplacian(nx: int, ny: int) -> np.ndarray:
+    """The queen-adjacency graph Laplacian of an nx-by-ny lattice, cell by cell.
+
+    Cell (row y, col x) has index y*nx + x; its neighbors are the other
+    cells with |dx|, |dy| <= 1.
+    """
+    n = nx * ny
+    Q = np.zeros((n, n))
+    for y in range(ny):
+        for x in range(nx):
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    if (dx, dy) != (0, 0) and 0 <= x + dx < nx and 0 <= y + dy < ny:
+                        Q[y * nx + x, (y + dy) * nx + x + dx] = -1.0
+                        Q[y * nx + x, y * nx + x] += 1.0
+    return Q
+
+
 def dense_design(model):
     """The design matrix B, one row per (shoe, cell), from scalar covariates."""
     lay, spec = model.layout, model.spec

@@ -133,6 +133,22 @@ class TestFit:
         sidecar = json.loads((hm / "smooth.json").read_text())
         assert sidecar["shape"] == [6, 5]
 
+    def test_model_file_without_fixed_effects(self, simdir, tmp_path):
+        """A spec with ``"fixed": []`` (shoe effects and a smooth field) fits and scores."""
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"name": "smooth_only", "fixed": [], "smooth": True}))
+        fit = tmp_path / "fit.json"
+        assert main([
+            "fit", "--dataset", str(simdir / "dataset.json"), "--model-file", str(model),
+            "--out", str(fit), "--threads", "1",
+        ]) == 0
+        sd = np.array(ds.load_fit(fit).marginal_sd)
+        assert sd.size > 0 and np.all(np.isfinite(sd)) and np.all(sd > 0)
+        assert main([
+            "evaluate", "--fit", str(fit), "--dataset", str(simdir / "dataset.json"),
+            "--out", str(tmp_path / "eval"),
+        ]) == 0
+
     def test_missing_dataset_exits_1(self, tmp_path):
         assert main(["fit", "--dataset", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "f.json")]) == 1

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _toys import GaussianSurrogateToy, dense_arrow, dense_design
+from _toys import GaussianSurrogateToy, dense_arrow, dense_design, queen_laplacian
 from coxforge.design import get_spec
 from coxforge.errors import NumericError
-from coxforge.gmrf import besag_precision
 from coxforge.inference import empirical_bayes, find_mode, marginal_sd
 from coxforge.model import ShoeModel
 from coxforge.simulate import SimConfig, gen_dataset
@@ -32,7 +31,7 @@ SD_RTOL = 1e-8
 def _dense_neg_hessian(model, psi, theta):
     """Sigma(psi) + B' diag(lambda) B from the dense design and tau_j Q."""
     lay = model.layout
-    Q = besag_precision(model.grid).toarray()
+    Q = queen_laplacian(model.grid.nx, model.grid.ny)
     sigma = scipy.linalg.block_diag(
         psi.tau_s * np.eye(lay.n_shoes),
         np.eye(lay.n_fixed) / model.prior.fixef_var,

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from coxforge.errors import ConfigError, NumericError
+import coxforge
+from _toys import queen_laplacian
+from coxforge.errors import ConfigError
 from coxforge.gmrf import (
     ConstrainedGaussian,
+    band_to_dense,
     besag_precision,
     log_gen_det,
     sample_constrained,
@@ -14,25 +21,36 @@ from coxforge.grids import GridSpec
 
 def dense_log_gen_det(Q):
     """Eigendecomposition oracle: sum of logs of the nonzero eigenvalues."""
-    w = np.linalg.eigvalsh(np.asarray(Q.todense()))
+    w = np.linalg.eigvalsh(Q)
     nonzero = w[w > 1e-9 * max(1.0, w.max())]
     return float(np.sum(np.log(nonzero)))
 
 
+def _dense_besag(nx, ny):
+    return band_to_dense(besag_precision(GridSpec.synthetic(nx, ny)))
+
+
 class TestBesagPrecision:
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (1, 5), (5, 1), (2, 2), (2, 3), (3, 2),
+                                       (7, 7), (12, 16)])
+    def test_band_matches_brute_force_laplacian(self, nx, ny):
+        band = besag_precision(GridSpec.synthetic(nx, ny))
+        assert band.shape == (nx + 2, nx * ny)
+        assert np.array_equal(band_to_dense(band), queen_laplacian(nx, ny))
+
     def test_rows_sum_to_zero(self):
-        Q = besag_precision(GridSpec.synthetic(5, 7))
-        assert np.allclose(np.asarray(Q.sum(axis=1)).ravel(), 0.0)
+        Q = _dense_besag(5, 7)
+        assert np.allclose(Q.sum(axis=1), 0.0)
 
     def test_degree_counts(self):
-        Q = besag_precision(GridSpec.synthetic(4, 3)).toarray()
+        Q = _dense_besag(4, 3)
         deg = np.diag(Q).reshape(3, 4)
         assert deg[0, 0] == 3  # corner
         assert deg[0, 1] == 5  # edge
         assert deg[1, 1] == 8  # interior
 
     def test_symmetric_and_psd(self):
-        Q = besag_precision(GridSpec.synthetic(4, 4)).toarray()
+        Q = _dense_besag(4, 4)
         assert np.array_equal(Q, Q.T)
         w = np.linalg.eigvalsh(Q)
         assert w.min() > -1e-10
@@ -40,7 +58,7 @@ class TestBesagPrecision:
         assert (np.abs(w) < 1e-9).sum() == 1
 
     def test_diagonal_adjacency_present(self):
-        Q = besag_precision(GridSpec.synthetic(3, 3)).toarray()
+        Q = _dense_besag(3, 3)
         # cell (0,0) index 0 and cell (1,1) index 4 are queen neighbors
         assert Q[0, 4] == -1
 
@@ -52,29 +70,34 @@ class TestBesagPrecision:
 class TestLogGenDet:
     def test_two_cell_lattice(self):
         # K2 Laplacian [[1,-1],[-1,1]]: nonzero eigenvalue 2
-        Q = besag_precision(GridSpec.synthetic(2, 1))
-        assert log_gen_det(Q) == pytest.approx(np.log(2.0))
+        assert log_gen_det(GridSpec.synthetic(2, 1)) == pytest.approx(np.log(2.0))
 
     def test_2x2_queen_is_complete_graph(self):
         # K4: nonzero eigenvalues are 4,4,4 -> product 64
-        Q = besag_precision(GridSpec.synthetic(2, 2))
-        assert log_gen_det(Q) == pytest.approx(np.log(64.0))
+        assert log_gen_det(GridSpec.synthetic(2, 2)) == pytest.approx(np.log(64.0))
 
     def test_single_cell_empty_product(self):
-        assert log_gen_det(besag_precision(GridSpec.synthetic(1, 1))) == 0.0
+        assert log_gen_det(GridSpec.synthetic(1, 1)) == 0.0
 
     @pytest.mark.parametrize("nx,ny", [(3, 2), (4, 4), (5, 3), (7, 7), (10, 10)])
     def test_matches_dense_eigendecomposition(self, nx, ny):
-        Q = besag_precision(GridSpec.synthetic(nx, ny))
-        got = log_gen_det(Q)
-        want = dense_log_gen_det(Q)
+        got = log_gen_det(GridSpec.synthetic(nx, ny))
+        want = dense_log_gen_det(queen_laplacian(nx, ny))
         assert got == pytest.approx(want, rel=1e-8)
 
-    def test_disconnected_graph_rejected(self):
-        block = besag_precision(GridSpec.synthetic(2, 2))
-        Q = sp.block_diag([block, block]).tocsc()
-        with pytest.raises(NumericError):
-            log_gen_det(Q)
+    def test_paper_grid_matches_dense_minor(self):
+        # cofactor identity: log n + log det of Q without its last row and column
+        grid = GridSpec()
+        n = grid.n_cells
+        sign, logdet = np.linalg.slogdet(queen_laplacian(grid.nx, grid.ny)[:-1, :-1])
+        assert sign == 1.0
+        assert log_gen_det(grid) == pytest.approx(np.log(n) + logdet, rel=1e-12)
+
+
+def test_package_does_not_load_scipy_sparse():
+    code = "import coxforge, coxforge.cli, sys; assert 'scipy.sparse' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=str(Path(coxforge.__file__).resolve().parents[1]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestSampling:
@@ -102,15 +125,10 @@ class TestSampling:
         g = ConstrainedGaussian(nx, ny, tau=tau)
         x = sample_constrained(g, rng=11, size=100_000)
         emp = x.T @ x / x.shape[0]
-        want = np.linalg.pinv(besag_precision(GridSpec.synthetic(nx, ny)).toarray()) / tau
+        want = np.linalg.pinv(queen_laplacian(nx, ny)) / tau
         scale = np.abs(want).max()
         assert np.abs(emp - want).max() < 0.05 * scale
 
     def test_bad_tau_rejected(self):
         with pytest.raises(ConfigError):
             ConstrainedGaussian(3, 3, tau=0.0)
-
-    def test_precision_property(self):
-        g = ConstrainedGaussian(3, 2, tau=2.5)
-        want = 2.5 * besag_precision(GridSpec.synthetic(3, 2)).toarray()
-        assert np.allclose(g.precision.toarray(), want)

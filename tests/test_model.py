@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _toys import dense_design
+from _toys import dense_design, queen_laplacian
 from coxforge.design import ModelSpec, get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec, ShoeRecord
@@ -14,7 +14,6 @@ from coxforge.model import (
     ThetaLayout,
     free_varying_mask,
     grad_hessian,
-    linear_predictor,
     log_joint,
 )
 from coxforge.simulate import SimConfig, gen_dataset
@@ -209,11 +208,6 @@ class TestLikelihood:
             diff = fish.toarray() - B.T @ (lam[:, None] * B)
             assert np.abs(diff).max() < 1e-12
 
-    def test_linear_predictor_shape_check(self):
-        model, _, _ = _small_model()
-        with pytest.raises(ConfigError):
-            linear_predictor(np.zeros(3), model)
-
 
 class TestDerivatives:
     def test_gradient_matches_central_differences(self):
@@ -283,7 +277,7 @@ class TestPrior:
         blk = lay.smooth_block
         assert np.allclose(
             sigma[blk, blk],
-            psi.tau_sm * model.Q.toarray(),
+            psi.tau_sm * queen_laplacian(model.grid.nx, model.grid.ny),
         )
 
     def test_multi_field_prior_is_tau_q_per_field(self):
@@ -293,7 +287,7 @@ class TestPrior:
         psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
         taus = [psi.tau_sm, *psi.tau_v]
         assert len(taus) == 4
-        Q = model.Q.toarray()
+        Q = queen_laplacian(model.grid.nx, model.grid.ny)
         want = scipy.linalg.block_diag(
             psi.tau_s * np.eye(lay.n_shoes),
             np.eye(lay.n_fixed) / model.prior.fixef_var,
