@@ -41,13 +41,15 @@ deterministic coordinate search in log-precision space (empirical Bayes)
 or summed over a centered grid with log-scale Jacobian weights.
 
 Any object with the :class:`coxforge.model.ShoeModel` likelihood/prior
-surface (``n_total``, ``n_free``, ``constraint_blocks``, ``loglik``,
-``lik_parts``, ``prior_precision``, ``prior_quad``, ``log_prior_gendet``,
-``log_hyperprior``, ``psi_from_free``, ``free_names``) can be driven by
-these routines. ``lik_parts`` returns its Fisher term and
-``prior_precision`` the prior precision as ``ArrowMatrix`` over the same
-field and border coordinates; ``find_mode`` adds the two and factors the
-sum as given. The test suite uses small synthetic problems with
+surface (``n_total``, ``n_free``, ``constraint_blocks``, ``lik_parts``,
+``prior_precision``, ``log_prior_gendet``, ``log_hyperprior``,
+``psi_from_free``, ``free_names``) can be driven by these routines.
+``lik_parts`` returns its Fisher term and ``prior_precision`` the prior
+precision as ``ArrowMatrix`` over the same field and border coordinates;
+``find_mode`` adds the two and factors the sum as given. It evaluates
+each point once, by :func:`coxforge.model.newton_parts`, so a line-search
+candidate's value comes with the gradient and Fisher term that the next
+iteration steps from. The test suite uses small synthetic problems with
 closed-form answers through the same entry points.
 """
 
@@ -66,7 +68,7 @@ from scipy.linalg import cho_solve, lapack
 from .design import ModelSpec, index_to_string
 from .errors import ConfigError, InputDataError, NumericError
 from .grids import GridSpec, ShoeRecord
-from .model import ArrowMatrix, Hyperparams, PriorSpec, ShoeModel, ThetaLayout
+from .model import ArrowMatrix, Hyperparams, PriorSpec, ShoeModel, ThetaLayout, newton_parts
 from .util import parallel_map
 
 log = logging.getLogger("coxforge.inference")
@@ -258,7 +260,8 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
     ``DECREMENT_RTOL * max(1, |value|)``, so the factor that gave the last
     step is the factor at the mode. The line search halves the step from
     t = 1 and accepts a log-joint of at least
-    ``value - ROUNDING_RTOL * max(1, |value|)``. No convergence within
+    ``value - ROUNDING_RTOL * max(1, |value|)``; a candidate whose
+    intensity overflows is a halving too. No convergence within
     ``MAX_NEWTON_ITER`` iterations, or no accepted step within
     ``MAX_HALVINGS`` halvings, is reported in the result, not raised.
     A negative Hessian that fails to factor raises NumericError.
@@ -272,12 +275,6 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
         raise ConfigError(f"theta0 has shape {theta.shape}, model wants ({n},)")
     _center_blocks(theta, blocks)
 
-    def core(th: np.ndarray) -> float:
-        ll = model.loglik(th)
-        if ll == -np.inf:
-            return -np.inf
-        return ll - 0.5 * model.prior_quad(th, psi)
-
     def factor(fish, where: str) -> _Factor:
         nonlocal factorizations
         factorizations += 1
@@ -288,7 +285,13 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
                 "factorization", f"negative-Hessian factorization failed {where}: {exc}"
             ) from exc
 
-    value = core(theta)
+    def evaluate(th: np.ndarray) -> tuple:
+        try:
+            return newton_parts(th, sigma, model)
+        except NumericError:  # the intensity overflows
+            return -np.inf, None, None
+
+    value, grad, fish = evaluate(theta)
     if not np.isfinite(value):
         raise _Reject("nonfinite", f"log-joint is {value} at the starting point")
 
@@ -298,12 +301,11 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
     factorizations = halvings = 0
     fac = None  # the factor at theta, while current
     for it in range(1, MAX_NEWTON_ITER + 1):
-        _, lgrad, fish = model.lik_parts(theta)
         # the projected gradient gives the same step as the raw one, whose
         # part in the span of A' does not vanish at the mode: kriging would
         # cancel it only to within rounding, an error that does not shrink
         # with the step
-        pgrad = _center_blocks(lgrad - sigma @ theta, blocks)
+        pgrad = _center_blocks(grad, blocks)
         grad_norm = float(np.linalg.norm(pgrad))
         fac = factor(fish, f"at iteration {it}")
         delta = fac.step(pgrad)
@@ -316,9 +318,9 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = _center_blocks(theta + t * delta, blocks)
-            v = core(cand)
+            v, g, f = evaluate(cand)
             if v >= floor:
-                theta, value, fac = cand, v, None
+                theta, value, grad, fish, fac = cand, v, g, f, None
                 break
             t *= 0.5
             halvings += 1
@@ -329,7 +331,7 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
     # The factor at the final point gives the constrained log-determinant
     # now and the marginal variances later.
     if fac is None:
-        fac = factor(model.lik_parts(theta)[2], "at the last iterate")
+        fac = factor(fish, "at the last iterate")
 
     return ModeResult(
         theta_star=theta,
@@ -366,8 +368,8 @@ def _laplace_value(psi, model, mode: ModeResult) -> float:
             f"mode search did not converge in {mode.iterations} iterations "
             f"(relative decrement {mode.decrement:.3e}, |grad| {mode.grad_norm:.3e})",
         )
-    # mode.value already holds loglik − ½ th' Sigma th; add the prior's
-    # normalization, the hyperprior, and the Gaussian-integral correction.
+    # mode.value is newton_parts' loglik − ½ th' Sigma th at the mode; add the
+    # prior's normalization, the hyperprior, and the Gaussian-integral correction.
     lp = (
         mode.value
         + 0.5 * model.log_prior_gendet(psi)
@@ -408,8 +410,11 @@ class GridConfig:
     spacing: float = 0.75
 
     def __post_init__(self) -> None:
-        if self.points < 1 or self.spacing <= 0:
-            raise ConfigError("grid needs points >= 1 and positive spacing")
+        if self.points < 1 or not (np.isfinite(self.spacing) and self.spacing > 0):
+            raise ConfigError(
+                "grid points must be at least 1 and grid spacing finite and positive, "
+                f"got {self.points} points and spacing {self.spacing}"
+            )
 
 
 @dataclass

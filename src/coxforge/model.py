@@ -13,15 +13,17 @@ spatial fields), and Exponential hyperpriors on the free precisions.
 package, fitted or predictive, is its :meth:`Design.eta`.
 
 :class:`ShoeModel` packages all of that behind the small interface the
-inference engine consumes (log-likelihood, gradient, Fisher information,
-prior precision, hyperprior). The Fisher information and the prior
-precision come as :class:`ArrowMatrix`, the one format of the negative
-Hessian: a band over the field coordinates, interleaved cell by cell,
-and dense blocks for the shoe and fixed effects, the form the Newton
-solver factors. The Fisher blocks are dense per-block products written
-straight into that form — the design matrix has exactly one entry per
-block per row, so every block of B' diag(w) B collapses to a small dense
-matrix or a diagonal.
+inference engine consumes (``lik_parts``: log-likelihood, gradient and
+Fisher information from one intensity pass; prior precision; hyperprior).
+:func:`newton_parts`, the one evaluation a Newton point costs, adds the
+prior to ``lik_parts``. The Fisher information and the prior precision
+come as :class:`ArrowMatrix`, the one format of the negative Hessian: a
+band over the field coordinates, interleaved cell by cell, and dense
+blocks for the shoe and fixed effects, the form the Newton solver
+factors. The Fisher blocks are dense per-block products written straight
+into that form — the design matrix has exactly one entry per block per
+row, so every block of B' diag(w) B collapses to a small dense matrix or
+a diagonal.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy.special import gammaln
 from . import design as dz
 from .design import ModelSpec, interaction_order
 from .errors import ConfigError, InputDataError, NumericError
-from .gmrf import band_matvec, band_to_dense, besag_precision, log_gen_det
+from .gmrf import band_matvec, besag_precision, log_gen_det
 from .grids import GridSpec, ShoeRecord
 
 log = logging.getLogger("coxforge.model")
@@ -255,15 +257,6 @@ class ArrowMatrix:
         y[self.border] = self.C.T @ xf + self.B @ xb
         return y
 
-    def toarray(self) -> np.ndarray:
-        """The dense matrix in theta's coordinate order."""
-        out = np.empty((self.field.size + self.border.size,) * 2)
-        out[np.ix_(self.field, self.field)] = band_to_dense(self.band)
-        out[np.ix_(self.field, self.border)] = self.C
-        out[np.ix_(self.border, self.field)] = self.C.T
-        out[np.ix_(self.border, self.border)] = self.B
-        return out
-
 
 class Design:
     """Covariate tensors of a list of records under a spec, and their predictor.
@@ -403,7 +396,8 @@ class ShoeModel(Design):
     def lik_parts(self, theta: np.ndarray) -> tuple[float, np.ndarray, ArrowMatrix]:
         """(log-likelihood, its gradient, Fisher matrix) sharing one intensity pass."""
         eta = self.eta(theta)
-        lam = np.exp(eta)
+        with np.errstate(over="ignore"):
+            lam = np.exp(eta)
         if not np.all(np.isfinite(lam)):
             raise NumericError("non-finite intensity in likelihood evaluation")
         value = float((self.y * eta).sum() - lam.sum() - self._log_yfact)
@@ -489,21 +483,6 @@ class ShoeModel(Design):
         return ArrowMatrix(self._field, self._border, band,
                            np.zeros((self._field.size, diag.size)), np.diag(diag))
 
-    def prior_quad(self, theta: np.ndarray, psi: Hyperparams) -> float:
-        """theta' Sigma(psi) theta, computed blockwise.
-
-        The fields follow the fixed effects in theta, one after another, so
-        one band product gives Q v for all of them at once.
-        """
-        lay = self.layout
-        out = psi.tau_s * float(theta[lay.shoe] @ theta[lay.shoe])
-        out += float(theta[lay.fixed] @ theta[lay.fixed]) / self.prior.fixef_var
-        if lay.n_constraints:
-            V = theta[lay.fixed.stop:].reshape(lay.n_constraints, lay.n_cells)
-            for tau, v, qv in zip(self._block_taus(psi), V, band_matvec(self.q_band, V)):
-                out += tau * float(v @ qv)
-        return out
-
     def log_prior_gendet(self, psi: Hyperparams) -> float:
         """log |Sigma(psi)|_*: the product of Sigma's nonzero eigenvalues.
 
@@ -516,16 +495,25 @@ class ShoeModel(Design):
             lgd += (lay.n_cells - 1) * np.log(tau) + self.log_gendet_q
         return float(lgd)
 
-    def log_prior_norm(self, psi: Hyperparams) -> float:
-        """log of the prior's normalizing constant: ½log|Sigma|* − (d/2)log 2π."""
-        return (
-            0.5 * self.log_prior_gendet(psi)
-            - 0.5 * self.layout.constrained_dim * LOG_2PI
-        )
-
 
 # ---------------------------------------------------------------------------
 # module-level operations in terms of ShoeModel
+
+
+def newton_parts(
+    theta: np.ndarray, sigma: ArrowMatrix, model: ShoeModel
+) -> tuple[float, np.ndarray, ArrowMatrix]:
+    """The log-joint at fixed psi, less its psi-only terms, with its derivatives.
+
+    With ``sigma`` the prior precision Sigma(psi), returns
+    loglik − ½ theta' Sigma theta, its gradient grad loglik − Sigma theta,
+    and the Fisher term, from one :meth:`ShoeModel.lik_parts` call and one
+    product with ``sigma``. Raises NumericError where the intensity
+    overflows.
+    """
+    value, lgrad, fish = model.lik_parts(theta)
+    s_theta = sigma @ theta
+    return value - 0.5 * float(theta @ s_theta), lgrad - s_theta, fish
 
 
 def log_joint(theta: np.ndarray, psi: Hyperparams, model: ShoeModel) -> float:
@@ -537,10 +525,11 @@ def log_joint(theta: np.ndarray, psi: Hyperparams, model: ShoeModel) -> float:
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite theta in log_joint")
+    value, _, _ = newton_parts(theta, model.prior_precision(psi), model)
     return (
-        model.loglik(theta)
-        - 0.5 * model.prior_quad(theta, psi)
-        + model.log_prior_norm(psi)
+        value
+        + 0.5 * model.log_prior_gendet(psi)
+        - 0.5 * model.layout.constrained_dim * LOG_2PI
         + model.log_hyperprior(psi)
     )
 
@@ -554,7 +543,6 @@ def grad_hessian(
     semidefinite everywhere and positive definite on the constrained
     subspace.
     """
-    theta = np.asarray(theta, dtype=float)
     sigma = model.prior_precision(psi)
-    _, lgrad, fish = model.lik_parts(theta)
-    return lgrad - sigma @ theta, sigma + fish
+    _, grad, fish = newton_parts(np.asarray(theta, dtype=float), sigma, model)
+    return grad, sigma + fish

@@ -29,6 +29,9 @@ from .model import Design, Hyperparams, ThetaLayout
 
 CONTACT_KINDS = ("blobs", "stripes", "uniform_noise")
 
+# the largest mean numpy's Generator.poisson accepts
+POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -51,6 +54,9 @@ class SimConfig:
             raise ConfigError(
                 f"contact_kind must be one of {CONTACT_KINDS}, got {self.contact_kind!r}"
             )
+        values = (self.tau_s, self.tau_sm, self.tau_v, self.intercept, self.fixef_sd)
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"simulation settings must be finite, got {values}")
         if min(self.tau_s, self.tau_sm, self.tau_v) <= 0:
             raise ConfigError("true precisions must be positive")
 
@@ -149,7 +155,12 @@ def gen_dataset(config: SimConfig) -> tuple[list[ShoeRecord], np.ndarray]:
     rng = np.random.default_rng(config.seed)
     records = [_record_for_surface(config, i) for i in range(config.n_shoes)]
     theta = true_theta(config, rng)
-    lam = np.exp(Design(records, config.spec).eta(theta))  # (S, A)
+    eta = Design(records, config.spec).eta(theta)  # (S, A)
+    with np.errstate(over="ignore"):
+        lam = np.exp(eta)
+    if not np.all(lam <= POISSON_LAM_MAX):
+        raise ConfigError(f"simulated log intensity reaches {eta.max():.4g}, past what the "
+                          "Poisson sampler accepts; lower the intercept or raise the precisions")
     counts = rng.poisson(lam)
     out = [
         replace(rec, counts=counts[s].reshape(config.ny, config.nx).astype(np.int64))

@@ -1,8 +1,8 @@
 """Small analytic problems driving the inference engine through its
 duck-typed model interface, and dense builders for test oracles.
 
-The engine only needs likelihood parts, the prior precision/quadratic,
-and constraint metadata, so closed-form Gaussian and one-dimensional
+The engine only needs likelihood parts, the prior precision and
+constraint metadata, so closed-form Gaussian and one-dimensional
 Poisson problems exercise exactly the code paths the shoe model uses
 while the correct answers stay computable by hand.
 """
@@ -13,6 +13,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from coxforge.design import covariate_value
+from coxforge.errors import NumericError
+from coxforge.gmrf import band_to_dense
 from coxforge.model import ArrowMatrix
 
 
@@ -32,6 +34,16 @@ def dense_arrow(M, blocks=()) -> ArrowMatrix:
         band[d, :field.size - d] = np.diagonal(F, -d)
     return ArrowMatrix(field, border, band,
                        M[np.ix_(field, border)], M[np.ix_(border, border)])
+
+
+def arrow_to_dense(H: ArrowMatrix) -> np.ndarray:
+    """The dense matrix in theta's coordinate order."""
+    out = np.empty((H.field.size + H.border.size,) * 2)
+    out[np.ix_(H.field, H.field)] = band_to_dense(H.band)
+    out[np.ix_(H.field, H.border)] = H.C
+    out[np.ix_(H.border, H.field)] = H.C.T
+    out[np.ix_(H.border, H.border)] = H.B
+    return out
 
 
 def queen_laplacian(nx: int, ny: int) -> np.ndarray:
@@ -91,15 +103,15 @@ class ScalarPoissonToy:
 
     def lik_parts(self, theta):
         t = theta[0]
-        lam = np.exp(t)
+        with np.errstate(over="ignore"):
+            lam = np.exp(t)
+        if not np.isfinite(lam):
+            raise NumericError("non-finite intensity")
         value = float(self.y * t - lam - gammaln(self.y + 1))
         return value, np.array([self.y - lam]), dense_arrow([[lam]])
 
     def prior_precision(self, psi):
         return dense_arrow([[float(psi)]])
-
-    def prior_quad(self, theta, psi):
-        return float(psi) * float(theta[0] ** 2)
 
     def log_prior_gendet(self, psi):
         return float(np.log(psi))
@@ -130,11 +142,6 @@ class GaussianSurrogateToy:
         self.n_free = 1
         self.constraint_blocks = tuple(np.asarray(b) for b in blocks)
 
-    def loglik(self, theta):
-        r = self.yv - self.B @ theta
-        m = self.yv.size
-        return float(-0.5 * r @ r / self.s2 - 0.5 * m * np.log(2 * np.pi * self.s2))
-
     def lik_parts(self, theta):
         r = self.yv - self.B @ theta
         m = self.yv.size
@@ -145,9 +152,6 @@ class GaussianSurrogateToy:
 
     def prior_precision(self, psi):
         return dense_arrow(float(psi) * np.eye(self.n_total), self.constraint_blocks)
-
-    def prior_quad(self, theta, psi):
-        return float(psi) * float(theta @ theta)
 
     def log_prior_gendet(self, psi):
         d = self.n_total - len(self.constraint_blocks)

@@ -17,7 +17,7 @@ import scipy.integrate
 import scipy.stats
 from scipy.special import gammaln
 
-from _toys import GaussianSurrogateToy, ScalarPoissonToy, queen_laplacian
+from _toys import GaussianSurrogateToy, ScalarPoissonToy, arrow_to_dense, queen_laplacian
 from coxforge import datasets as ds
 from coxforge.crossval import make_folds, run_cv
 from coxforge.design import ModelSpec, builtin_specs, get_spec
@@ -123,7 +123,7 @@ def test_criterion_03_gradient_hessian_vs_finite_differences():
         model, psi, theta = _small_model(seed)
         n = model.layout.n_total
         grad, neg_hess = grad_hessian(theta, psi, model)
-        dense = neg_hess.toarray()
+        dense = arrow_to_dense(neg_hess)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h

@@ -84,6 +84,19 @@ class TestSimulate:
         assert main(["simulate", "--grid", "5by6",
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--tau-s", "nan"),        # a NaN precision
+        ("--intercept", "800"),    # exp(eta) overflows
+        ("--tau-v", "1e-300"),     # field draws far past the Poisson sampler's range
+    ])
+    def test_unsimulatable_settings_exit_2(self, tmp_path, caplog, flag, value):
+        caplog.clear()
+        code = main(["simulate", "--grid", "3x3", "--shoes", "2", flag, value,
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert caplog.records and caplog.records[-1].exc_info is None
+        assert not (tmp_path / "dataset.json").exists()
+
 
 class TestFit:
     def test_fit_round_trips(self, fitfile):
@@ -157,6 +170,13 @@ class TestFit:
         assert main(["fit", "--dataset", str(simdir / "dataset.json"),
                      "--model", "m_bogus",
                      "--out", str(tmp_path / "f.json")]) == 2
+
+    def test_nonfinite_grid_spacing_exits_2(self, simdir, tmp_path, caplog):
+        caplog.clear()
+        assert main(["fit", "--dataset", str(simdir / "dataset.json"),
+                     "--model", "m_a", "--strategy", "grid", "--grid-spacing", "nan",
+                     "--out", str(tmp_path / "f.json")]) == 2
+        assert "grid spacing" in caplog.text
 
     def test_numeric_failure_exits_3_with_error_artifact(self, simdir,
                                                          tmp_path, monkeypatch):

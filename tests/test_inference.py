@@ -10,6 +10,7 @@ from _toys import GaussianSurrogateToy, ScalarPoissonToy
 from coxforge import inference
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError, InputDataError, NumericError
+from coxforge.grids import GridSpec, ShoeRecord
 from coxforge.inference import (
     FitResult,
     GridConfig,
@@ -21,6 +22,7 @@ from coxforge.inference import (
     grid_posterior,
     marginal_sd,
 )
+from coxforge.model import ShoeModel
 from coxforge.simulate import SimConfig, gen_dataset
 
 
@@ -57,9 +59,6 @@ class OffsetPoissonToy(ScalarPoissonToy):
     """The scalar toy with 1e12 added to the log-likelihood: the mode is unmoved."""
 
     OFFSET = 1e12
-
-    def loglik(self, theta):
-        return super().loglik(theta) + self.OFFSET
 
     def lik_parts(self, theta):
         value, grad, fisher = super().lik_parts(theta)
@@ -242,6 +241,10 @@ class TestHyperparameterSearch:
             GridConfig(points=0)
         with pytest.raises(ConfigError):
             GridConfig(spacing=-1.0)
+        with pytest.raises(ConfigError, match="spacing"):
+            GridConfig(spacing=np.nan)
+        with pytest.raises(ConfigError, match="spacing"):
+            GridConfig(points=1, spacing=np.inf)
 
     def test_psi_grid_json_round_trip(self):
         grid = PsiGrid(
@@ -377,3 +380,60 @@ class TestFit:
         assert all(type(d[k]) is int for k in (
             "newton_iterations", "factorizations", "line_search_halvings",
             "psi_rejected", "psi_cache_hits"))
+
+
+def _overflowing_records():
+    """Two shoes on a 3x2 grid, one with 5,000 accidentals in every cell.
+
+    From theta = 0 the first Newton step overshoots so far that exp(eta)
+    overflows, so the line search must halve.
+    """
+    out = []
+    for i, count in enumerate((5000, 0)):
+        rng = np.random.default_rng(i)
+        contact = rng.uniform(size=(2, 3))
+        out.append(ShoeRecord(
+            shoe_id=f"s{i}", side="left", contact=contact,
+            contact_binary=(contact > 0.5).astype(np.uint8),
+            gradient=rng.uniform(size=(2, 3)),
+            counts=np.full((2, 3), count),
+        ))
+    return out
+
+
+class TestOverflowingStep:
+    @pytest.mark.parametrize("name", ["uniform", "m_a"])
+    def test_overflow_is_a_halving_and_each_point_is_evaluated_once(self, name,
+                                                                     monkeypatch):
+        grid = GridSpec.synthetic(3, 2)
+        model = ShoeModel(_overflowing_records(), get_spec(name), grid)
+        calls, raised = [], []
+        real_lik_parts = ShoeModel.lik_parts
+
+        def counted(self, theta):
+            calls.append(theta)
+            try:
+                return real_lik_parts(self, theta)
+            except NumericError:
+                raised.append(theta)
+                raise
+
+        def no_loglik(self, theta):
+            raise AssertionError("find_mode called loglik")
+
+        monkeypatch.setattr(ShoeModel, "lik_parts", counted)
+        monkeypatch.setattr(ShoeModel, "loglik", no_loglik)
+        mode = find_mode(model.psi_from_free(np.zeros(model.n_free)), model)
+        assert mode.converged
+        assert mode.halvings >= 1 and raised
+        # the start point, then one call per line-search candidate: the
+        # accepted ones and the halved ones
+        assert len(calls) == mode.iterations + mode.halvings
+
+    @pytest.mark.parametrize("name", ["uniform", "m_a"])
+    def test_fit_scores_every_psi(self, name):
+        res = fit(_overflowing_records(), get_spec(name), GridSpec.synthetic(3, 2))
+        d = res.diagnostics
+        assert d["line_search_halvings"] >= 1
+        assert d["psi_rejected_by_reason"]["nonfinite"] == 0
+        assert np.isfinite(d["log_psi_posterior_map"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _toys import dense_design, queen_laplacian
+from _toys import arrow_to_dense, dense_design, queen_laplacian
 from coxforge.design import ModelSpec, get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec, ShoeRecord
@@ -15,6 +15,7 @@ from coxforge.model import (
     free_varying_mask,
     grad_hessian,
     log_joint,
+    newton_parts,
 )
 from coxforge.simulate import SimConfig, gen_dataset
 
@@ -205,7 +206,7 @@ class TestLikelihood:
             y = np.concatenate([r.counts.ravel() for r in model.records])
             lam = np.exp(B @ theta)
             assert np.allclose(grad, B.T @ (y - lam), rtol=0, atol=1e-12)
-            diff = fish.toarray() - B.T @ (lam[:, None] * B)
+            diff = arrow_to_dense(fish) - B.T @ (lam[:, None] * B)
             assert np.abs(diff).max() < 1e-12
 
 
@@ -224,7 +225,7 @@ class TestDerivatives:
     def test_neg_hessian_matches_grad_differences(self):
         model, psi, theta = _small_model()
         _, neg_hess = grad_hessian(theta, psi, model)
-        dense = neg_hess.toarray()
+        dense = arrow_to_dense(neg_hess)
         h = 1e-6
         for i in range(model.n_total):
             e = np.zeros(model.n_total)
@@ -243,13 +244,13 @@ class TestDerivatives:
             rows[k, blk] = 1.0
         _, _, vt = np.linalg.svd(rows)
         basis = vt[len(model.constraint_blocks):].T  # nullspace of constraints
-        reduced = basis.T @ neg_hess.toarray() @ basis
+        reduced = basis.T @ arrow_to_dense(neg_hess) @ basis
         assert np.linalg.eigvalsh(reduced).min() > 0
 
     def test_symmetry(self):
         model, psi, theta = _small_model(seed=3)
         _, neg_hess = grad_hessian(theta, psi, model)
-        dense = neg_hess.toarray()
+        dense = arrow_to_dense(neg_hess)
         assert np.abs(dense - dense.T).max() < 1e-12
 
     def test_arrow_product_matches_dense(self):
@@ -257,21 +258,23 @@ class TestDerivatives:
         psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
         _, neg_hess = grad_hessian(theta, psi, model)
         x = np.random.default_rng(5).normal(size=model.n_total)
-        dense = neg_hess.toarray()
+        dense = arrow_to_dense(neg_hess)
         assert np.allclose(neg_hess @ x, dense @ x, rtol=1e-13, atol=1e-10)
 
 
 class TestPrior:
     def test_prior_quad_matches_matrix_form(self):
+        """newton_parts' value is loglik − ½ theta' Sigma theta, Sigma dense."""
         model, psi, theta = _small_model()
-        sigma = model.prior_precision(psi).toarray()
-        want = float(theta @ sigma @ theta)
-        assert model.prior_quad(theta, psi) == pytest.approx(want, rel=1e-12)
+        sigma = model.prior_precision(psi)
+        want = float(theta @ arrow_to_dense(sigma) @ theta)
+        value, _, _ = newton_parts(theta, sigma, model)
+        assert 2 * (model.loglik(theta) - value) == pytest.approx(want, rel=1e-12)
 
     def test_prior_precision_block_structure(self):
         model, psi, _ = _small_model()
         lay = model.layout
-        sigma = model.prior_precision(psi).toarray()
+        sigma = arrow_to_dense(model.prior_precision(psi))
         assert np.allclose(np.diag(sigma)[lay.shoe], psi.tau_s)
         assert np.allclose(np.diag(sigma)[lay.fixed], 1.0 / model.prior.fixef_var)
         blk = lay.smooth_block
@@ -293,11 +296,11 @@ class TestPrior:
             np.eye(lay.n_fixed) / model.prior.fixef_var,
             *[tau * Q for tau in taus],
         )
-        assert np.array_equal(model.prior_precision(psi).toarray(), want)
+        assert np.array_equal(arrow_to_dense(model.prior_precision(psi)), want)
 
     def test_log_prior_gendet_matches_dense_spectrum(self):
         model, psi, _ = _small_model()
-        sigma = model.prior_precision(psi).toarray()
+        sigma = arrow_to_dense(model.prior_precision(psi))
         w = np.linalg.eigvalsh(sigma)
         nonzero = w[np.abs(w) > 1e-9]
         assert len(nonzero) == model.layout.constrained_dim

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,14 @@ class TestConfig:
             SimConfig(contact_kind="plaid")
         with pytest.raises(ConfigError):
             SimConfig(tau_s=0.0)
+        for bad in ({"tau_s": np.nan}, {"tau_v": np.inf}, {"intercept": -np.inf},
+                    {"fixef_sd": np.nan}):
+            with pytest.raises(ConfigError):
+                SimConfig(**bad)
+
+    def test_intensity_past_the_sampler_is_config_error(self):
+        with pytest.raises(ConfigError, match="intercept"):
+            gen_dataset(replace(SMALL, intercept=60.0))
 
     def test_grid_is_unit_area(self):
         assert SMALL.grid.cell_area == 1.0
