@@ -19,12 +19,24 @@ contributing 0 and the empty product (the all-zero index) equal to 1, so
 "000000" is the intercept. A :class:`ModelSpec` holds one set of indices
 ``fixed`` whose effects are constant across the grid and one set
 ``varying`` whose effects get their own spatial field.
+
+Every covariate splits into a product of two halves, ``x^i = u^(i1 i2 i3)
+* v^(i4 i5 i6)``: the contact at the cell and its left and right
+neighbors, times the lower and upper neighbors and the gradient. So a
+spec's fixed covariates are the Kronecker products of two short factor
+maps (8 + 8 columns for ``m_final``, 1 + 1 for the intercept alone), and
+the product of any two covariates is ``prod_j factor_j^(i_j + k_j)``, a
+monomial with exponents in {0, 1, 2} (Van Loan 2000, "The ubiquitous
+Kronecker product", J. Comput. Appl. Math. 123). :class:`FactorColumns`
+lays out those half maps, and :func:`build_tensor` evaluates any such
+monomial.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -218,16 +230,18 @@ def covariate_value(
 
 def build_tensor(
     records: list[ShoeRecord],
-    indices: tuple[InteractionIndex, ...],
+    indices: Sequence[tuple[int, ...]],
     spec: ModelSpec,
     grid: GridSpec | None = None,
 ) -> np.ndarray:
     """Covariate values for every (shoe, cell, index), shape (S, ny*nx, K).
 
-    Cells are flattened row-major. The contact surface used per shoe is
-    either ``record.contact`` or ``record.contact_binary`` depending on
-    ``spec.contact``. The grid, when given, only pins the expected cell
-    count; otherwise it is taken from the first record.
+    Entry j of an index is the exponent of factor j, so the 0/1 covariate
+    indices give the covariates and an index with 2s gives the product of
+    two covariates. Cells are flattened row-major. The contact surface
+    used per shoe is either ``record.contact`` or ``record.contact_binary``
+    depending on ``spec.contact``. The grid, when given, only pins the
+    expected cell count; otherwise it is taken from the first record.
     """
     n_cells = grid.n_cells if grid is not None else records[0].contact.size
     out = np.empty((len(records), n_cells, len(indices)))
@@ -236,9 +250,64 @@ def build_tensor(
         stack = _factor_stack(contact, rec.gradient)  # (6, ny, nx)
         flat = stack.reshape(N_BITS, n_cells)
         for k, idx in enumerate(indices):
-            sel = [j for j, b in enumerate(idx) if b]
+            sel = [j for j, e in enumerate(idx) for _ in range(e)]
             if sel:
                 out[s, :, k] = np.prod(flat[sel], axis=0)
             else:
                 out[s, :, k] = 1.0
     return out
+
+
+_BASE3 = np.array([9, 3, 1])
+
+
+def index_array(indices: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Covariate indices (or exponent vectors) as an (n, 6) integer array."""
+    return np.array(indices, dtype=np.intp).reshape(-1, N_BITS)
+
+
+class FactorColumns:
+    """Columns of the two factor maps ``U`` (bits 1-3) and ``V`` (bits 4-6).
+
+    A column is a half-index of exponents, and ``build_tensor`` of it
+    (padded with zeros) is the map. The first ``n_u`` columns of ``U`` and
+    ``n_v`` of ``V`` are the halves the spec's fixed indices use, the maps
+    ``u`` and ``v`` of the linear predictor: fixed index k is
+    ``u[..., fixed_u[k]] * v[..., fixed_v[k]]``, and varying index j is
+    ``U[..., varying_u[j]] * V[..., varying_v[j]]``. With ``products`` the
+    maps also hold every half of a product of two of the model's
+    covariates (fixed, varying, and the constant of the smooth field), so
+    that :meth:`at` can place any such product.
+    """
+
+    def __init__(self, spec: ModelSpec, products: bool = False) -> None:
+        columns, n_used = [], []
+        for half in (slice(0, 3), slice(3, 6)):
+            used = sorted({i[half] for i in spec.fixed})
+            if products:
+                base = {i[half] for i in spec.fixed + spec.varying + (INTERCEPT,) * spec.smooth}
+                more = {tuple(x + y for x, y in zip(a, b)) for a in base for b in base}
+            else:
+                more = {i[half] for i in spec.varying}
+            columns.append(used + sorted(more - set(used)))
+            n_used.append(len(used))
+        first, second = columns
+        self.n_u, self.n_v = n_used
+        self.u_columns = [h + (0, 0, 0) for h in first]
+        self.v_columns = [(0, 0, 0) + h for h in second]
+        # column of each half, by its exponents read as a base-3 number
+        self._u = np.full(27, -1, dtype=np.intp)
+        self._v = np.full(27, -1, dtype=np.intp)
+        for table, halves in ((self._u, first), (self._v, second)):
+            table[np.array(halves, dtype=np.intp).reshape(-1, 3) @ _BASE3] = np.arange(len(halves))
+        self.fixed_u, self.fixed_v = self.at(index_array(spec.fixed))
+        self.varying_u, self.varying_v = self.at(index_array(spec.varying))
+
+    def at(self, exponents) -> tuple[np.ndarray, np.ndarray]:
+        """(column of U, column of V) of each product with these exponents.
+
+        ``exponents`` (..., 6) is a sum of covariate indices; the product
+        of those covariates is ``U[..., cu] * V[..., cv]``.
+        """
+        e = np.asarray(exponents, dtype=np.intp)
+        return self._u[e[..., :3] @ _BASE3], self._v[e[..., 3:] @ _BASE3]

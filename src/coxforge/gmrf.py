@@ -59,14 +59,19 @@ def band_to_dense(band: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+def band_offsets(band: np.ndarray) -> np.ndarray:
+    """The off-diagonal rows of a lower band that hold a nonzero entry."""
+    return np.flatnonzero((band[1:] != 0).any(axis=1)) + 1
+
+
+def band_matvec(band: np.ndarray, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """M @ x along the last axis of x, for M symmetric with lower band ``band``.
 
-    Each entry adds its terms in ascending column order; band rows that
-    are zero throughout are skipped.
+    ``offsets`` is :func:`band_offsets` of the band: only those rows and
+    the diagonal are read. Each entry adds its terms in ascending column
+    order.
     """
     n = x.shape[-1]
-    offsets = np.flatnonzero((band[1:] != 0).any(axis=1)) + 1
     y = np.zeros(x.shape)
     for d in offsets[::-1]:                       # M[p, p - d]
         y[..., d:] += band[d, :n - d] * x[..., :n - d]

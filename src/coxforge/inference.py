@@ -38,12 +38,15 @@ log-determinant and, at the mode, the marginal variances.
 The hyperparameter posterior uses the standard Laplace identity
 p(psi|y) ∝ p(y|th*) p(th*|psi) p(psi) / N(th*; th*, H^-1), maximized by
 deterministic coordinate search in log-precision space (empirical Bayes)
-or summed over a centered grid with log-scale Jacobian weights.
+or summed over a centered grid with log-scale Jacobian weights. Each mode
+search there starts from a first-order prediction of its mode off the
+best or central mode found so far (:func:`predicted_start`).
 
 Any object with the :class:`coxforge.model.ShoeModel` likelihood/prior
 surface (``n_total``, ``n_free``, ``constraint_blocks``, ``lik_parts``,
-``prior_precision``, ``log_prior_gendet``, ``log_hyperprior``,
-``psi_from_free``, ``free_names``) can be driven by these routines.
+``prior_precision``, ``prior_tangents``, ``log_prior_gendet``,
+``log_hyperprior``, ``psi_from_free``, ``free_names``) can be driven by
+these routines; ``find_mode`` alone does not use ``prior_tangents``.
 ``lik_parts`` returns its Fisher term and ``prior_precision`` the prior
 precision as ``ArrowMatrix`` over the same field and border coordinates;
 ``find_mode`` adds the two and factors the sum as given. It evaluates
@@ -148,7 +151,9 @@ class _Factor:
 
     ``H`` permuted to [field, border] is [[F, C], [C', B]] = L L' with
     L = [[Lf, 0], [W', Ls]], Lf the banded Cholesky factor of F,
-    W = Lf^-1 C and Ls the dense Cholesky factor of B - W'W.
+    W = Lf^-1 C and Ls the dense Cholesky factor of B - W'W. Lf and W
+    overwrite H's band and C where those are column-major, as the sum
+    of two ArrowMatrix is, so H is spent.
     """
 
     def __init__(self, H: ArrowMatrix, blocks: Sequence[np.ndarray]):
@@ -158,12 +163,12 @@ class _Factor:
         log_det = 0.0
         W, S = H.C, H.B
         if nf:
-            self.Lf, info = lapack.dpbtrf(H.band, lower=1)
+            self.Lf, info = lapack.dpbtrf(H.band, lower=1, overwrite_ab=1)
             if info != 0:
                 raise NumericError(f"field block is not positive definite (minor {info})")
             log_det += 2.0 * float(np.log(self.Lf[0]).sum())
             if nb:
-                W = self._field_solve(W)
+                W = lapack.dtbtrs(self.Lf, W, uplo="L", overwrite_b=1)[0]
                 S = S - W.T @ W
         self.W = W
         if nb:
@@ -314,13 +319,16 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
         if decrement <= DECREMENT_RTOL:
             converged = True
             break
+        # the line search needs no factor, so its memory goes while the
+        # candidates are evaluated; a failed search builds it again below
+        fac = None
         floor = value - ROUNDING_RTOL * scale
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = _center_blocks(theta + t * delta, blocks)
             v, g, f = evaluate(cand)
             if v >= floor:
-                theta, value, grad, fish, fac = cand, v, g, f, None
+                theta, value, grad, fish = cand, v, g, f
                 break
             t *= 0.5
             halvings += 1
@@ -400,6 +408,23 @@ def marginal_sd(mode: ModeResult, n: int, chunk: int = 256) -> np.ndarray:
     return np.sqrt(var)
 
 
+def predicted_start(model, vec0: np.ndarray, mode: ModeResult, vec: np.ndarray) -> np.ndarray:
+    """First-order prediction of the mode at free log-precisions ``vec``.
+
+    ``mode`` is the converged mode at ``vec0``. By the implicit function
+    theorem, d theta*/d log tau_j = -H^-1 d(Sigma theta*)/d log tau_j on
+    the constrained subspace, so the prediction is one kriged step
+    against the factor the mode already holds (R-INLA's use of the
+    mode's own factor; Rue, Martino & Chopin 2009, JRSS-B 71). Its error
+    is O(|vec - vec0|^2).
+    """
+    if mode._lu is None:
+        raise NumericError("mode result carries no factorization")
+    dvec = np.asarray(vec, dtype=float) - vec0
+    tangent = dvec @ model.prior_tangents(model.psi_from_free(vec0), mode.theta_star)
+    return mode.theta_star + mode._lu.step(-tangent)
+
+
 # ---------------------------------------------------------------------------
 # hyperparameter search
 
@@ -447,12 +472,14 @@ class _Search:
     Only the best candidate's ModeResult keeps its factorization; cached
     entries are stripped, since a search touches on the order of a hundred
     points and each factor holds dense blocks of n × (border + constraints).
+    Each mode search starts from :func:`predicted_start` off the best
+    candidate so far.
     """
 
     def __init__(self, model):
         self.model = model
         self.cache: dict[tuple, tuple[float, ModeResult | None]] = {}
-        self.warm: np.ndarray | None = None
+        self.best_vec: np.ndarray | None = None
         self.best_value = -np.inf
         self.best_mode: ModeResult | None = None
         self.evals = 0
@@ -466,7 +493,9 @@ class _Search:
         if hit is None:
             psi = self.model.psi_from_free(vec)
             try:
-                mode = find_mode(psi, self.model, theta0=self.warm)
+                warm = (None if self.best_mode is None else
+                        predicted_start(self.model, self.best_vec, self.best_mode, vec))
+                mode = find_mode(psi, self.model, theta0=warm)
                 _tally(self.work, mode)
                 lp = _laplace_value(psi, self.model, mode)
             except NumericError as exc:
@@ -477,7 +506,7 @@ class _Search:
             if mode is not None and lp > self.best_value:
                 self.best_value = lp
                 self.best_mode = mode
-                self.warm = mode.theta_star
+                self.best_vec = np.array(vec, dtype=float)
             stripped = None if mode is None else replace(mode, _lu=None)
             self.cache[key] = hit = (lp, stripped)
         else:
@@ -529,16 +558,17 @@ def grid_posterior(
     model,
     center: np.ndarray,
     config: GridConfig,
-    warm: np.ndarray | None = None,
+    center_mode: ModeResult | None = None,
     threads: int = 1,
 ) -> tuple[PsiGrid, list[ModeResult]]:
     """Evaluate a centered lattice in log-precision space.
 
     Posterior masses are exp(log posterior + sum of log precisions): the
     second term is the Jacobian that converts the density over precisions
-    to the log scale the (uniform) lattice lives on. Each point is
-    warm-started from the same center mode, so results are independent of
-    evaluation order and thread count.
+    to the log scale the (uniform) lattice lives on. Given the mode at the
+    center, each point starts from its :func:`predicted_start` off that
+    one mode, so results are independent of evaluation order and thread
+    count.
     """
     k = model.n_free
     offsets = config.spacing * (np.arange(config.points) - (config.points - 1) / 2)
@@ -548,8 +578,8 @@ def grid_posterior(
     ])
 
     def one(vec: np.ndarray) -> tuple[float, ModeResult]:
-        psi = model.psi_from_free(vec)
-        return _psi_objective(psi, model, theta0=warm)
+        warm = None if center_mode is None else predicted_start(model, center, center_mode, vec)
+        return _psi_objective(model.psi_from_free(vec), model, theta0=warm)
 
     results = parallel_map(one, points, threads)
     lp = np.array([r[0] for r in results])
@@ -696,7 +726,7 @@ def fit(
     else:
         psi_grid, modes = grid_posterior(
             model, map_vec, grid_config or GridConfig(),
-            warm=map_mode.theta_star, threads=threads,
+            center_mode=map_mode, threads=threads,
         )
 
     work = Counter(search.work)

@@ -2,34 +2,41 @@
 
 The log intensity for shoe ``s`` at cell ``a`` is
 
-    eta[s, a] = shoe[s] + sum_k x[s, a, k] * fixed[k]
-              + smooth[a] + sum_j xv[s, a, j] * varying[j][a]
+    eta[s, a] = shoe[s] + sum_k x_k[s, a] * fixed[k]
+              + smooth[a] + sum_j xv_j[s, a] * varying[j][a]
 
-with ``x``/``xv`` the covariate tensors of :mod:`coxforge.design`, counts
+with ``x_k``/``xv_j`` the covariates of :mod:`coxforge.design`, counts
 Poisson(exp(eta)), Gaussian priors on every block (intrinsic ones on the
 spatial fields), and Exponential hyperpriors on the free precisions.
 
-:class:`Design` holds the tensors and computes eta; every predictor in the
-package, fitted or predictive, is its :meth:`Design.eta`.
+:class:`Design` holds the covariates in factor form and computes eta;
+every predictor in the package, fitted or predictive, is its
+:meth:`Design.eta`. A covariate is the product of a column of ``U``
+(factors 1-3) and a column of ``V`` (factors 4-6), so the fixed part of
+eta is sum_ij u_i beta_ij v_j with beta laid out over the two halves,
+and no (shoe, cell, covariate) tensor is formed.
 
 :class:`ShoeModel` packages all of that behind the small interface the
 inference engine consumes (``lik_parts``: log-likelihood, gradient and
-Fisher information from one intensity pass; prior precision; hyperprior).
-:func:`newton_parts`, the one evaluation a Newton point costs, adds the
-prior to ``lik_parts``. The Fisher information and the prior precision
-come as :class:`ArrowMatrix`, the one format of the negative Hessian: a
-band over the field coordinates, interleaved cell by cell, and dense
-blocks for the shoe and fixed effects, the form the Newton solver
-factors. The Fisher blocks are dense per-block products written straight
-into that form — the design matrix has exactly one entry per block per
-row, so every block of B' diag(w) B collapses to a small dense matrix or
-a diagonal.
+Fisher information from one intensity pass; prior precision and its
+derivatives in the log-precisions; hyperprior). :func:`newton_parts`,
+the one evaluation a Newton point costs, adds the prior to
+``lik_parts``. The Fisher information and the prior precision come as
+:class:`ArrowMatrix`, the one format of the negative Hessian: a band over
+the field coordinates, interleaved cell by cell, and dense blocks for the
+shoe and fixed effects, the form the Newton solver factors. Every Fisher
+entry is a sum of w times a product of two covariates, a monomial in the
+six factors with exponents in {0, 1, 2}, hence a moment of one column of
+``U`` against one of ``V``: the fixed x fixed block and the field blocks
+are gathered from per-cell moments (U w)' V, and the shoe x fixed block
+from per-shoe products (u w)' v.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +45,16 @@ from scipy.special import gammaln
 from . import design as dz
 from .design import ModelSpec, interaction_order
 from .errors import ConfigError, InputDataError, NumericError
-from .gmrf import band_matvec, besag_precision, log_gen_det
+from .gmrf import band_matvec, band_offsets, besag_precision, log_gen_det
 from .grids import GridSpec, ShoeRecord
 
 log = logging.getLogger("coxforge.model")
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+
+# entries of the one (shoe, cell, column of U) work array that eta and the
+# Fisher build form at a time: 2^17 doubles are 1 MB, which stays in cache
+CHUNK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -245,45 +256,84 @@ class ArrowMatrix:
                 and np.array_equal(self.border, other.border)):
             raise ValueError("arrow matrices over different coordinates")
         wide, narrow = sorted((self.band, other.band), key=len, reverse=True)
-        band = wide.copy()
+        # column-major, LAPACK's order, so that a factorization of the sum
+        # can work in place
+        band = np.array(wide, order="F")
         band[:len(narrow)] += narrow
-        return ArrowMatrix(self.field, self.border, band, self.C + other.C, self.B + other.B)
+        C = np.add(self.C, other.C, order="F")
+        return ArrowMatrix(self.field, self.border, band, C, self.B + other.B)
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        return band_offsets(self.band)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """H @ x for a vector x."""
         xf, xb = x[self.field], x[self.border]
         y = np.empty(x.shape)
-        y[self.field] = band_matvec(self.band, xf) + self.C @ xb
+        y[self.field] = band_matvec(self.band, xf, self._offsets) + self.C @ xb
         y[self.border] = self.C.T @ xf + self.B @ xb
         return y
 
 
 class Design:
-    """Covariate tensors of a list of records under a spec, and their predictor.
+    """Covariates of a list of records under a spec, and their predictor.
 
-    ``x`` (S, A, K) and ``xv`` (S, A, V) hold the fixed-effect and
-    varying-coefficient covariates; ``layout`` places the blocks of theta.
-    :meth:`eta` is the package's one linear predictor. The records share
-    one grid shape, which sets the cell count.
+    The covariates are kept in factor form (see
+    :class:`coxforge.design.FactorColumns`): ``u`` (A, S, I) and ``v``
+    (A, S, J), indexed [cell, shoe, column], hold the halves of the
+    spec's fixed indices, and ``beta`` scattered into an I x J matrix
+    gives eta_fixed = sum_ij u_i beta_ij v_j. They are the leading columns
+    of the maps ``U`` and ``V``, which also hold the halves of the varying
+    covariates and, with ``products``, of every product of two
+    covariates. A run of cells is one block of a map, the unit that eta
+    and the Fisher build work through. ``layout`` places the blocks of
+    theta. :meth:`eta` is the package's one linear predictor. The records
+    share one grid shape, which sets the cell count.
     """
 
-    def __init__(self, records: Sequence[ShoeRecord], spec: ModelSpec) -> None:
+    def __init__(self, records: Sequence[ShoeRecord], spec: ModelSpec,
+                 products: bool = False) -> None:
         self.spec = spec
         self.records = list(records)
         n_cells = self.records[0].contact.size
         self.layout = ThetaLayout.for_model(len(self.records), spec, n_cells)
-        self.x = dz.build_tensor(self.records, spec.fixed, spec)  # (S, A, K)
-        self.xv = dz.build_tensor(self.records, spec.varying, spec)  # (S, A, V)
+        self.columns = cols = dz.FactorColumns(spec, products)
+        self.U = self._factor_map(cols.u_columns)  # (A, S, P)
+        self.V = self._factor_map(cols.v_columns)  # (A, S, Q)
+        self.u = self.U[:, :, :cols.n_u]
+        self.v = self.V[:, :, :cols.n_v]
+
+    def _factor_map(self, columns: list[tuple[int, ...]]) -> np.ndarray:
+        """``build_tensor`` of the columns, indexed [cell, shoe, column]."""
+        out = np.empty((self.layout.n_cells, len(self.records), len(columns)))
+        for s, rec in enumerate(self.records):
+            out[:, s] = dz.build_tensor([rec], columns, self.spec)[0]
+        return out
+
+    def _cell_chunks(self) -> list[slice]:
+        """Runs of cells whose rows of U hold about ``CHUNK_ENTRIES`` entries."""
+        step = max(1, CHUNK_ENTRIES // (self.layout.n_shoes * max(1, self.U.shape[2])))
+        return [slice(a, a + step) for a in range(0, self.layout.n_cells, step)]
 
     def eta(self, theta: np.ndarray) -> np.ndarray:
-        """Linear predictor per (shoe, cell), shape (S, A)."""
-        lay = self.layout
-        out = theta[lay.shoe][:, None] + self.x @ theta[lay.fixed]
+        """Linear predictor per (shoe, cell), shape (S, A), stored cell by cell."""
+        lay, cols = self.layout, self.columns
+        beta = np.zeros((cols.n_u, cols.n_v))
+        beta[cols.fixed_u, cols.fixed_v] = theta[lay.fixed]
+        varying = [(p, q, theta[lay.varying_block(j)][:, None])
+                   for j, (p, q) in enumerate(zip(cols.varying_u, cols.varying_v))]
+        out = np.empty((lay.n_cells, lay.n_shoes))
+        for cells in self._cell_chunks():
+            U, V = self.U[cells], self.V[cells]
+            part = np.einsum("asj,asj->as", U[:, :, :cols.n_u] @ beta, V[:, :, :cols.n_v])
+            for p, q, coef in varying:
+                part += U[:, :, p] * V[:, :, q] * coef[cells]
+            out[cells] = part
+        out += theta[lay.shoe][None, :]
         if lay.smooth:
-            out = out + theta[lay.smooth_block][None, :]
-        for j in range(lay.n_varying):
-            out = out + self.xv[:, :, j] * theta[lay.varying_block(j)][None, :]
-        return out
+            out += theta[lay.smooth_block][:, None]
+        return out.T
 
 
 class ShoeModel(Design):
@@ -314,14 +364,16 @@ class ShoeModel(Design):
         self.shoe_ids = [r.shoe_id for r in records]
         if len(set(self.shoe_ids)) != len(self.shoe_ids):
             raise ConfigError("duplicate shoe_ids in record list")
-        super().__init__(records, spec)
-        self.y = np.stack([r.counts.reshape(-1) for r in self.records]).astype(float)
+        super().__init__(records, spec, products=True)
+        # (S, A), stored cell by cell as eta is
+        self.y = np.stack([r.counts.reshape(-1) for r in self.records], axis=1).astype(float).T
         self._log_yfact = float(gammaln(self.y + 1.0).sum())
 
         lay = self.layout
         n_fields = lay.n_constraints
         if n_fields > 0:
             self.q_band = besag_precision(grid)
+            self._q_offsets = band_offsets(self.q_band)
             self.log_gendet_q = log_gen_det(grid)
         else:
             self.q_band = None
@@ -335,6 +387,21 @@ class ShoeModel(Design):
         self._field = (np.stack(self.constraint_blocks, axis=1).ravel() if n_fields
                        else np.zeros(0, dtype=np.intp))
         self._border = np.arange(lay.n_shoes + lay.n_fixed)
+        self._bty = self._project_rows(self.y)  # B'y; the gradient is B'y - B' lambda
+        # where each Fisher entry sits among the moments of U and V: the
+        # product of two covariates (a field's multiplier is 1 for the
+        # smooth field) is one column of U times one of V
+        fixed = dz.index_array(spec.fixed)
+        fields = dz.index_array((dz.INTERCEPT,) * spec.smooth + spec.varying)
+        self._kk = self.columns.at(fixed[:, None] + fixed[None])
+        self._field_cols = self.columns.at(fields)
+        self._v_one = self.columns.at(dz.INTERCEPT)[1]  # V's constant column, if any
+        self._field_fixed = self.columns.at(fields[:, None] + fixed[None])
+        # for each pair of fields i <= j: band row j - i, field i, and the
+        # columns of U and V of their product
+        first, second = np.triu_indices(len(fields))
+        self._field_pairs = ((second - first, first)
+                             + self.columns.at(fields[first] + fields[second]))
 
     # -- hyperparameter plumbing -------------------------------------------
 
@@ -395,14 +462,21 @@ class ShoeModel(Design):
 
     def lik_parts(self, theta: np.ndarray) -> tuple[float, np.ndarray, ArrowMatrix]:
         """(log-likelihood, its gradient, Fisher matrix) sharing one intensity pass."""
+        lay = self.layout
         eta = self.eta(theta)
+        y_eta = (self.y * eta).sum()
         with np.errstate(over="ignore"):
-            lam = np.exp(eta)
+            lam = np.exp(eta, out=eta)  # eta is not needed again
         if not np.all(np.isfinite(lam)):
             raise NumericError("non-finite intensity in likelihood evaluation")
-        value = float((self.y * eta).sum() - lam.sum() - self._log_yfact)
-        grad = self._project_rows(self.y - lam)
-        return value, grad, self._fisher(lam)
+        value = float(y_eta - lam.sum() - self._log_yfact)
+        fish = self._fisher(lam)
+        # each row of the design B holds one shoe indicator, so B' lam, the
+        # Fisher matrix times that indicator, sums the shoe columns
+        grad = self._bty.copy()
+        grad[self._border] -= fish.B[:, :lay.n_shoes].sum(axis=1)
+        grad[self._field] -= fish.C[:, :lay.n_shoes].sum(axis=1)
+        return value, grad, fish
 
     @property
     def n_total(self) -> int:
@@ -410,45 +484,60 @@ class ShoeModel(Design):
 
     def _project_rows(self, r: np.ndarray) -> np.ndarray:
         """B' @ vec(r) for a per-(shoe, cell) array r, done blockwise."""
-        lay = self.layout
+        lay, cols = self.layout, self.columns
+        rt = r.T  # [cell, shoe], as the factor maps
         g = np.empty(lay.n_total)
         g[lay.shoe] = r.sum(axis=1)
-        g[lay.fixed] = np.einsum("sa,sak->k", r, self.x)
+        ur = (self.u * rt[:, :, None]).reshape(r.size, -1)
+        g[lay.fixed] = (ur.T @ self.v.reshape(r.size, -1))[cols.fixed_u, cols.fixed_v]
         if lay.smooth:
             g[lay.smooth_block] = r.sum(axis=0)
-        for j in range(lay.n_varying):
-            g[lay.varying_block(j)] = (r * self.xv[:, :, j]).sum(axis=0)
+        for j, (p, q) in enumerate(zip(cols.varying_u, cols.varying_v)):
+            g[lay.varying_block(j)] = (rt * self.U[:, :, p] * self.V[:, :, q]).sum(axis=1)
         return g
 
     def _fisher(self, w: np.ndarray) -> ArrowMatrix:
         """B' diag(w) B for weights w (S, A), block by block.
 
+        Every entry is a sum of w times a product of two covariates, which
+        is one column of U times one of V. So one product per cell,
+        (U w)' V over the shoes, gives every moment the field blocks need,
+        and its sum over cells every moment of the fixed x fixed block: a
+        gather places them (27 x 27 moments for the 64 x 64 block of
+        ``m_final``). The shoe x fixed block is (u w)' v per shoe, and the
+        field x shoe block is w times the field's covariate. The weighted
+        map is formed ``CHUNK_ENTRIES`` entries at a time.
+
         Field j's cell a is field position a * n_fields + j, so the
         products of fields i <= j fill band row j - i at columns i, i +
         n_fields, ...; the shoe and fixed effects form the border.
         """
-        lay = self.layout
+        lay, cols = self.layout, self.columns
         S, A, K, n_fields = lay.n_shoes, lay.n_cells, lay.n_fixed, lay.n_constraints
-        xw = self.x * w[:, :, None]                               # (S, A, K)
-        B = np.zeros((S + K, S + K))
-        B[range(S), range(S)] = w.sum(axis=1)                     # shoe diag
-        m_sf = xw.sum(axis=1)                                     # (S, K)
-        B[:S, S:] = m_sf
-        B[S:, :S] = m_sf.T
-        B[S:, S:] = xw.reshape(S * A, K).T @ self.x.reshape(S * A, K)  # (K, K)
-        fields = []
-        if lay.smooth:
-            fields.append(None)  # multiplier 1
-        fields.extend(range(lay.n_varying))
-        f_arrs = [w if f is None else w * self.xv[:, :, f] for f in fields]
+        wt = np.ascontiguousarray(w.T)  # [cell, shoe], as the factor maps
         C = np.empty((self._field.size, S + K))
         band = np.zeros((max(n_fields, 1), self._field.size))
-        for i, fa in enumerate(f_arrs):
-            C[i::n_fields, :S] = fa.T                             # field x shoe
-            C[i::n_fields, S:] = np.einsum("sa,sak->ak", fa, self.x)  # field x fixed
-            for j in range(i, n_fields):
-                prod = fa if fields[j] is None else fa * self.xv[:, :, fields[j]]
-                band[j - i, i::n_fields] = prod.sum(axis=0)       # field x field diag
+        C3 = C.reshape(A, n_fields, S + K)  # [cell, field, border]
+        band3 = band.reshape(len(band), A, n_fields)
+        diag, field, pu, pv = self._field_pairs
+        kk = np.zeros((self.U.shape[2], self.V.shape[2]))
+        m_sf = np.zeros((S, cols.n_u, cols.n_v))
+        for cells in self._cell_chunks():
+            uw = self.U[cells] * wt[cells, :, None]
+            moments = uw.transpose(0, 2, 1) @ self.V[cells]  # per cell
+            kk += moments.sum(axis=0)
+            # per shoe
+            m_sf += uw.transpose(1, 2, 0)[:, :cols.n_u] @ self.v[cells].transpose(1, 0, 2)
+            C3[cells, :, S:] = moments[:, self._field_fixed[0], self._field_fixed[1]]
+            band3[diag, cells, field] = moments[:, pu, pv].T
+            for i, (p, q) in enumerate(zip(*self._field_cols)):
+                weighted = uw[:, :, p]  # w times the field's covariate
+                C3[cells, i, :S] = weighted if q == self._v_one else weighted * self.V[cells, :, q]
+        B = np.zeros((S + K, S + K))
+        B[range(S), range(S)] = w.sum(axis=1)                     # shoe diag
+        B[:S, S:] = m_sf[:, cols.fixed_u, cols.fixed_v]
+        B[S:, :S] = B[:S, S:].T
+        B[S:, S:] = kk[self._kk]                                  # (K, K)
         return ArrowMatrix(self._field, self._border, band, C, B)
 
     # -- prior ---------------------------------------------------------------
@@ -482,6 +571,24 @@ class ShoeModel(Design):
         ])
         return ArrowMatrix(self._field, self._border, band,
                            np.zeros((self._field.size, diag.size)), np.diag(diag))
+
+    def prior_tangents(self, psi: Hyperparams, theta: np.ndarray) -> np.ndarray:
+        """d(Sigma(psi) theta) / d log tau for each free precision, (n_free, n_total).
+
+        Sigma is linear in the precisions, so row j is tau_j times the
+        block of theta that tau_j scales, multiplied by that block's
+        unit precision (the identity for the shoe effects, Q for a field).
+        """
+        lay = self.layout
+        out = np.zeros((self.n_free, lay.n_total))
+        out[0, lay.shoe] = psi.tau_s * theta[lay.shoe]
+        row = 1
+        for j, (blk, tau) in enumerate(zip(self.constraint_blocks, self._block_taus(psi))):
+            if j >= lay.smooth and not self.free_v[j - lay.smooth]:
+                continue
+            out[row, blk] = tau * band_matvec(self.q_band, theta[blk], self._q_offsets)
+            row += 1
+        return out
 
     def log_prior_gendet(self, psi: Hyperparams) -> float:
         """log |Sigma(psi)|_*: the product of Sigma's nonzero eigenvalues.

@@ -153,6 +153,9 @@ class GaussianSurrogateToy:
     def prior_precision(self, psi):
         return dense_arrow(float(psi) * np.eye(self.n_total), self.constraint_blocks)
 
+    def prior_tangents(self, psi, theta):
+        return float(psi) * np.asarray(theta)[None, :]
+
     def log_prior_gendet(self, psi):
         d = self.n_total - len(self.constraint_blocks)
         return float(d * np.log(psi))

@@ -165,6 +165,12 @@ class TestCovariateValues:
                 want = covariate_value(rec.contact, rec.gradient, idx, (y, x))
                 assert t[0, y * 4 + x, 0] == pytest.approx(want, abs=1e-13)
 
+    def test_index_entries_are_exponents(self):
+        rec = _record(seed=4)
+        idx = ((2, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1))
+        t = build_tensor([rec], idx, get_spec("m_a"))
+        assert np.allclose(t[0, :, 0], t[0, :, 1] ** 2 * t[0, :, 2], rtol=1e-14, atol=0)
+
     def test_binary_contact_mode_uses_binarized_surface(self):
         rec = _record(seed=8)
         idx = ((1, 0, 0, 0, 0, 0),)

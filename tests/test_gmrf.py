@@ -11,6 +11,8 @@ from _toys import queen_laplacian
 from coxforge.errors import ConfigError
 from coxforge.gmrf import (
     ConstrainedGaussian,
+    band_matvec,
+    band_offsets,
     band_to_dense,
     besag_precision,
     log_gen_det,
@@ -37,6 +39,15 @@ class TestBesagPrecision:
         band = besag_precision(GridSpec.synthetic(nx, ny))
         assert band.shape == (nx + 2, nx * ny)
         assert np.array_equal(band_to_dense(band), queen_laplacian(nx, ny))
+
+    @pytest.mark.parametrize("nx,ny", [(2, 3), (5, 4)])
+    def test_band_product_reads_the_queen_offsets(self, nx, ny):
+        band = besag_precision(GridSpec.synthetic(nx, ny))
+        offsets = band_offsets(band)
+        assert set(offsets) == {1, nx - 1, nx, nx + 1} - {0}
+        x = np.random.default_rng(nx).normal(size=(2, nx * ny))
+        want = x @ queen_laplacian(nx, ny)
+        assert np.allclose(band_matvec(band, x, offsets), want, rtol=1e-14, atol=1e-13)
 
     def test_rows_sum_to_zero(self):
         Q = _dense_besag(5, 7)

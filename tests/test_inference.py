@@ -21,6 +21,7 @@ from coxforge.inference import (
     fit,
     grid_posterior,
     marginal_sd,
+    predicted_start,
 )
 from coxforge.model import ShoeModel
 from coxforge.simulate import SimConfig, gen_dataset
@@ -198,6 +199,28 @@ class TestGaussianSurrogate:
         cold = find_mode(1.0, toy)
         warm = find_mode(1.0, toy, theta0=cold.theta_star + 0.1)
         assert np.abs(cold.theta_star - warm.theta_star).max() < 1e-8
+
+
+class TestPredictedStart:
+    def test_error_is_second_order_in_the_step(self):
+        """Halving the log-precision step quarters the predicted mode's error."""
+        blocks = (np.arange(0, 3),)
+        toy = _gaussian_toy(seed=12, n=7, m=14, blocks=blocks)
+        vec0 = np.array([0.2])
+        mode = find_mode(float(np.exp(vec0[0])), toy)
+        errors = []
+        for h in (0.1, 0.05, 0.025):
+            start = predicted_start(toy, vec0, mode, vec0 + h)
+            assert abs(start[blocks[0]].sum()) < 1e-12
+            errors.append(np.abs(start - toy.exact_mode(np.exp(vec0[0] + h))).max())
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 3.5 < coarse / fine < 4.5
+
+    def test_zero_step_is_the_mode(self):
+        toy = _gaussian_toy(seed=13)
+        mode = find_mode(1.0, toy)
+        start = predicted_start(toy, np.zeros(1), mode, np.zeros(1))
+        assert np.array_equal(start, mode.theta_star)
 
 
 class TestHyperparameterSearch:

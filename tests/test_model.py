@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from _toys import arrow_to_dense, dense_design, queen_laplacian
-from coxforge.design import ModelSpec, get_spec
+from coxforge.design import ModelSpec, builtin_specs, get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec, ShoeRecord
 from coxforge.model import (
@@ -208,6 +208,23 @@ class TestLikelihood:
             assert np.allclose(grad, B.T @ (y - lam), rtol=0, atol=1e-12)
             diff = arrow_to_dense(fish) - B.T @ (lam[:, None] * B)
             assert np.abs(diff).max() < 1e-12
+
+
+    @pytest.mark.parametrize("name", sorted(builtin_specs()) + ["no_fixed"])
+    def test_factor_form_matches_dense_design(self, name):
+        """eta, gradient and Fisher matrix against B built from covariate_value."""
+        spec = (ModelSpec.from_json_dict({"name": name, "fixed": [], "varying": ["100000"]})
+                if name == "no_fixed" else get_spec(name))
+        model = ShoeModel(_records(3, 4, 3, seed=7), spec, GridSpec.synthetic(4, 3))
+        theta = 0.3 * np.random.default_rng(8).normal(size=model.n_total)
+        B = dense_design(model)
+        y = np.concatenate([r.counts.ravel() for r in model.records])
+        eta = B @ theta
+        lam = np.exp(eta)
+        assert np.abs(model.eta(theta).ravel() - eta).max() <= 1e-12
+        _, grad, fish = model.lik_parts(theta)
+        assert np.abs(grad - B.T @ (y - lam)).max() <= 1e-12
+        assert np.abs(arrow_to_dense(fish) - B.T @ (lam[:, None] * B)).max() <= 1e-12
 
 
 class TestDerivatives:

@@ -7,7 +7,7 @@ import scipy.integrate
 import scipy.stats
 from scipy.special import gammaln
 
-from coxforge.design import get_spec
+from coxforge.design import covariate_value, get_spec
 from coxforge.errors import ConfigError, NumericError
 from coxforge.grids import ShoeRecord
 from coxforge.model import Hyperparams
@@ -116,6 +116,25 @@ class TestPredictiveQ:
                     shoe.contact, shoe.gradient, idx, cell)
         w = np.exp(eta - eta.max())
         assert np.allclose(field.q, w / w.sum(), atol=1e-12)
+
+
+    @pytest.mark.parametrize("name", ["m_final", "m_b"])
+    def test_eta1_matches_covariate_reference(self, name):
+        spec = get_spec(name)
+        shoe = _shoe(4, 3, seed=12)
+        n = 12
+        n_fields = 1 + len(spec.varying)
+        theta = 0.2 * np.random.default_rng(13).normal(size=len(spec.fixed) + n_fields * n)
+        contact = shoe.contact if spec.contact == "continuous" else shoe.contact_binary
+        eta = theta[len(spec.fixed):len(spec.fixed) + n].copy()
+        for a in range(n):
+            cell = divmod(a, 4)
+            for k, idx in enumerate(spec.fixed):
+                eta[a] += theta[k] * covariate_value(contact, shoe.gradient, idx, cell)
+            for j, idx in enumerate(spec.varying):
+                coef = theta[len(spec.fixed) + (j + 1) * n + a]
+                eta[a] += coef * covariate_value(contact, shoe.gradient, idx, cell)
+        assert np.abs(predictive_q(theta, shoe, spec).eta1 - eta).max() <= 1e-12
 
 
 def mp_log_multinomial(y, q, include_coefficient):
