@@ -452,6 +452,20 @@ class ShoeModel(Design):
 
     # -- likelihood and derivatives ------------------------------------------
 
+    def cold_start(self) -> np.ndarray:
+        """Where a mode search with no neighbouring mode begins.
+
+        Zero, except the intercept at the log of the mean count per (shoe,
+        cell): from theta = 0 the first Newton step grows with the counts,
+        and at 1e12 accidentals a step of that size overflows the
+        intensity for more halvings than the line search allows.
+        """
+        theta = np.zeros(self.layout.n_total)
+        mean = self.y.mean()
+        if dz.INTERCEPT in self.spec.fixed and mean > 0:
+            theta[self.layout.fixed.start + self.spec.fixed.index(dz.INTERCEPT)] = np.log(mean)
+        return theta
+
     def loglik(self, theta: np.ndarray) -> float:
         eta = self.eta(theta)
         with np.errstate(over="ignore"):

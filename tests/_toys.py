@@ -202,3 +202,95 @@ class GaussianSurrogateToy:
         assert sign > 0
         alpha = np.linalg.solve(cov, self.yv)
         return float(-0.5 * (self.yv @ alpha) - 0.5 * logdet - 0.5 * m * np.log(2 * np.pi))
+
+
+class TwoPrecisionGaussianToy:
+    """Linear-Gaussian observation y = B theta + N(0, s2 I) with two precisions.
+
+    theta's first ``n1`` coordinates have prior N(0, I / tau_1) and the
+    rest N(0, I / tau_2), so the prior precision is diag(tau_1 I, tau_2 I),
+    there are no constraints, and the evidence, its gradient and its
+    Hessian in the log-precisions have closed forms.
+    """
+
+    def __init__(self, B: np.ndarray, y: np.ndarray, s2: float, n1: int):
+        self.B = np.asarray(B, dtype=float)
+        self.yv = np.asarray(y, dtype=float)
+        self.s2 = float(s2)
+        self.n_total = self.B.shape[1]
+        self.n1 = int(n1)
+        self.n_free = 2
+        self.constraint_blocks = ()
+
+    def _unit(self, j: int) -> np.ndarray:
+        """The indicator of the coordinates precision j scales."""
+        out = np.zeros(self.n_total)
+        out[:self.n1] = j == 0
+        out[self.n1:] = j == 1
+        return out
+
+    def _prior_diag(self, psi) -> np.ndarray:
+        return psi[0] * self._unit(0) + psi[1] * self._unit(1)
+
+    def lik_parts(self, theta):
+        r = self.yv - self.B @ theta
+        m = self.yv.size
+        value = float(-0.5 * r @ r / self.s2 - 0.5 * m * np.log(2 * np.pi * self.s2))
+        return value, self.B.T @ r / self.s2, dense_arrow(self.B.T @ self.B / self.s2)
+
+    def prior_precision(self, psi):
+        return dense_arrow(np.diag(self._prior_diag(psi)))
+
+    def prior_tangents(self, psi, theta):
+        return np.stack([psi[j] * self._unit(j) * theta for j in range(2)])
+
+    def log_prior_gendet(self, psi):
+        return float(self.n1 * np.log(psi[0]) + (self.n_total - self.n1) * np.log(psi[1]))
+
+    def log_hyperprior(self, psi):
+        return 0.0
+
+    def psi_from_free(self, vec):
+        return np.exp(np.asarray(vec, dtype=float))
+
+    def free_names(self):
+        return ["tau_1", "tau_2"]
+
+    # -- oracles ----------------------------------------------------------
+
+    def _cov_parts(self, vec):
+        """C = s2 I + sum_j K_j / tau_j and dC/d log tau_j = -K_j / tau_j."""
+        tau = np.exp(np.asarray(vec, dtype=float))
+        dC = [-(self.B * self._unit(j)) @ self.B.T / tau[j] for j in range(2)]
+        return self.s2 * np.eye(self.yv.size) - dC[0] - dC[1], dC
+
+    def exact_evidence(self, vec) -> float:
+        """log N(y; 0, C) at log-precisions ``vec``."""
+        C, _ = self._cov_parts(vec)
+        sign, logdet = np.linalg.slogdet(C)
+        assert sign > 0
+        alpha = np.linalg.solve(C, self.yv)
+        return float(-0.5 * self.yv @ alpha - 0.5 * logdet
+                     - 0.5 * self.yv.size * np.log(2 * np.pi))
+
+    def exact_derivatives(self, vec) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of :meth:`exact_evidence` in the log-precisions.
+
+        With alpha = C^-1 y, C_j = dC/d log tau_j and d C_j / d log tau_i =
+        -C_j if i == j, else 0:
+        d/dj = alpha' C_j alpha / 2 - tr(C^-1 C_j) / 2, and
+        d2/didj = -alpha' C_i C^-1 C_j alpha + tr(C^-1 C_i C^-1 C_j) / 2
+                  - [i == j] d/dj.
+        """
+        C, dC = self._cov_parts(vec)
+        Cinv = np.linalg.inv(C)
+        alpha = Cinv @ self.yv
+        grad = np.array([0.5 * alpha @ dC[j] @ alpha - 0.5 * np.trace(Cinv @ dC[j])
+                         for j in range(2)])
+        hess = np.empty((2, 2))
+        for i in range(2):
+            for j in range(2):
+                hess[i, j] = (-alpha @ dC[i] @ Cinv @ dC[j] @ alpha
+                              + 0.5 * np.trace(Cinv @ dC[i] @ Cinv @ dC[j]))
+            hess[i, i] -= grad[i]
+        return grad, hess

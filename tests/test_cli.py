@@ -131,6 +131,17 @@ class TestFit:
         b["diagnostics"].pop("seconds")
         assert _strip_metadata(a) == _strip_metadata(b)
 
+    def test_counts_far_above_one_fit(self, tmp_path):
+        """About 1e12 accidentals: from theta = 0 the first Newton step
+        overflowed past every halving, so every psi was rejected."""
+        assert main(["simulate", "--grid", "3x3", "--shoes", "2", "--model", "uniform",
+                     "--intercept", "25", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--dataset", str(tmp_path / "dataset.json"),
+                     "--model", "uniform", "--out", str(out)]) == 0
+        res = ds.load_fit(out)
+        assert abs(res.marginal_mean[res.layout.fixed][0] - 25.0) < 0.1
+
     def test_heatmaps_written(self, simdir, tmp_path):
         out = tmp_path / "fit.json"
         hm = tmp_path / "maps"

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from _toys import GaussianSurrogateToy, ScalarPoissonToy
+from _toys import GaussianSurrogateToy, ScalarPoissonToy, TwoPrecisionGaussianToy, dense_arrow
 from coxforge import inference
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError, InputDataError, NumericError
@@ -393,7 +393,8 @@ class TestFit:
         assert d["factorizations"] == len(factors)
         assert d["factorizations"] >= d["newton_iterations"] >= len(modes)
         assert d["line_search_halvings"] == sum(m.halvings for m in modes)
-        assert d["psi_cache_hits"] > 0
+        # the Newton search over psi asks for no point twice
+        assert d["psi_cache_hits"] == 0
         assert d["psi_rejected_by_reason"] == {
             "unconverged": 0, "factorization": 0, "nonfinite": 0}
         # every search converged, so the largest stopping decrement is the
@@ -460,3 +461,135 @@ class TestOverflowingStep:
         assert d["line_search_halvings"] >= 1
         assert d["psi_rejected_by_reason"]["nonfinite"] == 0
         assert np.isfinite(d["log_psi_posterior_map"])
+
+
+class RejectingGaussianToy(GaussianSurrogateToy):
+    """The Gaussian toy whose negative Hessian fails to factor wherever
+    ``rejects(log tau)`` holds."""
+
+    def __init__(self, B, y, s2, rejects):
+        super().__init__(B, y, s2)
+        self.rejects = rejects
+
+    def prior_precision(self, psi):
+        if self.rejects(np.log(psi)):
+            return dense_arrow(-1e6 * np.eye(self.n_total))
+        return super().prior_precision(psi)
+
+
+def _evidence_peak_1d(toy) -> float:
+    return scipy.optimize.minimize_scalar(
+        lambda v: -toy.exact_evidence(np.exp(v)), bounds=(-12, 12),
+        method="bounded", options={"xatol": 1e-10},
+    ).x
+
+
+def _two_precision_toy():
+    rng = np.random.default_rng(21)
+    m, n1, n2 = 60, 6, 5
+    B = rng.normal(size=(m, n1 + n2))
+    theta = np.concatenate([rng.normal(scale=np.sqrt(2.0), size=n1),
+                            rng.normal(scale=0.5, size=n2)])
+    y = B @ theta + rng.normal(scale=np.sqrt(0.5), size=m)
+    return TwoPrecisionGaussianToy(B, y, 0.5, n1)
+
+
+def _evidence_peak(toy) -> np.ndarray:
+    """The maximum of the exact evidence, by Nelder-Mead."""
+    res = scipy.optimize.minimize(
+        lambda v: -toy.exact_evidence(v), np.zeros(2), method="Nelder-Mead",
+        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 10_000, "maxfev": 10_000},
+    )
+    assert res.success
+    return res.x
+
+
+class TestNewtonPsiSearch:
+    def test_two_precision_search_finds_evidence_maximum(self):
+        toy = _two_precision_toy()
+        x, search = empirical_bayes(toy)
+        assert np.abs(x - _evidence_peak(toy)).max() < 1e-4
+        assert search.decrement <= inference.SEARCH_TOL
+        assert search.cache_hits == 0 and search.rejected == 0
+
+    def test_stencil_matches_exact_derivatives(self):
+        """Central differences err by h^2 f'''/6 in the gradient, and the
+        one-sided off-diagonal difference by h (f_iij + f_ijj) / 2. This
+        evidence's third derivatives are the size of its second, so 1e-3
+        and 5e-2 of the largest |H| bound both with a wide margin; the
+        start is checked too, since at the peak the gradient is 0."""
+        toy = _two_precision_toy()
+        for at in (_evidence_peak(toy), np.zeros(2)):
+            got = inference._stencil(inference._Search(toy), at, toy.exact_evidence(at))
+            grad, hess = toy.exact_derivatives(at)
+            scale = np.abs(hess).max()
+            assert np.abs(got[0] - grad).max() <= 1e-3 * scale
+            assert np.abs(got[1] - hess).max() <= 5e-2 * scale
+
+    def test_rejected_region_ends_at_best_finite_point(self):
+        base = _gaussian_toy(seed=9, n=5, m=40, s2=0.3)
+        cap = _evidence_peak_1d(base) - 0.5
+        toy = RejectingGaussianToy(base.B, base.yv, base.s2, rejects=lambda v: v > cap)
+        x, search = empirical_bayes(toy)
+        values = [v for v, _ in search.cache.values()]
+        assert search.rejected > 0
+        assert search.rejected == sum(not np.isfinite(v) for v in values)
+        assert search.rejected_by_reason == {"factorization": search.rejected}
+        assert search.best_value == max(v for v in values if np.isfinite(v))
+        assert np.array_equal(x, search.best_vec)
+        # the evidence rises up to the cap, so the search stops within one
+        # difference step below it
+        assert cap - inference.SEARCH_H < x[0] <= cap
+
+    def test_rejected_start_is_stepped_over(self):
+        base = _gaussian_toy(seed=9, n=5, m=40, s2=0.3)
+        toy = RejectingGaussianToy(base.B, base.yv, base.s2,
+                                   rejects=lambda v: abs(v) < inference.SEARCH_H / 2)
+        x, search = empirical_bayes(toy)
+        assert search.rejected_by_reason == {"factorization": 1}
+        assert search.decrement <= inference.SEARCH_TOL
+        # this evidence is flat in log tau (f'' = -0.06 at its peak), so the
+        # stopping rule's nats bound the search's result, not its location
+        peak = _evidence_peak_1d(base)
+        gap = base.exact_evidence(np.exp(peak)) - base.exact_evidence(np.exp(x[0]))
+        assert 0.0 <= gap <= inference.SEARCH_TOL
+
+    def test_first_mode_search_starts_at_log_mean_count(self, small_dataset, monkeypatch):
+        cfg, records = small_dataset
+        starts = []
+        real_find_mode = inference.find_mode
+
+        def recorded(psi, model, theta0=None):
+            starts.append(theta0)
+            return real_find_mode(psi, model, theta0=theta0)
+
+        monkeypatch.setattr(inference, "find_mode", recorded)
+        fit(records, get_spec("m_a"), cfg.grid)
+        model = ShoeModel(records, get_spec("m_a"), cfg.grid)
+        want = np.zeros(model.n_total)
+        want[model.layout.fixed.start] = np.log(model.y.mean())
+        assert np.array_equal(starts[0], want)
+
+    def test_fit_reports_the_search(self, small_dataset, monkeypatch):
+        cfg, records = small_dataset
+        stencils = []
+        real_stencil = inference._stencil
+
+        def recorded(*args):
+            stencils.append(real_stencil(*args))
+            return stencils[-1]
+
+        monkeypatch.setattr(inference, "_stencil", recorded)
+        d = fit(records, get_spec("m_a"), cfg.grid).diagnostics
+        assert d["psi_search_iterations"] == len(stencils)
+        grad, hess = stencils[-1]
+        assert np.linalg.eigvalsh(-hess).min() > 0
+        assert d["psi_search_decrement"] == pytest.approx(
+            0.5 * grad @ np.linalg.solve(-hess, grad), rel=1e-9)
+        assert d["psi_search_decrement"] <= inference.SEARCH_TOL
+        # the start, one stencil per iteration and a line-search point
+        # between each two
+        k = d["n_free_hyper"]
+        per_stencil = 2 * k + k * (k - 1) // 2
+        assert d["psi_evaluations"] >= 1 + len(stencils) * (per_stencil + 1) - 1
+        assert "search_initial_step" not in d
