@@ -41,7 +41,6 @@ from .metrics import shoe_metric
 from .model import PriorSpec
 from .predict import predictive_q
 from .simulate import SimConfig, gen_dataset
-from .util import default_threads
 
 log = logging.getLogger("coxforge.cli")
 
@@ -311,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0, help="master RNG seed")
         if threads:
-            p.add_argument("--threads", type=int, default=default_threads(),
-                           help="worker threads (default: all cores)")
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads (default: 1)")
 
     p = sub.add_parser("prep", help="build a dataset from images + accidentals")
     p.add_argument("--images", required=True, help="directory of PGM/CSV scans")

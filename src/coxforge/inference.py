@@ -9,12 +9,13 @@ projected gradient and ``delta`` the constrained Newton step, half the
 Newton decrement ``g'delta / 2`` is the ascent the quadratic model still
 predicts; it is affine-invariant (Boyd & Vandenberghe, *Convex
 Optimization*, §9.5.1), and the iteration has converged once it is at
-most ``DECREMENT_RTOL * max(1, |value|)``, a bound relative to the
-log-joint itself, so the rule does not depend on the scale of the data.
-The backtracking line search accepts a step that loses at most
-``ROUNDING_RTOL * max(1, |value|)``, the rounding level of the log-joint
-(the slack of Hager & Zhang's approximate Wolfe conditions), since near
-the mode the true ascent falls below what the log-joint can resolve.
+most ``DECREMENT_RTOL`` times max(1, |value|, sum log y!), the size of
+the log-joint's largest terms (at large counts y eta and log y! cancel),
+so the rule does not depend on the scale of the data. The backtracking
+line search accepts a step that loses at most ``ROUNDING_RTOL`` times
+that, the log-joint's rounding level (the slack of Hager & Zhang's
+approximate Wolfe conditions), since near the mode the true ascent falls
+below what the log-joint can resolve.
 
 Each iterate factors the negative Hessian ``H`` — positive definite on
 the whole space, since the shoe and fixed-effect priors are proper — in
@@ -40,19 +41,18 @@ p(psi|y) ∝ p(y|th*) p(th*|psi) p(psi) / N(th*; th*, H^-1), maximized by
 a damped Newton ascent in log-precision space whose gradient and Hessian
 come from central differences of that log posterior, as R-INLA finds its
 mode (Rue, Martino & Chopin 2009, JRSS-B 71, §6.5) (empirical Bayes), or
-summed over a centered grid with log-scale Jacobian weights. Each mode
-search there starts from a first-order prediction of its mode off the
-best or central mode found so far (:func:`predicted_start`); the first
-one starts from the model's ``cold_start()`` if it has one, else from 0.
+summed over a centered grid with log-scale Jacobian weights. Both score
+a point by :func:`_score`.
 
 Any object with the :class:`coxforge.model.ShoeModel` likelihood/prior
-surface (``n_total``, ``n_free``, ``constraint_blocks``, ``lik_parts``,
-``prior_precision``, ``prior_tangents``, ``log_prior_gendet``,
-``log_hyperprior``, ``psi_from_free``, ``free_names``) can be driven by
-these routines; ``find_mode`` alone does not use ``prior_tangents``.
-``lik_parts`` returns its Fisher term and ``prior_precision`` the prior
-precision as ``ArrowMatrix`` over the same field and border coordinates;
-``find_mode`` adds the two and factors the sum as given. It evaluates
+surface (``n_total``, ``n_free``, ``constraint_blocks``,
+``log_y_factorial``, ``lik_parts``, ``prior_precision``,
+``prior_tangents``, ``log_prior_gendet``, ``log_hyperprior``,
+``psi_from_free``, ``free_names``) can be driven by these routines;
+``find_mode`` alone does not use ``prior_tangents``. ``lik_parts``
+returns its Fisher term and ``prior_precision`` the prior precision as
+``ArrowMatrix`` over the same field and border coordinates; ``find_mode``
+adds the two and factors the sum as given. It evaluates
 each point once, by :func:`coxforge.model.newton_parts`, so a line-search
 candidate's value comes with the gradient and Fisher term that the next
 iteration steps from. The test suite uses small synthetic problems with
@@ -65,8 +65,8 @@ import itertools
 import logging
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_solve, lapack
@@ -106,6 +106,9 @@ ROUNDING_RTOL = 1e-12
 MAX_NEWTON_ITER = 50
 # 30 halvings shrink a step below 1e-9 of its length
 MAX_HALVINGS = 30
+# identity columns solved against the banded field factor at once, for
+# the marginal variances
+SD_CHUNK = 256
 
 # why a hyperparameter candidate could not be scored
 REJECT_REASONS = ("unconverged", "factorization", "nonfinite")
@@ -116,11 +119,14 @@ class _Reject(NumericError):
 
     Any other NumericError met while scoring a candidate (a non-finite
     intensity or log-determinant of the prior) counts as ``nonfinite``.
+    An ``unconverged`` reject carries its search's ``mode``, whose work
+    counts all the same.
     """
 
-    def __init__(self, reason: str, message: str):
+    def __init__(self, reason: str, message: str, mode: ModeResult | None = None):
         super().__init__(message)
         self.reason = reason
+        self.mode = mode
 
 
 @dataclass
@@ -131,8 +137,8 @@ class ModeResult:
     (log-likelihood minus half the prior quadratic form); ``log_det_H``
     the log-determinant of the negative Hessian restricted to the
     constraint subspace. ``decrement`` is the relative half-decrement
-    g'delta / (2 max(1, |value|)) of the last iterate tested and
-    ``grad_norm`` its projected-gradient norm; both only report.
+    g'delta / (2 max(1, |value|, sum log y!)) of the last iterate tested
+    and ``grad_norm`` its projected-gradient norm; both only report.
     ``factorizations`` and ``halvings`` count the work the search did;
     ``_lu`` holds the factorization at the mode.
     """
@@ -143,10 +149,10 @@ class ModeResult:
     grad_norm: float
     iterations: int
     converged: bool
-    decrement: float = np.inf
-    factorizations: int = 0
-    halvings: int = 0
-    _lu: Any = field(default=None, repr=False)
+    decrement: float
+    factorizations: int
+    halvings: int
+    _lu: _Factor = field(repr=False)
 
 
 def _center_blocks(x: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -245,7 +251,7 @@ class _Factor:
             d -= self.V @ cho_solve((self.Lm, True), self._a(d))
         return d[:, 0]
 
-    def variances(self, chunk: int) -> np.ndarray:
+    def variances(self) -> np.ndarray:
         """Diagonal of the constrained covariance H^-1 - V M^-1 V'."""
         nf = self.nf
         var = np.empty(self.n)
@@ -255,8 +261,8 @@ class _Factor:
         if nf:
             # diag(F^-1) from column norms of Lf^-1; column j is zero above j
             d = np.empty(nf)
-            for start in range(0, nf, chunk):
-                stop = min(start + chunk, nf)
+            for start in range(0, nf, SD_CHUNK):
+                stop = min(start + SD_CHUNK, nf)
                 E = np.eye(nf - start, stop - start)
                 Z = lapack.dtbtrs(self.Lf[:, start:], E, uplo="L")[0]
                 d[start:stop] = (Z**2).sum(axis=0)
@@ -275,13 +281,13 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
 
     Starts from zero (always feasible) unless ``theta0`` is given; every
     iterate is re-centered so the constrained blocks sum to zero exactly.
-    Convergence means half the Newton decrement g'delta is at most
-    ``DECREMENT_RTOL * max(1, |value|)``, so the factor that gave the last
-    step is the factor at the mode. The line search halves the step from
-    t = 1 and accepts a log-joint of at least
-    ``value - ROUNDING_RTOL * max(1, |value|)``; a candidate whose
-    intensity overflows is a halving too. No convergence within
-    ``MAX_NEWTON_ITER`` iterations, or no accepted step within
+    With scale = max(1, |value|, ``model.log_y_factorial``), convergence
+    means half the Newton decrement g'delta is at most
+    ``DECREMENT_RTOL * scale``, so the factor that gave the last step is
+    the factor at the mode. The line search halves the step from t = 1
+    and accepts a log-joint of at least ``value - ROUNDING_RTOL * scale``;
+    a candidate whose intensity overflows is a halving too. No convergence
+    within ``MAX_NEWTON_ITER`` iterations, or no accepted step within
     ``MAX_HALVINGS`` halvings, is reported in the result, not raised.
     A negative Hessian that fails to factor raises NumericError.
     """
@@ -328,7 +334,7 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
         grad_norm = float(np.linalg.norm(pgrad))
         fac = factor(fish, f"at iteration {it}")
         delta = fac.step(pgrad)
-        scale = max(1.0, abs(value))
+        scale = max(1.0, abs(value), model.log_y_factorial)
         decrement = 0.5 * float(pgrad @ delta) / scale
         if decrement <= DECREMENT_RTOL:
             converged = True
@@ -380,15 +386,12 @@ def _psi_objective(
     raises on non-convergence of the inner mode search.
     """
     mode = find_mode(psi, model, theta0=theta0)
-    return _laplace_value(psi, model, mode), mode
-
-
-def _laplace_value(psi, model, mode: ModeResult) -> float:
     if not mode.converged:
         raise _Reject(
             "unconverged",
             f"mode search did not converge in {mode.iterations} iterations "
             f"(relative decrement {mode.decrement:.3e}, |grad| {mode.grad_norm:.3e})",
+            mode,
         )
     # mode.value is newton_parts' loglik − ½ th' Sigma th at the mode; add the
     # prior's normalization, the hyperprior, and the Gaussian-integral correction.
@@ -398,22 +401,33 @@ def _laplace_value(psi, model, mode: ModeResult) -> float:
         + model.log_hyperprior(psi)
         - 0.5 * mode.log_det_H
     )
-    return float(lp)
+    return float(lp), mode
 
 
-def marginal_sd(mode: ModeResult, n: int, chunk: int = 256) -> np.ndarray:
+def _score(model, vec: np.ndarray,
+           anchor: tuple[np.ndarray, ModeResult] | None) -> tuple[float, ModeResult]:
+    """The Laplace log posterior at free log-precisions ``vec``, with its mode.
+
+    The mode search starts from :func:`predicted_start` off ``anchor``, a
+    point and its mode, or without one from the model's ``cold_start()``
+    if it has one, else from 0. Raises NumericError where ``vec`` cannot
+    be scored; an unconverged search's :class:`_Reject` carries its mode.
+    """
+    if anchor is not None:
+        start = predicted_start(model, anchor[0], anchor[1], vec)
+    else:
+        cold = getattr(model, "cold_start", None)
+        start = None if cold is None else cold()
+    return _psi_objective(model.psi_from_free(vec), model, theta0=start)
+
+
+def marginal_sd(mode: ModeResult) -> np.ndarray:
     """Posterior marginal standard deviations at one mode.
 
     The variances are the diagonal of H^-1 less the kriging correction,
-    i.e. of the covariance of the constrained Gaussian approximation;
-    ``chunk`` bounds the identity columns solved against the banded field
-    factor at once.
+    i.e. of the covariance of the constrained Gaussian approximation.
     """
-    if mode._lu is None:
-        raise NumericError("mode result carries no factorization")
-    if n != mode._lu.n:
-        raise ConfigError(f"asked for {n} marginal sds of a {mode._lu.n}-coordinate mode")
-    var = mode._lu.variances(chunk)
+    var = mode._lu.variances()
     bad = var <= 0
     if np.any(bad):
         raise NumericError(
@@ -432,8 +446,6 @@ def predicted_start(model, vec0: np.ndarray, mode: ModeResult, vec: np.ndarray) 
     mode's own factor; Rue, Martino & Chopin 2009, JRSS-B 71). Its error
     is O(|vec - vec0|^2).
     """
-    if mode._lu is None:
-        raise NumericError("mode result carries no factorization")
     dvec = np.asarray(vec, dtype=float) - vec0
     tangent = dvec @ model.prior_tangents(model.psi_from_free(vec0), mode.theta_star)
     return mode.theta_star + mode._lu.step(-tangent)
@@ -481,72 +493,57 @@ class PsiGrid:
 
 
 class _Search:
-    """The log posterior of the free log-precisions, memoized, for the search.
+    """The log posterior of the free log-precisions, for the search.
 
-    Only the best candidate's ModeResult keeps its factorization; cached
-    entries are stripped, since a search touches on the order of a hundred
-    points and each factor holds dense blocks of n × (border + constraints).
-    Each mode search starts from :func:`predicted_start` off the best
-    candidate so far, or from the model's ``cold_start()`` while there is
-    none. A candidate whose mode search fails scores -inf and is counted by
-    reason. :func:`empirical_bayes` asks for a point twice only after a
-    rejection, so a search without one makes no cache hits; it records its
-    Newton ``iterations`` and the predicted ascent ``decrement`` of its
-    last complete stencil here (None before the first).
+    Each call scores one point by :func:`_score`, anchored at the best
+    point so far, whose mode alone is kept: each mode holds its factor,
+    dense blocks of n × (border + constraints). A point whose mode search
+    fails scores -inf and is counted by reason. It totals the mode
+    searches' work, and the largest stopping decrement of those that
+    scored; :func:`empirical_bayes` records its Newton ``iterations``
+    and the predicted ascent ``decrement`` of its last complete stencil
+    here (None before the first).
     """
 
     def __init__(self, model):
         self.model = model
-        self.cache: dict[tuple, tuple[float, ModeResult | None]] = {}
         self.best_vec: np.ndarray | None = None
         self.best_value = -np.inf
         self.best_mode: ModeResult | None = None
         self.evals = 0
-        self.cache_hits = 0
         self.rejected_by_reason: Counter = Counter()
         self.work: Counter = Counter()
+        self.max_decrement = -np.inf
         self.iterations = 0
         self.decrement: float | None = None
 
     def __call__(self, vec: np.ndarray) -> float:
-        key = tuple(np.round(vec, 10))
-        hit = self.cache.get(key)
-        if hit is None:
-            psi = self.model.psi_from_free(vec)
-            try:
-                if self.best_mode is not None:
-                    warm = predicted_start(self.model, self.best_vec, self.best_mode, vec)
-                else:
-                    cold = getattr(self.model, "cold_start", None)
-                    warm = None if cold is None else cold()
-                mode = find_mode(psi, self.model, theta0=warm)
-                _tally(self.work, mode)
-                lp = _laplace_value(psi, self.model, mode)
-            except NumericError as exc:
-                log.warning("rejecting candidate %s: %s", np.round(vec, 3), exc)
-                lp, mode = -np.inf, None
-                self.rejected_by_reason[getattr(exc, "reason", "nonfinite")] += 1
-            self.evals += 1
-            if mode is not None and lp > self.best_value:
-                self.best_value = lp
-                self.best_mode = mode
-                self.best_vec = np.array(vec, dtype=float)
-            stripped = None if mode is None else replace(mode, _lu=None)
-            self.cache[key] = hit = (lp, stripped)
-        else:
-            self.cache_hits += 1
-        return hit[0]
+        self.evals += 1
+        anchor = None if self.best_mode is None else (self.best_vec, self.best_mode)
+        try:
+            lp, mode = _score(self.model, vec, anchor)
+        except NumericError as exc:
+            log.warning("rejecting candidate %s: %s", np.round(vec, 3), exc)
+            self.rejected_by_reason[getattr(exc, "reason", "nonfinite")] += 1
+            if getattr(exc, "mode", None) is not None:
+                self.add(exc.mode, scored=False)
+            return -np.inf
+        self.add(mode)
+        if lp > self.best_value:
+            self.best_value, self.best_mode = lp, mode
+            self.best_vec = np.array(vec, dtype=float)
+        return lp
+
+    def add(self, mode: ModeResult, scored: bool = True) -> None:
+        """Add one mode search's work counts, and its decrement if it scored."""
+        self.work.update(newton_iterations=mode.iterations, factorizations=mode.factorizations,
+                         line_search_halvings=mode.halvings)
+        if scored:
+            self.max_decrement = max(self.max_decrement, mode.decrement)
 
     @property
     def rejected(self) -> int:
         return sum(self.rejected_by_reason.values())
-
-
-def _tally(work: Counter, mode: ModeResult) -> None:
-    """Add one mode search's deterministic work counts."""
-    work["newton_iterations"] += mode.iterations
-    work["factorizations"] += mode.factorizations
-    work["line_search_halvings"] += mode.halvings
 
 
 def _stencil(ev: _Search, x: np.ndarray, fx: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -663,17 +660,17 @@ def grid_posterior(
     model,
     center: np.ndarray,
     config: GridConfig,
-    center_mode: ModeResult | None = None,
+    center_mode: ModeResult,
     threads: int = 1,
 ) -> tuple[PsiGrid, list[ModeResult]]:
     """Evaluate a centered lattice in log-precision space.
 
     Posterior masses are exp(log posterior + sum of log precisions): the
     second term is the Jacobian that converts the density over precisions
-    to the log scale the (uniform) lattice lives on. Given the mode at the
-    center, each point starts from its :func:`predicted_start` off that
-    one mode, so results are independent of evaluation order and thread
-    count.
+    to the log scale the (uniform) lattice lives on. Every point is
+    scored by :func:`_score` anchored at the center and its mode
+    ``center_mode``, so results are independent of evaluation order and
+    thread count. A point that cannot be scored raises NumericError.
     """
     k = model.n_free
     offsets = config.spacing * (np.arange(config.points) - (config.points - 1) / 2)
@@ -683,8 +680,13 @@ def grid_posterior(
     ])
 
     def one(vec: np.ndarray) -> tuple[float, ModeResult]:
-        warm = None if center_mode is None else predicted_start(model, center, center_mode, vec)
-        return _psi_objective(model.psi_from_free(vec), model, theta0=warm)
+        try:
+            return _score(model, vec, (center, center_mode))
+        except NumericError as exc:
+            raise NumericError(
+                f"grid point {np.round(vec, 3)} cannot be scored "
+                f"({getattr(exc, 'reason', 'nonfinite')}): {exc}"
+            ) from exc
 
     results = parallel_map(one, points, threads)
     lp = np.array([r[0] for r in results])
@@ -830,25 +832,19 @@ def fit(
         modes = [map_mode]
     else:
         psi_grid, modes = grid_posterior(
-            model, map_vec, grid_config or GridConfig(),
-            center_mode=map_mode, threads=threads,
+            model, map_vec, grid_config or GridConfig(), map_mode, threads=threads,
         )
-
-    work = Counter(search.work)
-    if strategy == "grid":
         for m in modes:
-            _tally(work, m)
+            search.add(m)
 
     n = model.n_total
-    sds = [marginal_sd(m, n) for m in modes]
+    sds = [marginal_sd(m) for m in modes]
     means = np.stack([m.theta_star for m in modes])
     w = psi_grid.weights[:, None]
     mean = (w * means).sum(axis=0)
     second = (w * (np.stack(sds) ** 2 + means**2)).sum(axis=0)
     var = np.maximum(second - mean**2, 0.0)
     sd = np.sqrt(var)
-    # every scored evaluation's mode: the cache holds None for a reject
-    scored = [m for _, m in search.cache.values() if m is not None] + modes
 
     elapsed = time.perf_counter() - t_start
     diagnostics = {
@@ -860,16 +856,14 @@ def fit(
         "psi_evaluations": int(search.evals),
         "map_newton_iterations": int(map_mode.iterations),
         "map_grad_norm": float(map_mode.grad_norm),
-        "newton_iterations": int(work["newton_iterations"]),
-        "factorizations": int(work["factorizations"]),
-        "line_search_halvings": int(work["line_search_halvings"]),
+        "newton_iterations": int(search.work["newton_iterations"]),
+        "factorizations": int(search.work["factorizations"]),
+        "line_search_halvings": int(search.work["line_search_halvings"]),
         "psi_rejected": int(search.rejected),
         "psi_rejected_by_reason": {
             r: int(search.rejected_by_reason[r]) for r in REJECT_REASONS
         },
-        "max_accepted_decrement": float(max(m.decrement for m in scored)),
-        "psi_cache_hits": int(search.cache_hits),
-        "search_start_log_tau": 0.0,
+        "max_accepted_decrement": float(search.max_decrement),
         "psi_search_iterations": int(search.iterations),
         "psi_search_decrement": search.decrement,
         "seconds": float(elapsed),

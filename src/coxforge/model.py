@@ -367,7 +367,9 @@ class ShoeModel(Design):
         super().__init__(records, spec, products=True)
         # (S, A), stored cell by cell as eta is
         self.y = np.stack([r.counts.reshape(-1) for r in self.records], axis=1).astype(float).T
-        self._log_yfact = float(gammaln(self.y + 1.0).sum())
+        # sum of log y!: the log-likelihood's constant, and the size of the
+        # terms that cancel in it at large counts (inference.find_mode)
+        self.log_y_factorial = float(gammaln(self.y + 1.0).sum())
 
         lay = self.layout
         n_fields = lay.n_constraints
@@ -395,7 +397,6 @@ class ShoeModel(Design):
         fields = dz.index_array((dz.INTERCEPT,) * spec.smooth + spec.varying)
         self._kk = self.columns.at(fixed[:, None] + fixed[None])
         self._field_cols = self.columns.at(fields)
-        self._v_one = self.columns.at(dz.INTERCEPT)[1]  # V's constant column, if any
         self._field_fixed = self.columns.at(fields[:, None] + fixed[None])
         # for each pair of fields i <= j: band row j - i, field i, and the
         # columns of U and V of their product
@@ -472,7 +473,7 @@ class ShoeModel(Design):
             lam_sum = np.exp(eta).sum()
         if not np.isfinite(lam_sum):
             return -np.inf
-        return float((self.y * eta).sum() - lam_sum - self._log_yfact)
+        return float((self.y * eta).sum() - lam_sum - self.log_y_factorial)
 
     def lik_parts(self, theta: np.ndarray) -> tuple[float, np.ndarray, ArrowMatrix]:
         """(log-likelihood, its gradient, Fisher matrix) sharing one intensity pass."""
@@ -483,7 +484,7 @@ class ShoeModel(Design):
             lam = np.exp(eta, out=eta)  # eta is not needed again
         if not np.all(np.isfinite(lam)):
             raise NumericError("non-finite intensity in likelihood evaluation")
-        value = float(y_eta - lam.sum() - self._log_yfact)
+        value = float(y_eta - lam.sum() - self.log_y_factorial)
         fish = self._fisher(lam)
         # each row of the design B holds one shoe indicator, so B' lam, the
         # Fisher matrix times that indicator, sums the shoe columns
@@ -545,8 +546,7 @@ class ShoeModel(Design):
             C3[cells, :, S:] = moments[:, self._field_fixed[0], self._field_fixed[1]]
             band3[diag, cells, field] = moments[:, pu, pv].T
             for i, (p, q) in enumerate(zip(*self._field_cols)):
-                weighted = uw[:, :, p]  # w times the field's covariate
-                C3[cells, i, :S] = weighted if q == self._v_one else weighted * self.V[cells, :, q]
+                C3[cells, i, :S] = uw[:, :, p] * self.V[cells, :, q]  # w times the covariate
         B = np.zeros((S + K, S + K))
         B[range(S), range(S)] = w.sum(axis=1)                     # shoe diag
         B[:S, S:] = m_sf[:, cols.fixed_u, cols.fixed_v]

@@ -2,25 +2,21 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-
-def default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
     """Map preserving input order, optionally across a thread pool.
 
     The heavy lifting in this package happens inside NumPy and LAPACK
-    calls that release the GIL, so threads give real speedups without the
-    pickling constraints of processes. Results are returned in input
-    order regardless of completion order.
+    calls that release the GIL, so threads can run them side by side
+    without the pickling constraints of processes; on small problems the
+    overhead can outweigh that, which is why callers default to one.
+    Results are returned in input order regardless of completion order.
     """
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]

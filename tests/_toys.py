@@ -93,6 +93,7 @@ class ScalarPoissonToy:
         self.n_total = 1
         self.n_free = 1
         self.constraint_blocks = ()
+        self.log_y_factorial = 0.0
 
     def loglik(self, theta):
         t = theta[0]
@@ -141,6 +142,7 @@ class GaussianSurrogateToy:
         self.n_total = self.B.shape[1]
         self.n_free = 1
         self.constraint_blocks = tuple(np.asarray(b) for b in blocks)
+        self.log_y_factorial = 0.0
 
     def lik_parts(self, theta):
         r = self.yv - self.B @ theta
@@ -221,6 +223,7 @@ class TwoPrecisionGaussianToy:
         self.n1 = int(n1)
         self.n_free = 2
         self.constraint_blocks = ()
+        self.log_y_factorial = 0.0
 
     def _unit(self, j: int) -> np.ndarray:
         """The indicator of the coordinates precision j scales."""

@@ -133,14 +133,19 @@ class TestFit:
 
     def test_counts_far_above_one_fit(self, tmp_path):
         """About 1e12 accidentals: from theta = 0 the first Newton step
-        overflowed past every halving, so every psi was rejected."""
-        assert main(["simulate", "--grid", "3x3", "--shoes", "2", "--model", "uniform",
-                     "--intercept", "25", "--out", str(tmp_path)]) == 0
-        out = tmp_path / "fit.json"
-        assert main(["fit", "--dataset", str(tmp_path / "dataset.json"),
-                     "--model", "uniform", "--out", str(out)]) == 0
-        res = ds.load_fit(out)
-        assert abs(res.marginal_mean[res.layout.fixed][0] - 25.0) < 0.1
+        overflowed past every halving, so every psi was rejected. At 24.5,
+        27 and 29, y eta and log y! cancel in the log-joint, and a stopping
+        rule scaled by the net value alone rejected every psi near the
+        start, so those fits exited 3."""
+        for intercept in (25.0, 24.5, 27.0, 29.0):
+            d = tmp_path / str(intercept)
+            assert main(["simulate", "--grid", "3x3", "--shoes", "2", "--model", "uniform",
+                         "--intercept", str(intercept), "--out", str(d)]) == 0
+            out = d / "fit.json"
+            assert main(["fit", "--dataset", str(d / "dataset.json"),
+                         "--model", "uniform", "--threads", "1", "--out", str(out)]) == 0
+            res = ds.load_fit(out)
+            assert abs(res.marginal_mean[res.layout.fixed][0] - intercept) < 0.1
 
     def test_heatmaps_written(self, simdir, tmp_path):
         out = tmp_path / "fit.json"

@@ -80,7 +80,7 @@ def test_log_det_matches_dense_reduced_hessian(mode_and_oracle):
 
 def test_marginal_sd_matches_dense_constrained_covariance(mode_and_oracle):
     model, mode, _, want = mode_and_oracle
-    got = marginal_sd(mode, model.n_total)
+    got = marginal_sd(mode)
     assert np.abs(got / want - 1.0).max() < SD_RTOL
 
 
