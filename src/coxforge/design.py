@@ -138,16 +138,7 @@ _GRAD: InteractionIndex = (0, 0, 0, 0, 0, 1)
 _CENTER_GRAD: InteractionIndex = (1, 0, 0, 0, 0, 1)
 
 
-def builtin_specs() -> dict[str, ModelSpec]:
-    """The standard model battery, keyed by name.
-
-    ``uniform`` has the intercept only and no spatial field; ``m_a`` adds
-    the field; ``m_b`` uses all 32 binary-contact neighborhood products;
-    the variants explore continuous contact with and without gradient
-    terms and spatially varying coefficients; ``m_final`` is the full
-    configuration (64 fixed products, varying fields for contact, gradient,
-    and their product).
-    """
+def _battery() -> dict[str, ModelSpec]:
     contact_only = _all_indices(include_gradient=False)  # 32 indices
     with_gradient = _all_indices(include_gradient=True)  # 64 indices
     varying_a = tuple(
@@ -169,13 +160,29 @@ def builtin_specs() -> dict[str, ModelSpec]:
     }
 
 
+# built once: a ModelSpec is frozen, so every caller can share it
+_BUILTIN = _battery()
+
+
+def builtin_specs() -> dict[str, ModelSpec]:
+    """The standard model battery, keyed by name, in a dict of the caller's own.
+
+    ``uniform`` has the intercept only and no spatial field; ``m_a`` adds
+    the field; ``m_b`` uses all 32 binary-contact neighborhood products;
+    the variants explore continuous contact with and without gradient
+    terms and spatially varying coefficients; ``m_final`` is the full
+    configuration (64 fixed products, varying fields for contact, gradient,
+    and their product).
+    """
+    return dict(_BUILTIN)
+
+
 def get_spec(name: str) -> ModelSpec:
-    specs = builtin_specs()
     try:
-        return specs[name]
+        return _BUILTIN[name]
     except KeyError:
         raise ConfigError(
-            f"unknown model {name!r}; built-ins: {', '.join(sorted(specs))}"
+            f"unknown model {name!r}; built-ins: {', '.join(sorted(_BUILTIN))}"
         ) from None
 
 
@@ -198,34 +205,6 @@ def _factor_stack(contact: np.ndarray, grad: np.ndarray) -> np.ndarray:
     up = np.zeros_like(c)
     up[:-1, :] = c[1:, :]
     return np.stack([c, left, right, down, up, g])
-
-
-def covariate_value(
-    contact: np.ndarray,
-    grad: np.ndarray,
-    index: InteractionIndex,
-    cell: tuple[int, int],
-) -> float:
-    """Reference (scalar) evaluation of one covariate at one cell.
-
-    ``cell`` is (row, col). Slow by design; :func:`build_tensor` is the
-    vectorized equivalent and is tested to agree with this entry by entry.
-    """
-    y, x = cell
-    ny, nx = contact.shape
-    vals = []
-    neighborhood = [(0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)]
-    for bit, (dy, dx) in zip(index[:5], neighborhood):
-        if not bit:
-            continue
-        yy, xx = y + dy, x + dx
-        vals.append(float(contact[yy, xx]) if 0 <= yy < ny and 0 <= xx < nx else 0.0)
-    if index[5]:
-        vals.append(float(grad[y, x]))
-    out = 1.0
-    for v in vals:
-        out *= v
-    return out
 
 
 def build_tensor(

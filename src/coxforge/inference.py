@@ -49,14 +49,16 @@ surface (``n_total``, ``n_free``, ``constraint_blocks``,
 ``log_y_factorial``, ``lik_parts``, ``prior_precision``,
 ``prior_tangents``, ``log_prior_gendet``, ``log_hyperprior``,
 ``psi_from_free``, ``free_names``) can be driven by these routines;
-``find_mode`` alone does not use ``prior_tangents``. ``lik_parts``
-returns its Fisher term and ``prior_precision`` the prior precision as
-``ArrowMatrix`` over the same field and border coordinates; ``find_mode``
-adds the two and factors the sum as given. It evaluates
-each point once, by :func:`coxforge.model.newton_parts`, so a line-search
-candidate's value comes with the gradient and Fisher term that the next
-iteration steps from. The test suite uses small synthetic problems with
-closed-form answers through the same entry points.
+``find_mode`` alone does not use ``prior_tangents``. The engine treats
+``prior_precision``'s value as opaque: ``find_mode`` takes it once per
+mode search and only passes it back to ``lik_parts(theta, sigma)``, which
+returns the log-joint less its psi-only terms, its gradient, and the
+negative Hessian as ``ArrowMatrix``, factored as given. ``find_mode``
+evaluates each point once, so a line-search candidate's value comes with
+the gradient and negative Hessian that the next iteration steps from.
+The test suite uses small synthetic problems with closed-form answers,
+whose prior precisions are dense matrices, through the same entry
+points.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from scipy.linalg import cho_solve, lapack
 from .design import ModelSpec, index_to_string
 from .errors import ConfigError, InputDataError, NumericError
 from .grids import GridSpec, ShoeRecord
-from .model import ArrowMatrix, Hyperparams, PriorSpec, ShoeModel, ThetaLayout, newton_parts
+from .model import ArrowMatrix, Hyperparams, PriorSpec, ShoeModel, ThetaLayout
 from .util import parallel_map
 
 log = logging.getLogger("coxforge.inference")
@@ -172,8 +174,8 @@ class _Factor:
     ``H`` permuted to [field, border] is [[F, C], [C', B]] = L L' with
     L = [[Lf, 0], [W', Ls]], Lf the banded Cholesky factor of F,
     W = Lf^-1 C and Ls the dense Cholesky factor of B - W'W. Lf and W
-    overwrite H's band and C where those are column-major, as the sum
-    of two ArrowMatrix is, so H is spent.
+    overwrite H's band and C where those are column-major, as
+    ``ShoeModel.lik_parts`` makes them, so the factorization spends H.
     """
 
     def __init__(self, H: ArrowMatrix, blocks: Sequence[np.ndarray]):
@@ -300,11 +302,11 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
         raise ConfigError(f"theta0 has shape {theta.shape}, model wants ({n},)")
     _center_blocks(theta, blocks)
 
-    def factor(fish, where: str) -> _Factor:
+    def factor(H: ArrowMatrix, where: str) -> _Factor:
         nonlocal factorizations
         factorizations += 1
         try:
-            return _Factor(sigma + fish, blocks)
+            return _Factor(H, blocks)
         except NumericError as exc:
             raise _Reject(
                 "factorization", f"negative-Hessian factorization failed {where}: {exc}"
@@ -312,11 +314,11 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
 
     def evaluate(th: np.ndarray) -> tuple:
         try:
-            return newton_parts(th, sigma, model)
+            return model.lik_parts(th, sigma)
         except NumericError:  # the intensity overflows
             return -np.inf, None, None
 
-    value, grad, fish = evaluate(theta)
+    value, grad, H = evaluate(theta)
     if not np.isfinite(value):
         raise _Reject("nonfinite", f"log-joint is {value} at the starting point")
 
@@ -332,23 +334,24 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
         # with the step
         pgrad = _center_blocks(grad, blocks)
         grad_norm = float(np.linalg.norm(pgrad))
-        fac = factor(fish, f"at iteration {it}")
+        fac = factor(H, f"at iteration {it}")
         delta = fac.step(pgrad)
         scale = max(1.0, abs(value), model.log_y_factorial)
         decrement = 0.5 * float(pgrad @ delta) / scale
         if decrement <= DECREMENT_RTOL:
             converged = True
             break
-        # the line search needs no factor, so its memory goes while the
-        # candidates are evaluated; a failed search builds it again below
-        fac = None
+        # the line search needs no factor, so its memory, H's own, goes
+        # while the candidates are evaluated; a failed search builds it
+        # again below
+        fac = H = None
         floor = value - ROUNDING_RTOL * scale
         t = 1.0
         for _ in range(MAX_HALVINGS + 1):
             cand = _center_blocks(theta + t * delta, blocks)
-            v, g, f = evaluate(cand)
+            v, g, h = evaluate(cand)
             if v >= floor:
-                theta, value, grad, fish = cand, v, g, f
+                theta, value, grad, H = cand, v, g, h
                 break
             t *= 0.5
             halvings += 1
@@ -359,7 +362,9 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
     # The factor at the final point gives the constrained log-determinant
     # now and the marginal variances later.
     if fac is None:
-        fac = factor(fish, "at the last iterate")
+        if H is None:  # the last factor spent it
+            H = evaluate(theta)[2]
+        fac = factor(H, "at the last iterate")
 
     return ModeResult(
         theta_star=theta,
@@ -393,7 +398,7 @@ def _psi_objective(
             f"(relative decrement {mode.decrement:.3e}, |grad| {mode.grad_norm:.3e})",
             mode,
         )
-    # mode.value is newton_parts' loglik − ½ th' Sigma th at the mode; add the
+    # mode.value is lik_parts' loglik − ½ th' Sigma th at the mode; add the
     # prior's normalization, the hyperprior, and the Gaussian-integral correction.
     lp = (
         mode.value
@@ -546,30 +551,42 @@ class _Search:
         return sum(self.rejected_by_reason.values())
 
 
-def _stencil(ev: _Search, x: np.ndarray, fx: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _stencil(ev: _Search, x: np.ndarray, fx: float, known: Sequence[tuple] = ()
+             ) -> tuple[tuple[np.ndarray, np.ndarray] | None, list[tuple]]:
     """Gradient and Hessian of ``ev`` at ``x`` by finite differences.
 
     With h = ``SEARCH_H``, the points x ± h e_j give the central gradient
     and the Hessian's diagonal, and x + h (e_i + e_j) its off-diagonal:
-    2k + k(k-1)/2 evaluations, in a fixed order. None when ``x`` or one of
-    the points is rejected, since the differences then say nothing; every
-    point is evaluated all the same, so that the search can move to the
-    best of them.
+    2k + k(k-1)/2 evaluations, in a fixed order. A point that one of
+    ``known`` (point, value) pairs holds, to within rounding, takes that
+    value and is not evaluated again. The derivatives are None when ``x``
+    or one of the points is rejected, since the differences then say
+    nothing; every point is evaluated all the same, so that the search
+    can move to the best of them. Returns them with the stencil's own
+    (point, value) pairs, ``x`` first.
     """
     k = x.size
     step = SEARCH_H * np.eye(k)
-    fp, fm = np.empty(k), np.empty(k)
-    for j in range(k):
-        fp[j] = ev(x + step[j])
-        fm[j] = ev(x - step[j])
     pairs = list(itertools.combinations(range(k), 2))
-    fij = np.array([ev(x + step[i] + step[j]) for i, j in pairs])
-    if not np.all(np.isfinite(np.concatenate(([fx], fp, fm, fij)))):
-        return None
+    points = [x + s for j in range(k) for s in (step[j], -step[j])]
+    points += [x + step[i] + step[j] for i, j in pairs]
+
+    def value(p: np.ndarray) -> float:
+        for q, fq in known:
+            # x + h - h may differ from x in its last bit
+            if np.abs(p - q).max() <= 1e-6 * SEARCH_H:
+                return fq
+        return ev(p)
+
+    f = np.array([fx] + [value(p) for p in points])
+    read = list(zip([x] + points, f))
+    if not np.all(np.isfinite(f)):
+        return None, read
+    fp, fm, fij = f[1:2 * k + 1:2], f[2:2 * k + 1:2], f[2 * k + 1:]
     hess = np.diag((fp - 2.0 * fx + fm) / SEARCH_H**2)
-    for (i, j), f in zip(pairs, fij):
-        hess[i, j] = hess[j, i] = (f - fp[i] - fp[j] + fx) / SEARCH_H**2
-    return (fp - fm) / (2.0 * SEARCH_H), hess
+    for (i, j), fi in zip(pairs, fij):
+        hess[i, j] = hess[j, i] = (fi - fp[i] - fp[j] + fx) / SEARCH_H**2
+    return ((fp - fm) / (2.0 * SEARCH_H), hess), read
 
 
 def _line_search(ev: _Search, x: np.ndarray, fx: float,
@@ -617,15 +634,18 @@ def empirical_bayes(model) -> tuple[np.ndarray, _Search]:
     scale of the data; also after ``SEARCH_MAX_ITER`` iterations or when
     the line search fails. A stencil with a rejected point (or a rejected
     start) gives no derivatives: the search then moves to the best point
-    evaluated so far if that beats the current one, and stops otherwise.
+    evaluated so far if that beats the current one, and stops otherwise;
+    the stencil around that point takes the values of the points it shares
+    with the one before, the rejected one included.
     Returns the best point evaluated, and the evaluator, which counts the
     work and the rejected candidates. Entirely deterministic.
     """
     ev = _Search(model)
     x = np.zeros(model.n_free)
     fx = ev(x)
+    read = []
     while ev.iterations < SEARCH_MAX_ITER:
-        derivs = _stencil(ev, x, fx)
+        derivs, read = _stencil(ev, x, fx, read)
         ev.iterations += 1
         if derivs is None:
             # with a point rejected there are no differences, but the best
@@ -636,6 +656,7 @@ def empirical_bayes(model) -> tuple[np.ndarray, _Search]:
                 break
             x, fx = ev.best_vec.copy(), ev.best_value
             continue
+        read = []
         grad, hess = derivs
         lam, vecs = np.linalg.eigh(-hess)
         gq = vecs.T @ grad

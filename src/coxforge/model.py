@@ -17,14 +17,16 @@ eta is sum_ij u_i beta_ij v_j with beta laid out over the two halves,
 and no (shoe, cell, covariate) tensor is formed.
 
 :class:`ShoeModel` packages all of that behind the small interface the
-inference engine consumes (``lik_parts``: log-likelihood, gradient and
-Fisher information from one intensity pass; prior precision and its
-derivatives in the log-precisions; hyperprior). :func:`newton_parts`,
-the one evaluation a Newton point costs, adds the prior to
-``lik_parts``. The Fisher information and the prior precision come as
-:class:`ArrowMatrix`, the one format of the negative Hessian: a band over
-the field coordinates, interleaved cell by cell, and dense blocks for the
-shoe and fixed effects, the form the Newton solver factors. Every Fisher
+inference engine consumes: the prior precision Sigma(psi) and its
+derivatives in the log-precisions, the hyperprior, and ``lik_parts``,
+the one evaluation a Newton point costs. From one intensity pass and
+Sigma, ``lik_parts`` gives the log-joint less its psi-only terms, its
+gradient, and the negative Hessian as :class:`ArrowMatrix`, the one
+format of that matrix: a band over the field coordinates, interleaved
+cell by cell, and dense blocks for the shoe and fixed effects, the form
+the Newton solver factors in place. Sigma comes compact, as its field
+band and border diagonal, and ``lik_parts`` adds it into the Fisher
+term's own arrays, so the sum copies nothing. Every Fisher
 entry is a sum of w times a product of two covariates, a monomial in the
 six factors with exponents in {0, 1, 2}, hence a moment of one column of
 ``U`` against one of ``V``: the fixed x fixed block and the field blocks
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -243,6 +244,8 @@ class ArrowMatrix:
 
     so the field block is banded in ``field`` order and the rest is dense.
     Entries of ``band`` past the end of its rows are zero and unused.
+    Plain storage: :meth:`ShoeModel.lik_parts` builds the one a Newton
+    point needs, and its factorization overwrites the band and C.
     """
 
     field: np.ndarray
@@ -250,30 +253,6 @@ class ArrowMatrix:
     band: np.ndarray  # (bandwidth + 1, n_field)
     C: np.ndarray     # (n_field, n_border)
     B: np.ndarray     # (n_border, n_border)
-
-    def __add__(self, other: "ArrowMatrix") -> "ArrowMatrix":
-        if not (np.array_equal(self.field, other.field)
-                and np.array_equal(self.border, other.border)):
-            raise ValueError("arrow matrices over different coordinates")
-        wide, narrow = sorted((self.band, other.band), key=len, reverse=True)
-        # column-major, LAPACK's order, so that a factorization of the sum
-        # can work in place
-        band = np.array(wide, order="F")
-        band[:len(narrow)] += narrow
-        C = np.add(self.C, other.C, order="F")
-        return ArrowMatrix(self.field, self.border, band, C, self.B + other.B)
-
-    @cached_property
-    def _offsets(self) -> np.ndarray:
-        return band_offsets(self.band)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """H @ x for a vector x."""
-        xf, xb = x[self.field], x[self.border]
-        y = np.empty(x.shape)
-        y[self.field] = band_matvec(self.band, xf, self._offsets) + self.C @ xb
-        y[self.border] = self.C.T @ xf + self.B @ xb
-        return y
 
 
 class Design:
@@ -380,6 +359,11 @@ class ShoeModel(Design):
         else:
             self.q_band = None
             self.log_gendet_q = 0.0
+        # H's band has the prior's width, and Q's band row d is the prior's
+        # row d * n_fields: rows 0 and _q_offsets * n_fields hold Sigma(psi)
+        self._band_rows = (len(self.q_band) - 1) * n_fields + 1 if n_fields else 1
+        self._prior_rows = np.concatenate(
+            ([0], self._q_offsets * n_fields if n_fields else [])).astype(np.intp)
 
         self.free_v = free_varying_mask(spec)
         self.n_free = 1 + (1 if spec.smooth else 0) + int(self.free_v.sum())
@@ -475,9 +459,20 @@ class ShoeModel(Design):
             return -np.inf
         return float((self.y * eta).sum() - lam_sum - self.log_y_factorial)
 
-    def lik_parts(self, theta: np.ndarray) -> tuple[float, np.ndarray, ArrowMatrix]:
-        """(log-likelihood, its gradient, Fisher matrix) sharing one intensity pass."""
-        lay = self.layout
+    def lik_parts(
+        self, theta: np.ndarray, sigma: tuple[np.ndarray, np.ndarray]
+    ) -> tuple[float, np.ndarray, ArrowMatrix]:
+        """The log-joint at fixed psi, less its psi-only terms, with its derivatives.
+
+        With ``sigma`` the prior precision Sigma(psi) of
+        :meth:`prior_precision`, returns loglik − ½ theta' Sigma theta, its
+        gradient grad loglik − Sigma theta, and the negative Hessian H =
+        Sigma + B' diag(lambda) B, from one intensity pass. H is the Fisher
+        term with Sigma's band rows and border diagonal added in place, once
+        the gradient has summed its shoe columns. Raises NumericError where
+        the intensity overflows.
+        """
+        band, diag = sigma
         eta = self.eta(theta)
         y_eta = (self.y * eta).sum()
         with np.errstate(over="ignore"):
@@ -485,13 +480,14 @@ class ShoeModel(Design):
         if not np.all(np.isfinite(lam)):
             raise NumericError("non-finite intensity in likelihood evaluation")
         value = float(y_eta - lam.sum() - self.log_y_factorial)
-        fish = self._fisher(lam)
-        # each row of the design B holds one shoe indicator, so B' lam, the
-        # Fisher matrix times that indicator, sums the shoe columns
-        grad = self._bty.copy()
-        grad[self._border] -= fish.B[:, :lay.n_shoes].sum(axis=1)
-        grad[self._field] -= fish.C[:, :lay.n_shoes].sum(axis=1)
-        return value, grad, fish
+        H, b_lam = self._fisher(lam)
+        rows = self._prior_rows
+        H.band[rows] += band[rows]
+        H.B.flat[::diag.size + 1] += diag
+        s_theta = np.empty(theta.shape)
+        s_theta[self._field] = band_matvec(band, theta[self._field], rows[1:])
+        s_theta[self._border] = diag * theta[self._border]
+        return value - 0.5 * float(theta @ s_theta), self._bty - b_lam - s_theta, H
 
     @property
     def n_total(self) -> int:
@@ -511,8 +507,8 @@ class ShoeModel(Design):
             g[lay.varying_block(j)] = (rt * self.U[:, :, p] * self.V[:, :, q]).sum(axis=1)
         return g
 
-    def _fisher(self, w: np.ndarray) -> ArrowMatrix:
-        """B' diag(w) B for weights w (S, A), block by block.
+    def _fisher(self, w: np.ndarray) -> tuple[ArrowMatrix, np.ndarray]:
+        """B' diag(w) B for weights w (S, A), block by block, and B' w.
 
         Every entry is a sum of w times a product of two covariates, which
         is one column of U times one of V. So one product per cell,
@@ -525,15 +521,22 @@ class ShoeModel(Design):
 
         Field j's cell a is field position a * n_fields + j, so the
         products of fields i <= j fill band row j - i at columns i, i +
-        n_fields, ...; the shoe and fixed effects form the border.
+        n_fields, ...; the shoe and fixed effects form the border. The band
+        has the prior's width, and it and C are column-major, LAPACK's
+        order, so that the factorization of H works in place.
+
+        Each row of the design B holds one shoe indicator, so B' w, the
+        Fisher matrix times that indicator, sums the shoe columns; a field
+        row's sum is taken from the chunk that writes it.
         """
         lay, cols = self.layout, self.columns
         S, A, K, n_fields = lay.n_shoes, lay.n_cells, lay.n_fixed, lay.n_constraints
         wt = np.ascontiguousarray(w.T)  # [cell, shoe], as the factor maps
-        C = np.empty((self._field.size, S + K))
-        band = np.zeros((max(n_fields, 1), self._field.size))
-        C3 = C.reshape(A, n_fields, S + K)  # [cell, field, border]
-        band3 = band.reshape(len(band), A, n_fields)
+        C = np.empty((S + K, self._field.size)).T
+        band = np.zeros((self._field.size, self._band_rows)).T
+        C3 = C.T.reshape(S + K, A, n_fields)                  # [border, cell, field]
+        band3 = band.T.reshape(A, n_fields, self._band_rows)  # [cell, field, row]
+        field_sums = np.empty((A, n_fields))
         diag, field, pu, pv = self._field_pairs
         kk = np.zeros((self.U.shape[2], self.V.shape[2]))
         m_sf = np.zeros((S, cols.n_u, cols.n_v))
@@ -543,16 +546,22 @@ class ShoeModel(Design):
             kk += moments.sum(axis=0)
             # per shoe
             m_sf += uw.transpose(1, 2, 0)[:, :cols.n_u] @ self.v[cells].transpose(1, 0, 2)
-            C3[cells, :, S:] = moments[:, self._field_fixed[0], self._field_fixed[1]]
-            band3[diag, cells, field] = moments[:, pu, pv].T
+            ff = moments[:, self._field_fixed[0], self._field_fixed[1]]  # [cell, field, fixed]
+            C3[S:, cells] = ff.transpose(2, 0, 1)
+            band3[cells, field, diag] = moments[:, pu, pv]
             for i, (p, q) in enumerate(zip(*self._field_cols)):
-                C3[cells, i, :S] = uw[:, :, p] * self.V[cells, :, q]  # w times the covariate
+                wx = uw[:, :, p] * self.V[cells, :, q]  # w times the covariate
+                C3[:S, cells, i] = wx.T
+                field_sums[cells, i] = wx.sum(axis=1)
         B = np.zeros((S + K, S + K))
         B[range(S), range(S)] = w.sum(axis=1)                     # shoe diag
         B[:S, S:] = m_sf[:, cols.fixed_u, cols.fixed_v]
         B[S:, :S] = B[:S, S:].T
         B[S:, S:] = kk[self._kk]                                  # (K, K)
-        return ArrowMatrix(self._field, self._border, band, C, B)
+        b_w = np.empty(lay.n_total)
+        b_w[self._border] = B[:, :S].sum(axis=1)
+        b_w[self._field] = field_sums.ravel()
+        return ArrowMatrix(self._field, self._border, band, C, B), b_w
 
     # -- prior ---------------------------------------------------------------
 
@@ -563,28 +572,28 @@ class ShoeModel(Design):
         taus.extend(psi.tau_v)
         return taus
 
-    def prior_precision(self, psi: Hyperparams) -> ArrowMatrix:
-        """Block-diagonal precision of theta given psi (singular on the fields).
+    def prior_precision(self, psi: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
+        """Block-diagonal precision Sigma(psi) of theta (singular on the fields).
 
-        Field j's block is tau_j Q. With the fields interleaved cell by cell
-        (cell a of field j at field position a * n_fields + j), Q's band row
-        d becomes band row d * n_fields, holding tau_j Q[a + d, a] at column
-        a * n_fields + j.
+        Returned compact, as the field band and the border diagonal, for
+        :meth:`lik_parts` to take back: the shoe effects' diagonal is tau_s
+        and the fixed effects' 1 / fixef_var. Field j's block is tau_j Q.
+        With the fields interleaved cell by cell (cell a of field j at field
+        position a * n_fields + j), Q's band row d becomes band row
+        d * n_fields, holding tau_j Q[a + d, a] at column a * n_fields + j.
         """
         lay = self.layout
         n_fields = lay.n_constraints
-        band = np.zeros((1, 0))
+        band = np.zeros((self._band_rows, self._field.size))
         if n_fields:
             q = self.q_band
-            band = np.zeros(((len(q) - 1) * n_fields + 1, self._field.size))
             taus = np.array(self._block_taus(psi))
             band[::n_fields] = (q[:, :, None] * taus).reshape(len(q), -1)
         diag = np.concatenate([
             np.full(lay.n_shoes, psi.tau_s),
             np.full(lay.n_fixed, 1.0 / self.prior.fixef_var),
         ])
-        return ArrowMatrix(self._field, self._border, band,
-                           np.zeros((self._field.size, diag.size)), np.diag(diag))
+        return band, diag
 
     def prior_tangents(self, psi: Hyperparams, theta: np.ndarray) -> np.ndarray:
         """d(Sigma(psi) theta) / d log tau for each free precision, (n_free, n_total).
@@ -621,22 +630,6 @@ class ShoeModel(Design):
 # module-level operations in terms of ShoeModel
 
 
-def newton_parts(
-    theta: np.ndarray, sigma: ArrowMatrix, model: ShoeModel
-) -> tuple[float, np.ndarray, ArrowMatrix]:
-    """The log-joint at fixed psi, less its psi-only terms, with its derivatives.
-
-    With ``sigma`` the prior precision Sigma(psi), returns
-    loglik − ½ theta' Sigma theta, its gradient grad loglik − Sigma theta,
-    and the Fisher term, from one :meth:`ShoeModel.lik_parts` call and one
-    product with ``sigma``. Raises NumericError where the intensity
-    overflows.
-    """
-    value, lgrad, fish = model.lik_parts(theta)
-    s_theta = sigma @ theta
-    return value - 0.5 * float(theta @ s_theta), lgrad - s_theta, fish
-
-
 def log_joint(theta: np.ndarray, psi: Hyperparams, model: ShoeModel) -> float:
     """Fully normalized log p(y, theta, psi).
 
@@ -646,7 +639,7 @@ def log_joint(theta: np.ndarray, psi: Hyperparams, model: ShoeModel) -> float:
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite theta in log_joint")
-    value, _, _ = newton_parts(theta, model.prior_precision(psi), model)
+    value, _, _ = model.lik_parts(theta, model.prior_precision(psi))
     return (
         value
         + 0.5 * model.log_prior_gendet(psi)
@@ -664,6 +657,5 @@ def grad_hessian(
     semidefinite everywhere and positive definite on the constrained
     subspace.
     """
-    sigma = model.prior_precision(psi)
-    _, grad, fish = newton_parts(np.asarray(theta, dtype=float), sigma, model)
-    return grad, sigma + fish
+    _, grad, H = model.lik_parts(np.asarray(theta, dtype=float), model.prior_precision(psi))
+    return grad, H

@@ -4,15 +4,16 @@ duck-typed model interface, and dense builders for test oracles.
 The engine only needs likelihood parts, the prior precision and
 constraint metadata, so closed-form Gaussian and one-dimensional
 Poisson problems exercise exactly the code paths the shoe model uses
-while the correct answers stay computable by hand.
+while the correct answers stay computable by hand. A toy's prior
+precision is a dense matrix, which its ``lik_parts`` takes back.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy.special import gammaln
 
-from coxforge.design import covariate_value
 from coxforge.errors import NumericError
 from coxforge.gmrf import band_to_dense
 from coxforge.model import ArrowMatrix
@@ -46,6 +47,39 @@ def arrow_to_dense(H: ArrowMatrix) -> np.ndarray:
     return out
 
 
+def joint_parts(lik, theta, sigma, blocks=()):
+    """``lik_parts``' output for a toy with the dense prior precision ``sigma``.
+
+    ``lik`` is the log-likelihood, its gradient and its Fisher matrix at
+    ``theta``; the prior adds −½ theta' sigma theta, −sigma theta and sigma.
+    """
+    value, grad, fisher = lik
+    s_theta = sigma @ theta
+    return (value - 0.5 * float(theta @ s_theta), grad - s_theta,
+            dense_arrow(fisher + sigma, blocks))
+
+
+def prior_to_dense(model, sigma) -> np.ndarray:
+    """A ShoeModel's compact prior precision (field band, border diagonal), dense."""
+    band, diag = sigma
+    out = np.zeros((model.n_total,) * 2)
+    out[np.ix_(model._field, model._field)] = band_to_dense(band)
+    out[model._border, model._border] = diag
+    return out
+
+
+def dense_prior(model, psi) -> np.ndarray:
+    """Sigma(psi) of a ShoeModel from tau_j times the dense queen Laplacian."""
+    lay = model.layout
+    Q = queen_laplacian(model.grid.nx, model.grid.ny)
+    taus = ([psi.tau_sm] if lay.smooth else []) + list(psi.tau_v)
+    return scipy.linalg.block_diag(
+        psi.tau_s * np.eye(lay.n_shoes),
+        np.eye(lay.n_fixed) / model.prior.fixef_var,
+        *[tau * Q for tau in taus],
+    )
+
+
 def queen_laplacian(nx: int, ny: int) -> np.ndarray:
     """The queen-adjacency graph Laplacian of an nx-by-ny lattice, cell by cell.
 
@@ -62,6 +96,34 @@ def queen_laplacian(nx: int, ny: int) -> np.ndarray:
                         Q[y * nx + x, (y + dy) * nx + x + dx] = -1.0
                         Q[y * nx + x, y * nx + x] += 1.0
     return Q
+
+
+def covariate_value(
+    contact: np.ndarray,
+    grad: np.ndarray,
+    index: tuple[int, ...],
+    cell: tuple[int, int],
+) -> float:
+    """Reference (scalar) evaluation of one covariate at one cell.
+
+    ``cell`` is (row, col). Slow by design; ``design.build_tensor`` is the
+    vectorized equivalent and is tested to agree with this entry by entry.
+    """
+    y, x = cell
+    ny, nx = contact.shape
+    vals = []
+    neighborhood = [(0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)]
+    for bit, (dy, dx) in zip(index[:5], neighborhood):
+        if not bit:
+            continue
+        yy, xx = y + dy, x + dx
+        vals.append(float(contact[yy, xx]) if 0 <= yy < ny and 0 <= xx < nx else 0.0)
+    if index[5]:
+        vals.append(float(grad[y, x]))
+    out = 1.0
+    for v in vals:
+        out *= v
+    return out
 
 
 def dense_design(model):
@@ -102,17 +164,17 @@ class ScalarPoissonToy:
             return -np.inf
         return float(self.y * t - lam - gammaln(self.y + 1))
 
-    def lik_parts(self, theta):
+    def lik_parts(self, theta, sigma):
         t = theta[0]
         with np.errstate(over="ignore"):
             lam = np.exp(t)
         if not np.isfinite(lam):
             raise NumericError("non-finite intensity")
         value = float(self.y * t - lam - gammaln(self.y + 1))
-        return value, np.array([self.y - lam]), dense_arrow([[lam]])
+        return joint_parts((value, np.array([self.y - lam]), np.array([[lam]])), theta, sigma)
 
     def prior_precision(self, psi):
-        return dense_arrow([[float(psi)]])
+        return np.array([[float(psi)]])
 
     def log_prior_gendet(self, psi):
         return float(np.log(psi))
@@ -144,16 +206,16 @@ class GaussianSurrogateToy:
         self.constraint_blocks = tuple(np.asarray(b) for b in blocks)
         self.log_y_factorial = 0.0
 
-    def lik_parts(self, theta):
+    def lik_parts(self, theta, sigma):
         r = self.yv - self.B @ theta
         m = self.yv.size
         value = float(-0.5 * r @ r / self.s2 - 0.5 * m * np.log(2 * np.pi * self.s2))
         grad = self.B.T @ r / self.s2
-        fisher = dense_arrow(self.B.T @ self.B / self.s2, self.constraint_blocks)
-        return value, grad, fisher
+        return joint_parts((value, grad, self.B.T @ self.B / self.s2), theta, sigma,
+                           self.constraint_blocks)
 
     def prior_precision(self, psi):
-        return dense_arrow(float(psi) * np.eye(self.n_total), self.constraint_blocks)
+        return float(psi) * np.eye(self.n_total)
 
     def prior_tangents(self, psi, theta):
         return float(psi) * np.asarray(theta)[None, :]
@@ -235,14 +297,15 @@ class TwoPrecisionGaussianToy:
     def _prior_diag(self, psi) -> np.ndarray:
         return psi[0] * self._unit(0) + psi[1] * self._unit(1)
 
-    def lik_parts(self, theta):
+    def lik_parts(self, theta, sigma):
         r = self.yv - self.B @ theta
         m = self.yv.size
         value = float(-0.5 * r @ r / self.s2 - 0.5 * m * np.log(2 * np.pi * self.s2))
-        return value, self.B.T @ r / self.s2, dense_arrow(self.B.T @ self.B / self.s2)
+        return joint_parts((value, self.B.T @ r / self.s2, self.B.T @ self.B / self.s2),
+                           theta, sigma)
 
     def prior_precision(self, psi):
-        return dense_arrow(np.diag(self._prior_diag(psi)))
+        return np.diag(self._prior_diag(psi))
 
     def prior_tangents(self, psi, theta):
         return np.stack([psi[j] * self._unit(j) * theta for j in range(2)])

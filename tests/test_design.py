@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _toys import covariate_value
 from coxforge.design import (
     INTERCEPT,
     ModelSpec,
     build_tensor,
     builtin_specs,
-    covariate_value,
     get_spec,
     index_from_string,
     index_to_string,
@@ -77,6 +77,12 @@ class TestBuiltinBattery:
     def test_unknown_name(self):
         with pytest.raises(ConfigError):
             get_spec("nope")
+
+    def test_battery_is_built_once(self):
+        assert get_spec("m_final") is get_spec("m_final")
+        # a caller's copy of the battery leaves the battery as it is
+        builtin_specs().pop("m_final")
+        assert "m_final" in builtin_specs()
 
 
 class TestModelSpecValidation:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _toys import GaussianSurrogateToy, dense_arrow, dense_design, queen_laplacian
+from _toys import GaussianSurrogateToy, arrow_to_dense, dense_arrow, dense_design, dense_prior
 from coxforge.design import get_spec
 from coxforge.errors import NumericError
 from coxforge.inference import empirical_bayes, find_mode, marginal_sd
@@ -30,16 +30,9 @@ SD_RTOL = 1e-8
 
 def _dense_neg_hessian(model, psi, theta):
     """Sigma(psi) + B' diag(lambda) B from the dense design and tau_j Q."""
-    lay = model.layout
-    Q = queen_laplacian(model.grid.nx, model.grid.ny)
-    sigma = scipy.linalg.block_diag(
-        psi.tau_s * np.eye(lay.n_shoes),
-        np.eye(lay.n_fixed) / model.prior.fixef_var,
-        *[tau * Q for tau in (psi.tau_sm, *psi.tau_v)],
-    )
     B = dense_design(model)
     lam = np.exp(B @ theta)
-    return sigma + B.T @ (lam[:, None] * B)
+    return dense_prior(model, psi) + B.T @ (lam[:, None] * B)
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +80,10 @@ def test_marginal_sd_matches_dense_constrained_covariance(mode_and_oracle):
 class IndefiniteToy(GaussianSurrogateToy):
     """The Gaussian toy with a Fisher term that makes H indefinite."""
 
-    def lik_parts(self, theta):
-        value, grad, fisher = super().lik_parts(theta)
-        return value, grad, fisher + dense_arrow(-50.0 * np.eye(self.n_total),
-                                                 self.constraint_blocks)
+    def lik_parts(self, theta, sigma):
+        value, grad, H = super().lik_parts(theta, sigma)
+        return value, grad, dense_arrow(arrow_to_dense(H) - 50.0 * np.eye(self.n_total),
+                                        self.constraint_blocks)
 
 
 def test_indefinite_hessian_is_a_rejected_candidate():

@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 import scipy.optimize
 
-from _toys import GaussianSurrogateToy, ScalarPoissonToy, TwoPrecisionGaussianToy, dense_arrow
+from _toys import GaussianSurrogateToy, ScalarPoissonToy, TwoPrecisionGaussianToy
 from coxforge import inference
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError, InputDataError, NumericError
@@ -61,9 +61,9 @@ class OffsetPoissonToy(ScalarPoissonToy):
 
     OFFSET = 1e12
 
-    def lik_parts(self, theta):
-        value, grad, fisher = super().lik_parts(theta)
-        return value + self.OFFSET, grad, fisher
+    def lik_parts(self, theta, sigma):
+        value, grad, H = super().lik_parts(theta, sigma)
+        return value + self.OFFSET, grad, H
 
 
 class TestScalarPoisson:
@@ -428,10 +428,10 @@ class TestOverflowingStep:
         calls, raised = [], []
         real_lik_parts = ShoeModel.lik_parts
 
-        def counted(self, theta):
+        def counted(self, theta, sigma):
             calls.append(theta)
             try:
-                return real_lik_parts(self, theta)
+                return real_lik_parts(self, theta, sigma)
             except NumericError:
                 raised.append(theta)
                 raise
@@ -447,6 +447,18 @@ class TestOverflowingStep:
         # the start point, then one call per line-search candidate: the
         # accepted ones and the halved ones
         assert len(calls) == mode.iterations + mode.halvings
+
+    def test_failed_line_search_ends_with_the_factor_at_its_point(self, monkeypatch):
+        """With no halving allowed the first step, which overflows, fails; the
+        search's own factor was spent by then, so the one it returns is
+        built again at the start."""
+        model = ShoeModel(_overflowing_records(), get_spec("m_a"), GridSpec.synthetic(3, 2))
+        psi = model.psi_from_free(np.zeros(model.n_free))
+        monkeypatch.setattr(inference, "MAX_HALVINGS", 0)
+        mode = find_mode(psi, model)
+        assert (mode.converged, mode.iterations, mode.factorizations) == (False, 1, 2)
+        _, _, H = model.lik_parts(mode.theta_star, model.prior_precision(psi))
+        assert mode.log_det_H == inference._Factor(H, model.constraint_blocks).log_det
 
     @pytest.mark.parametrize("name", ["uniform", "m_a"])
     def test_fit_scores_every_psi(self, name):
@@ -468,7 +480,7 @@ class RejectingGaussianToy(GaussianSurrogateToy):
 
     def prior_precision(self, psi):
         if self.rejects(np.log(psi)):
-            return dense_arrow(-1e6 * np.eye(self.n_total))
+            return -1e6 * np.eye(self.n_total)
         return super().prior_precision(psi)
 
 
@@ -527,7 +539,7 @@ class TestNewtonPsiSearch:
         start is checked too, since at the peak the gradient is 0."""
         toy = _two_precision_toy()
         for at in (_evidence_peak(toy), np.zeros(2)):
-            got = inference._stencil(inference._Search(toy), at, toy.exact_evidence(at))
+            got, _ = inference._stencil(inference._Search(toy), at, toy.exact_evidence(at))
             grad, hess = toy.exact_derivatives(at)
             scale = np.abs(hess).max()
             assert np.abs(got[0] - grad).max() <= 1e-3 * scale
@@ -561,14 +573,23 @@ class TestNewtonPsiSearch:
         # difference step below it
         assert cap - inference.SEARCH_H < x[0] <= cap
 
-    def test_rejected_start_is_stepped_over(self):
+    def test_rejected_start_is_stepped_over(self, monkeypatch):
         base = _gaussian_toy(seed=9, n=5, m=40, s2=0.3)
         toy = RejectingGaussianToy(base.B, base.yv, base.s2,
                                    rejects=lambda v: abs(v) < inference.SEARCH_H / 2)
+        scored = []
+        real_score = inference._score
+
+        def recorded(model, vec, anchor):
+            scored.append(tuple(vec))
+            return real_score(model, vec, anchor)
+
+        monkeypatch.setattr(inference, "_score", recorded)
         x, search = empirical_bayes(toy)
-        # the second stencil, around the best point h, scores the start
-        # again as its x - h
-        assert search.rejected_by_reason == {"factorization": 2}
+        # the second stencil, around the best point h, takes the start's
+        # value as its x - h from the first, and scores no point again
+        assert search.rejected_by_reason == {"factorization": 1}
+        assert len(set(scored)) == len(scored) == search.evals
         assert search.decrement <= inference.SEARCH_TOL
         # this evidence is flat in log tau (f'' = -0.06 at its peak), so the
         # stopping rule's nats bound the search's result, not its location
@@ -604,7 +625,7 @@ class TestNewtonPsiSearch:
         monkeypatch.setattr(inference, "_stencil", recorded)
         d = fit(records, get_spec("m_a"), cfg.grid).diagnostics
         assert d["psi_search_iterations"] == len(stencils)
-        grad, hess = stencils[-1]
+        grad, hess = stencils[-1][0]
         assert np.linalg.eigvalsh(-hess).min() > 0
         assert d["psi_search_decrement"] == pytest.approx(
             0.5 * grad @ np.linalg.solve(-hess, grad), rel=1e-9)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from _toys import arrow_to_dense, dense_design, queen_laplacian
+from _toys import arrow_to_dense, dense_design, dense_prior, prior_to_dense, queen_laplacian
 from coxforge.design import ModelSpec, builtin_specs, get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec, ShoeRecord
@@ -15,7 +15,6 @@ from coxforge.model import (
     free_varying_mask,
     grad_hessian,
     log_joint,
-    newton_parts,
 )
 from coxforge.simulate import SimConfig, gen_dataset
 
@@ -197,34 +196,40 @@ class TestLikelihood:
         assert model.loglik(shifted) == pytest.approx(model.loglik(theta), rel=1e-12)
 
     def test_lik_parts_consistent_with_pieces(self):
-        """Gradient B'(y - lambda) and Fisher B' diag(lambda) B, B built densely."""
+        """Gradient B'(y - lambda) - Sigma theta and negative Hessian
+        Sigma + B' diag(lambda) B, with B and Sigma built densely."""
         small, _, small_theta = _small_model()
         for model, theta in ((small, small_theta), _m_final_model()):
-            value, grad, fish = model.lik_parts(theta)
-            assert value == pytest.approx(model.loglik(theta), rel=1e-14)
+            psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
+            sigma = dense_prior(model, psi)
+            value, grad, H = model.lik_parts(theta, model.prior_precision(psi))
+            assert value == pytest.approx(model.loglik(theta) - 0.5 * theta @ sigma @ theta,
+                                          rel=1e-14)
             B = dense_design(model)
             y = np.concatenate([r.counts.ravel() for r in model.records])
             lam = np.exp(B @ theta)
-            assert np.allclose(grad, B.T @ (y - lam), rtol=0, atol=1e-12)
-            diff = arrow_to_dense(fish) - B.T @ (lam[:, None] * B)
+            assert np.allclose(grad, B.T @ (y - lam) - sigma @ theta, rtol=0, atol=1e-12)
+            diff = arrow_to_dense(H) - sigma - B.T @ (lam[:, None] * B)
             assert np.abs(diff).max() < 1e-12
 
 
     @pytest.mark.parametrize("name", sorted(builtin_specs()) + ["no_fixed"])
     def test_factor_form_matches_dense_design(self, name):
-        """eta, gradient and Fisher matrix against B built from covariate_value."""
+        """eta, gradient and negative Hessian against B built from covariate_value."""
         spec = (ModelSpec.from_json_dict({"name": name, "fixed": [], "varying": ["100000"]})
                 if name == "no_fixed" else get_spec(name))
         model = ShoeModel(_records(3, 4, 3, seed=7), spec, GridSpec.synthetic(4, 3))
         theta = 0.3 * np.random.default_rng(8).normal(size=model.n_total)
+        psi = model.psi_from_free(np.zeros(model.n_free))
+        sigma = dense_prior(model, psi)
         B = dense_design(model)
         y = np.concatenate([r.counts.ravel() for r in model.records])
         eta = B @ theta
         lam = np.exp(eta)
         assert np.abs(model.eta(theta).ravel() - eta).max() <= 1e-12
-        _, grad, fish = model.lik_parts(theta)
-        assert np.abs(grad - B.T @ (y - lam)).max() <= 1e-12
-        assert np.abs(arrow_to_dense(fish) - B.T @ (lam[:, None] * B)).max() <= 1e-12
+        _, grad, H = model.lik_parts(theta, model.prior_precision(psi))
+        assert np.abs(grad - B.T @ (y - lam) + sigma @ theta).max() <= 1e-12
+        assert np.abs(arrow_to_dense(H) - sigma - B.T @ (lam[:, None] * B)).max() <= 1e-12
 
 
 class TestDerivatives:
@@ -270,28 +275,20 @@ class TestDerivatives:
         dense = arrow_to_dense(neg_hess)
         assert np.abs(dense - dense.T).max() < 1e-12
 
-    def test_arrow_product_matches_dense(self):
-        model, theta = _m_final_model()
-        psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
-        _, neg_hess = grad_hessian(theta, psi, model)
-        x = np.random.default_rng(5).normal(size=model.n_total)
-        dense = arrow_to_dense(neg_hess)
-        assert np.allclose(neg_hess @ x, dense @ x, rtol=1e-13, atol=1e-10)
-
 
 class TestPrior:
     def test_prior_quad_matches_matrix_form(self):
-        """newton_parts' value is loglik − ½ theta' Sigma theta, Sigma dense."""
+        """lik_parts' value is loglik − ½ theta' Sigma theta, Sigma dense."""
         model, psi, theta = _small_model()
         sigma = model.prior_precision(psi)
-        want = float(theta @ arrow_to_dense(sigma) @ theta)
-        value, _, _ = newton_parts(theta, sigma, model)
+        want = float(theta @ prior_to_dense(model, sigma) @ theta)
+        value, _, _ = model.lik_parts(theta, sigma)
         assert 2 * (model.loglik(theta) - value) == pytest.approx(want, rel=1e-12)
 
     def test_prior_precision_block_structure(self):
         model, psi, _ = _small_model()
         lay = model.layout
-        sigma = arrow_to_dense(model.prior_precision(psi))
+        sigma = prior_to_dense(model, model.prior_precision(psi))
         assert np.allclose(np.diag(sigma)[lay.shoe], psi.tau_s)
         assert np.allclose(np.diag(sigma)[lay.fixed], 1.0 / model.prior.fixef_var)
         blk = lay.smooth_block
@@ -313,11 +310,11 @@ class TestPrior:
             np.eye(lay.n_fixed) / model.prior.fixef_var,
             *[tau * Q for tau in taus],
         )
-        assert np.array_equal(arrow_to_dense(model.prior_precision(psi)), want)
+        assert np.array_equal(prior_to_dense(model, model.prior_precision(psi)), want)
 
     def test_log_prior_gendet_matches_dense_spectrum(self):
         model, psi, _ = _small_model()
-        sigma = arrow_to_dense(model.prior_precision(psi))
+        sigma = prior_to_dense(model, model.prior_precision(psi))
         w = np.linalg.eigvalsh(sigma)
         nonzero = w[np.abs(w) > 1e-9]
         assert len(nonzero) == model.layout.constrained_dim

@@ -7,7 +7,8 @@ import scipy.integrate
 import scipy.stats
 from scipy.special import gammaln
 
-from coxforge.design import covariate_value, get_spec
+from _toys import covariate_value
+from coxforge.design import get_spec
 from coxforge.errors import ConfigError, NumericError
 from coxforge.grids import ShoeRecord
 from coxforge.model import Hyperparams
@@ -102,7 +103,6 @@ class TestPredictiveQ:
         theta = 0.1 * rng.normal(size=size)
         field = predictive_q(theta, shoe, spec)
         # independent reconstruction of eta1 from the covariate definition
-        from coxforge.design import covariate_value
         eta = np.zeros(n)
         for a in range(n):
             cell = divmod(a, 3)
