@@ -192,12 +192,33 @@ def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
+_CELL_KEYS = ("contact", "contact_binary", "gradient", "counts")
+
+
+def _cells_to_arrays(obj: dict) -> dict:
+    """A JSON object hook: a shoe's cell lists become float arrays as it closes.
+
+    So the parser never holds more than one shoe's cells as Python lists.
+    It never raises: a list it cannot convert stays a list, for
+    :func:`load_dataset` to report with the file and the shoe.
+    """
+    for key in _CELL_KEYS:
+        value = obj.get(key)
+        if isinstance(value, list):
+            try:
+                obj[key] = np.array(value, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
+
+
 def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
     p = Path(path)
     if not p.exists():
         raise InputDataError(f"dataset file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        # the file text is a temporary, dropped before the records are built
+        doc = json.loads(p.read_text(), object_hook=_cells_to_arrays)
     except json.JSONDecodeError as exc:
         raise InputDataError(f"{p}: not valid JSON: {exc}") from exc
     if doc.get("format") != DATASET_FORMAT:
@@ -214,10 +235,7 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
     for i, s in enumerate(shoes):
         sid = s.get("shoe_id", f"#{i}") if isinstance(s, dict) else f"#{i}"
         try:
-            cells = {
-                key: np.array(s[key], dtype=float).reshape(shape)
-                for key in ("contact", "contact_binary", "gradient", "counts")
-            }
+            cells = {key: np.asarray(s[key], dtype=float).reshape(shape) for key in _CELL_KEYS}
             rec = ShoeRecord(
                 shoe_id=str(s["shoe_id"]),
                 side=s["side"],
@@ -227,7 +245,7 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
             # binary contact (0/1) and counts (whole, within int64) are
             # checked before the casts below can hide a bad value
             rec.validate(grid)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputDataError(f"{p}: shoe {sid}: malformed record: {exc!r}") from exc
         except InputDataError as exc:
             raise InputDataError(f"{p}: {exc}") from exc

@@ -60,24 +60,25 @@ def band_to_dense(band: np.ndarray) -> np.ndarray:
 
 
 def band_offsets(band: np.ndarray) -> np.ndarray:
-    """The off-diagonal rows of a lower band that hold a nonzero entry."""
-    return np.flatnonzero((band[1:] != 0).any(axis=1)) + 1
+    """The rows of a lower band that hold a nonzero entry, the diagonal (0) first."""
+    return np.concatenate(([0], np.flatnonzero((band[1:] != 0).any(axis=1)) + 1))
 
 
-def band_matvec(band: np.ndarray, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """M @ x along the last axis of x, for M symmetric with lower band ``band``.
+def band_matvec(rows: np.ndarray, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """M @ x along the last axis of x, for M symmetric with the band rows ``rows``.
 
-    ``offsets`` is :func:`band_offsets` of the band: only those rows and
-    the diagonal are read. Each entry adds its terms in ascending column
-    order.
+    ``rows[k]`` is M's lower band row ``offsets[k]`` in LAPACK storage,
+    ``rows[k, j] = M[j + offsets[k], j]``, as :func:`band_offsets` lists
+    them: ``offsets`` ascends from 0, the diagonal, and M is zero off the
+    rows given. Each entry adds its terms in ascending column order.
     """
     n = x.shape[-1]
     y = np.zeros(x.shape)
-    for d in offsets[::-1]:                       # M[p, p - d]
-        y[..., d:] += band[d, :n - d] * x[..., :n - d]
-    y += band[0] * x
-    for d in offsets:                             # M[p, p + d]
-        y[..., :n - d] += band[d, :n - d] * x[..., d:]
+    for row, d in zip(rows[:0:-1], offsets[:0:-1]):  # M[p, p - d]
+        y[..., d:] += row[:n - d] * x[..., :n - d]
+    y += rows[0] * x
+    for row, d in zip(rows[1:], offsets[1:]):        # M[p, p + d]
+        y[..., :n - d] += row[:n - d] * x[..., d:]
     return y
 
 

@@ -352,18 +352,20 @@ class ShoeModel(Design):
 
         lay = self.layout
         n_fields = lay.n_constraints
+        # Q's band rows that hold entries, at their offsets (the diagonal first)
         if n_fields > 0:
-            self.q_band = besag_precision(grid)
-            self._q_offsets = band_offsets(self.q_band)
+            q_band = besag_precision(grid)
+            self._q_offsets = band_offsets(q_band)
+            self._q_rows = q_band[self._q_offsets]
             self.log_gendet_q = log_gen_det(grid)
+            # H's band has the prior's width, and Q's band row d is the
+            # prior's row d * n_fields: those rows hold Sigma(psi)'s field block
+            self._band_rows = (len(q_band) - 1) * n_fields + 1
+            self._prior_rows = self._q_offsets * n_fields
         else:
-            self.q_band = None
             self.log_gendet_q = 0.0
-        # H's band has the prior's width, and Q's band row d is the prior's
-        # row d * n_fields: rows 0 and _q_offsets * n_fields hold Sigma(psi)
-        self._band_rows = (len(self.q_band) - 1) * n_fields + 1 if n_fields else 1
-        self._prior_rows = np.concatenate(
-            ([0], self._q_offsets * n_fields if n_fields else [])).astype(np.intp)
+            self._band_rows = 1
+            self._prior_rows = np.zeros(1, dtype=np.intp)
 
         self.free_v = free_varying_mask(spec)
         self.n_free = 1 + (1 if spec.smooth else 0) + int(self.free_v.sum())
@@ -472,7 +474,7 @@ class ShoeModel(Design):
         the gradient has summed its shoe columns. Raises NumericError where
         the intensity overflows.
         """
-        band, diag = sigma
+        rows, diag = sigma
         eta = self.eta(theta)
         y_eta = (self.y * eta).sum()
         with np.errstate(over="ignore"):
@@ -481,11 +483,10 @@ class ShoeModel(Design):
             raise NumericError("non-finite intensity in likelihood evaluation")
         value = float(y_eta - lam.sum() - self.log_y_factorial)
         H, b_lam = self._fisher(lam)
-        rows = self._prior_rows
-        H.band[rows] += band[rows]
+        H.band[self._prior_rows] += rows
         H.B.flat[::diag.size + 1] += diag
         s_theta = np.empty(theta.shape)
-        s_theta[self._field] = band_matvec(band, theta[self._field], rows[1:])
+        s_theta[self._field] = band_matvec(rows, theta[self._field], self._prior_rows)
         s_theta[self._border] = diag * theta[self._border]
         return value - 0.5 * float(theta @ s_theta), self._bty - b_lam - s_theta, H
 
@@ -575,25 +576,27 @@ class ShoeModel(Design):
     def prior_precision(self, psi: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
         """Block-diagonal precision Sigma(psi) of theta (singular on the fields).
 
-        Returned compact, as the field band and the border diagonal, for
-        :meth:`lik_parts` to take back: the shoe effects' diagonal is tau_s
-        and the fixed effects' 1 / fixef_var. Field j's block is tau_j Q.
-        With the fields interleaved cell by cell (cell a of field j at field
-        position a * n_fields + j), Q's band row d becomes band row
-        d * n_fields, holding tau_j Q[a + d, a] at column a * n_fields + j.
+        Returned compact, as the field band's rows that hold entries and the
+        border diagonal, for :meth:`lik_parts` to take back: the shoe
+        effects' diagonal is tau_s and the fixed effects' 1 / fixef_var.
+        Field j's block is tau_j Q. With the fields interleaved cell by cell
+        (cell a of field j at field position a * n_fields + j), Q's band row
+        d becomes band row d * n_fields, holding tau_j Q[a + d, a] at column
+        a * n_fields + j; row k of the field rows is band row
+        ``_prior_rows[k]``, the diagonal first.
         """
         lay = self.layout
-        n_fields = lay.n_constraints
-        band = np.zeros((self._band_rows, self._field.size))
-        if n_fields:
-            q = self.q_band
+        if lay.n_constraints:
+            q = self._q_rows
             taus = np.array(self._block_taus(psi))
-            band[::n_fields] = (q[:, :, None] * taus).reshape(len(q), -1)
+            rows = (q[:, :, None] * taus).reshape(len(q), -1)
+        else:
+            rows = np.zeros((1, 0))
         diag = np.concatenate([
             np.full(lay.n_shoes, psi.tau_s),
             np.full(lay.n_fixed, 1.0 / self.prior.fixef_var),
         ])
-        return band, diag
+        return rows, diag
 
     def prior_tangents(self, psi: Hyperparams, theta: np.ndarray) -> np.ndarray:
         """d(Sigma(psi) theta) / d log tau for each free precision, (n_free, n_total).
@@ -609,7 +612,7 @@ class ShoeModel(Design):
         for j, (blk, tau) in enumerate(zip(self.constraint_blocks, self._block_taus(psi))):
             if j >= lay.smooth and not self.free_v[j - lay.smooth]:
                 continue
-            out[row, blk] = tau * band_matvec(self.q_band, theta[blk], self._q_offsets)
+            out[row, blk] = tau * band_matvec(self._q_rows, theta[blk], self._q_offsets)
             row += 1
         return out
 

@@ -60,8 +60,13 @@ def joint_parts(lik, theta, sigma, blocks=()):
 
 
 def prior_to_dense(model, sigma) -> np.ndarray:
-    """A ShoeModel's compact prior precision (field band, border diagonal), dense."""
-    band, diag = sigma
+    """A ShoeModel's compact prior precision (field band rows, border diagonal), dense.
+
+    Row k of the field rows is the band row ``model._prior_rows[k]``.
+    """
+    rows, diag = sigma
+    band = np.zeros((model._prior_rows[-1] + 1, rows.shape[1]))
+    band[model._prior_rows] = rows
     out = np.zeros((model.n_total,) * 2)
     out[np.ix_(model._field, model._field)] = band_to_dense(band)
     out[model._border, model._border] = diag

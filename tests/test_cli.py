@@ -456,6 +456,17 @@ class TestMalformedInput:
         assert code == 1
         assert str(path) in msg and shoe["shoe_id"] in msg
 
+    @pytest.mark.parametrize("value", ["dark", [0.5, 0.5], 10**400, {"v": 1}])
+    def test_cell_list_that_is_not_numbers(self, dataset_doc, tmp_path, caplog, value):
+        """The loader's JSON hook leaves a list it cannot make into an
+        array as it is, and the record ends as a reported error."""
+        shoe = dataset_doc["shoes"][3]
+        shoe["gradient"][5] = value
+        path, argv = self._fit_argv(dataset_doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and shoe["shoe_id"] in msg
+
     @pytest.mark.parametrize("value", [float("nan"), 7.5])
     def test_contact_outside_unit_interval(self, dataset_doc, tmp_path,
                                            caplog, value):

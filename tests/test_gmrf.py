@@ -44,10 +44,11 @@ class TestBesagPrecision:
     def test_band_product_reads_the_queen_offsets(self, nx, ny):
         band = besag_precision(GridSpec.synthetic(nx, ny))
         offsets = band_offsets(band)
-        assert set(offsets) == {1, nx - 1, nx, nx + 1} - {0}
+        assert list(offsets) == sorted({0, 1, nx - 1, nx, nx + 1})
         x = np.random.default_rng(nx).normal(size=(2, nx * ny))
         want = x @ queen_laplacian(nx, ny)
-        assert np.allclose(band_matvec(band, x, offsets), want, rtol=1e-14, atol=1e-13)
+        got = band_matvec(band[offsets], x, offsets)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-13)
 
     def test_rows_sum_to_zero(self):
         Q = _dense_besag(5, 7)

@@ -4,9 +4,16 @@ import json
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.optimize
 
-from _toys import GaussianSurrogateToy, ScalarPoissonToy, TwoPrecisionGaussianToy
+from _toys import (
+    GaussianSurrogateToy,
+    ScalarPoissonToy,
+    TwoPrecisionGaussianToy,
+    arrow_to_dense,
+    dense_arrow,
+)
 from coxforge import inference
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError, InputDataError, NumericError
@@ -178,13 +185,13 @@ class TestGaussianSurrogate:
         b = _psi_objective(0.9, permuted)[0]
         assert a == pytest.approx(b, abs=1e-9)
 
-    def test_marginal_sd_matches_exact_covariance(self, monkeypatch):
+    def test_marginal_sd_matches_exact_covariance(self):
         blocks = (np.arange(0, 3),)
         toy = _gaussian_toy(seed=6, n=7, m=14, blocks=blocks)
         psi = 1.1
         mode = find_mode(psi, toy)
-        # three field coordinates in chunks of two: one chunk ends inside the field
-        monkeypatch.setattr(inference, "SD_CHUNK", 2)
+        # three field coordinates in a band of width 2: the selected
+        # inversion's blocks of two end in a partial one
         got = marginal_sd(mode)
         want = np.sqrt(np.diag(toy.exact_covariance(psi)))
         assert np.abs(got - want).max() < 1e-6
@@ -194,6 +201,63 @@ class TestGaussianSurrogate:
         cold = find_mode(1.0, toy)
         warm = find_mode(1.0, toy, theta0=cold.theta_star + 0.1)
         assert np.abs(cold.theta_star - warm.theta_star).max() < 1e-8
+
+
+def _dense_constrained_variances(M, blocks):
+    """diag(U (U'MU)^-1 U'), U an orthonormal basis of {A x = 0} for the
+    block-sum rows A, the constrained covariance's diagonal."""
+    A = np.zeros((len(blocks), len(M)))
+    for row, blk in zip(A, blocks):
+        row[blk] = 1.0
+    U = scipy.linalg.null_space(A) if blocks else np.eye(len(M))
+    return np.diag(U @ np.linalg.inv(U.T @ M @ U) @ U.T)
+
+
+class TestSelectedInversion:
+    """The block Takahashi recursion against a dense inverse.
+
+    The factor overwrites H, so the dense copy is taken first.
+    """
+
+    def _factor_and_dense(self, spec, nx, ny):
+        cfg = SimConfig(nx=nx, ny=ny, n_shoes=4, spec=get_spec(spec), seed=5)
+        records, _ = gen_dataset(cfg)
+        model = ShoeModel(records, cfg.spec, cfg.grid)
+        psi = model.psi_from_free(np.linspace(-0.5, 0.8, model.n_free))
+        theta = 0.1 * np.random.default_rng(2).normal(size=model.n_total)
+        _, _, H = model.lik_parts(theta, model.prior_precision(psi))
+        dense = arrow_to_dense(H)
+        return inference._Factor(H, model.constraint_blocks), dense, model
+
+    def test_field_spanning_several_blocks_and_a_partial_one(self):
+        fac, dense, model = self._factor_and_dense("m_final", 3, 5)
+        kd = len(fac.Lf) - 1
+        # four fields of 15 cells in blocks of 16: three full, one of 12
+        assert (fac.nf, kd) == (60, 16)
+        F = dense[np.ix_(fac.field, fac.field)]
+        want = np.diag(np.linalg.inv(F))
+        assert np.abs(fac._field_variances() / want - 1.0).max() < 1e-10
+        want = _dense_constrained_variances(dense, model.constraint_blocks)
+        assert np.abs(fac.variances() / want - 1.0).max() < 1e-8
+
+    def test_diagonal_band(self):
+        rng = np.random.default_rng(3)
+        R = rng.normal(size=(12, 8))
+        M = R.T @ R / 12 + np.eye(8)
+        field = np.arange(2, 7)
+        M[np.ix_(field, field)] = np.diag(np.diag(M)[field] + 2.0)
+        H = dense_arrow(M, (field,))
+        H = dataclasses.replace(H, band=H.band[:1].copy())  # kd = 0
+        fac = inference._Factor(H, (field,))
+        assert fac.Lf.shape == (1, 5)
+        want = _dense_constrained_variances(M, (field,))
+        assert np.abs(fac.variances() / want - 1.0).max() < 1e-12
+
+    def test_model_without_a_field(self):
+        fac, dense, model = self._factor_and_dense("uniform", 3, 4)
+        assert fac.nf == 0 and not model.constraint_blocks
+        want = np.diag(np.linalg.inv(dense))
+        assert np.abs(fac.variances() / want - 1.0).max() < 1e-10
 
 
 class TestPredictedStart:
