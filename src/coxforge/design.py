@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .grids import GridSpec, ShoeRecord
+from .grids import ShoeRecord
 
 InteractionIndex = tuple[int, int, int, int, int, int]
 
@@ -208,32 +208,27 @@ def _factor_stack(contact: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def build_tensor(
-    records: list[ShoeRecord],
+    record: ShoeRecord,
     indices: Sequence[tuple[int, ...]],
     spec: ModelSpec,
-    grid: GridSpec | None = None,
 ) -> np.ndarray:
-    """Covariate values for every (shoe, cell, index), shape (S, ny*nx, K).
+    """Covariate values of one record for every (cell, index), shape (ny*nx, K).
 
     Entry j of an index is the exponent of factor j, so the 0/1 covariate
     indices give the covariates and an index with 2s gives the product of
     two covariates. Cells are flattened row-major. The contact surface
-    used per shoe is either ``record.contact`` or ``record.contact_binary``
-    depending on ``spec.contact``. The grid, when given, only pins the
-    expected cell count; otherwise it is taken from the first record.
+    used is either ``record.contact`` or ``record.contact_binary``
+    depending on ``spec.contact``.
     """
-    n_cells = grid.n_cells if grid is not None else records[0].contact.size
-    out = np.empty((len(records), n_cells, len(indices)))
-    for s, rec in enumerate(records):
-        contact = rec.contact if spec.contact == "continuous" else rec.contact_binary
-        stack = _factor_stack(contact, rec.gradient)  # (6, ny, nx)
-        flat = stack.reshape(N_BITS, n_cells)
-        for k, idx in enumerate(indices):
-            sel = [j for j, e in enumerate(idx) for _ in range(e)]
-            if sel:
-                out[s, :, k] = np.prod(flat[sel], axis=0)
-            else:
-                out[s, :, k] = 1.0
+    contact = record.contact if spec.contact == "continuous" else record.contact_binary
+    flat = _factor_stack(contact, record.gradient).reshape(N_BITS, -1)
+    out = np.empty((flat.shape[1], len(indices)))
+    for k, idx in enumerate(indices):
+        sel = [j for j, e in enumerate(idx) for _ in range(e)]
+        if sel:
+            out[:, k] = np.prod(flat[sel], axis=0)
+        else:
+            out[:, k] = 1.0
     return out
 
 

@@ -130,9 +130,10 @@ def _sampling_factor(nx: int, ny: int) -> np.ndarray:
     scale, never inside the fit path.
     """
     Q = band_to_dense(besag_precision(GridSpec.synthetic(nx, ny)))
-    n = Q.shape[0]
-    Qtilde = Q + np.full((n, n), 1.0 / n)
-    return scipy.linalg.cholesky(Qtilde, lower=False)
+    Q += 1.0 / Q.shape[0]
+    # Q is symmetric, so Q.T is the same matrix in LAPACK's column-major
+    # order, and it is factored in place
+    return scipy.linalg.cholesky(Q.T, lower=False, overwrite_a=True)
 
 
 def sample_constrained(

@@ -144,7 +144,8 @@ class ModeResult:
     g'delta / (2 max(1, |value|, sum log y!)) of the last iterate tested
     and ``grad_norm`` its projected-gradient norm; both only report.
     ``factorizations`` and ``halvings`` count the work the search did;
-    ``_lu`` holds the factorization at the mode.
+    ``_lu`` holds the factorization at the mode (None in the modes
+    :func:`grid_posterior` returns).
     """
 
     theta_star: np.ndarray
@@ -156,7 +157,7 @@ class ModeResult:
     decrement: float
     factorizations: int
     halvings: int
-    _lu: _Factor = field(repr=False)
+    _lu: _Factor | None = field(repr=False)
 
 
 def _center_blocks(x: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -721,7 +722,7 @@ def grid_posterior(
     config: GridConfig,
     center_mode: ModeResult,
     threads: int = 1,
-) -> tuple[PsiGrid, list[ModeResult]]:
+) -> tuple[PsiGrid, list[ModeResult], list[np.ndarray]]:
     """Evaluate a centered lattice in log-precision space.
 
     Posterior masses are exp(log posterior + sum of log precisions): the
@@ -730,6 +731,10 @@ def grid_posterior(
     scored by :func:`_score` anchored at the center and its mode
     ``center_mode``, so results are independent of evaluation order and
     thread count. A point that cannot be scored raises NumericError.
+    Returns the lattice with each point's mode and marginal sds; a mode's
+    factor goes once its sds are taken, since the factors of a whole
+    lattice outgrow memory (625 points of a 12x16 grid with 200 shoes
+    hold 1.5 GiB).
     """
     k = model.n_free
     offsets = config.spacing * (np.arange(config.points) - (config.points - 1) / 2)
@@ -738,23 +743,24 @@ def grid_posterior(
         for combo in itertools.product(offsets, repeat=k)
     ])
 
-    def one(vec: np.ndarray) -> tuple[float, ModeResult]:
+    def one(vec: np.ndarray) -> tuple[float, ModeResult, np.ndarray]:
         try:
-            return _score(model, vec, (center, center_mode))
+            lp, mode = _score(model, vec, (center, center_mode))
         except NumericError as exc:
             raise NumericError(
                 f"grid point {np.round(vec, 3)} cannot be scored "
                 f"({getattr(exc, 'reason', 'nonfinite')}): {exc}"
             ) from exc
+        sd = marginal_sd(mode)
+        mode._lu = None
+        return lp, mode, sd
 
-    results = parallel_map(one, points, threads)
-    lp = np.array([r[0] for r in results])
-    modes = [r[1] for r in results]
-    log_mass = lp + points.sum(axis=1)
+    lp, modes, sds = zip(*parallel_map(one, points, threads))
+    log_mass = np.array(lp) + points.sum(axis=1)
     log_mass -= log_mass.max()
     w = np.exp(log_mass)
     w /= w.sum()
-    return PsiGrid(points=points, weights=w, free_names=model.free_names()), modes
+    return PsiGrid(points=points, weights=w, free_names=model.free_names()), list(modes), list(sds)
 
 
 # ---------------------------------------------------------------------------
@@ -888,16 +894,15 @@ def fit(
             weights=np.array([1.0]),
             free_names=model.free_names(),
         )
-        modes = [map_mode]
+        modes, sds = [map_mode], [marginal_sd(map_mode)]
     else:
-        psi_grid, modes = grid_posterior(
+        psi_grid, modes, sds = grid_posterior(
             model, map_vec, grid_config or GridConfig(), map_mode, threads=threads,
         )
         for m in modes:
             search.add(m)
 
     n = model.n_total
-    sds = [marginal_sd(m) for m in modes]
     means = np.stack([m.theta_star for m in modes])
     w = psi_grid.weights[:, None]
     mean = (w * means).sum(axis=0)

@@ -31,14 +31,23 @@ entry is a sum of w times a product of two covariates, a monomial in the
 six factors with exponents in {0, 1, 2}, hence a moment of one column of
 ``U`` against one of ``V``: the fixed x fixed block and the field blocks
 are gathered from per-cell moments (U w)' V, and the shoe x fixed block
-from per-shoe products (u w)' v.
+from per-shoe products (u w)' v. The same build gives B' w, and with the
+counts as weights the B' y of the gradient.
+
+The model's precisions are listed once, in ``ShoeModel.precisions``:
+tau_s, then one per field in theta's order, the smooth field first, each
+with the block of theta it scales, whether it is free (a varying field's
+is pinned when its covariate multiplies two or more factors), its name
+and its hyperprior rate. The free log-precisions, the hyperprior,
+Sigma(psi), its tangents and log-determinant, and the sum-to-zero blocks
+all read that table.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -106,9 +115,15 @@ class PriorSpec:
         return cls(**values)
 
 
-def free_varying_mask(spec: ModelSpec) -> np.ndarray:
-    """True where a varying index's precision is inferred (order <= 1)."""
-    return np.array([interaction_order(i) <= 1 for i in spec.varying], dtype=bool)
+class Precision(NamedTuple):
+    """One entry of ``ShoeModel.precisions``: the coordinates of theta the
+    precision scales, whether the hyperparameter search infers it, its name
+    and its Exponential hyperprior's rate."""
+
+    block: np.ndarray
+    free: bool
+    name: str
+    rate: float
 
 
 @dataclass(frozen=True)
@@ -287,7 +302,7 @@ class Design:
         """``build_tensor`` of the columns, indexed [cell, shoe, column]."""
         out = np.empty((self.layout.n_cells, len(self.records), len(columns)))
         for s, rec in enumerate(self.records):
-            out[:, s] = dz.build_tensor([rec], columns, self.spec)[0]
+            out[:, s] = dz.build_tensor(rec, columns, self.spec)
         return out
 
     def _cell_chunks(self) -> list[slice]:
@@ -367,15 +382,22 @@ class ShoeModel(Design):
             self._band_rows = 1
             self._prior_rows = np.zeros(1, dtype=np.intp)
 
-        self.free_v = free_varying_mask(spec)
-        self.n_free = 1 + (1 if spec.smooth else 0) + int(self.free_v.sum())
-        self.constraint_blocks = self._constraint_blocks()
+        # the precisions, listed once; a varying field's is free when its
+        # covariate has order <= 1, else pinned at fixed_tau_high_order
+        p, A, start = self.prior, lay.n_cells, lay.n_shoes + lay.n_fixed
+        named = [(True, "tau_sm", p.rate_tau_sm)] * spec.smooth + [
+            (interaction_order(i) <= 1, f"tau_v[{dz.index_to_string(i)}]", p.rate_tau_i)
+            for i in spec.varying]
+        self.precisions = [Precision(np.arange(lay.n_shoes), True, "tau_s", p.rate_tau_s)] + [
+            Precision(np.arange(start + j * A, start + (j + 1) * A), *entry)
+            for j, entry in enumerate(named)]
+        self.n_free = sum(q.free for q in self.precisions)
+        self.constraint_blocks = tuple(q.block for q in self.precisions[1:])
         # fields on one grid couple cell by cell, so interleaving them keeps
         # the band of the negative Hessian as narrow as one field's
         self._field = (np.stack(self.constraint_blocks, axis=1).ravel() if n_fields
                        else np.zeros(0, dtype=np.intp))
         self._border = np.arange(lay.n_shoes + lay.n_fixed)
-        self._bty = self._project_rows(self.y)  # B'y; the gradient is B'y - B' lambda
         # where each Fisher entry sits among the moments of U and V: the
         # product of two covariates (a field's multiplier is 1 for the
         # smooth field) is one column of U times one of V
@@ -389,17 +411,16 @@ class ShoeModel(Design):
         first, second = np.triu_indices(len(fields))
         self._field_pairs = ((second - first, first)
                              + self.columns.at(fields[first] + fields[second]))
+        self._bty = self._fisher(self.y)[1]  # B'y; the gradient is B'y - B' lambda
 
     # -- hyperparameter plumbing -------------------------------------------
 
+    def _taus(self, psi: Hyperparams) -> tuple[float, ...]:
+        """psi's precisions in the order of :attr:`precisions`."""
+        return (psi.tau_s,) + (psi.tau_sm,) * self.spec.smooth + psi.tau_v
+
     def free_names(self) -> list[str]:
-        names = ["tau_s"]
-        if self.spec.smooth:
-            names.append("tau_sm")
-        for j, idx in enumerate(self.spec.varying):
-            if self.free_v[j]:
-                names.append(f"tau_v[{dz.index_to_string(idx)}]")
-        return names
+        return [q.name for q in self.precisions if q.free]
 
     def psi_from_free(self, log_tau: np.ndarray) -> Hyperparams:
         """Expand the free log-precision vector into a full Hyperparams."""
@@ -407,35 +428,19 @@ class ShoeModel(Design):
         if vec.shape != (self.n_free,):
             raise ConfigError(f"expected {self.n_free} free log-precisions, got {vec.shape}")
         it = iter(np.exp(vec))
-        tau_s = next(it)
-        tau_sm = next(it) if self.spec.smooth else None
-        tau_v = []
-        for j in range(self.layout.n_varying):
-            tau_v.append(next(it) if self.free_v[j] else self.prior.fixed_tau_high_order)
-        return Hyperparams(tau_s=tau_s, tau_sm=tau_sm, tau_v=tuple(tau_v))
+        taus = [next(it) if q.free else self.prior.fixed_tau_high_order
+                for q in self.precisions]
+        smooth = self.spec.smooth
+        return Hyperparams(tau_s=taus[0], tau_sm=taus[1] if smooth else None,
+                           tau_v=tuple(taus[1 + smooth:]))
 
     def log_hyperprior(self, psi: Hyperparams) -> float:
         """Sum of Exponential log-densities over the *free* precisions."""
-        p = self.prior
-        out = np.log(p.rate_tau_s) - p.rate_tau_s * psi.tau_s
-        if self.spec.smooth:
-            out += np.log(p.rate_tau_sm) - p.rate_tau_sm * psi.tau_sm
-        for j in range(self.layout.n_varying):
-            if self.free_v[j]:
-                out += np.log(p.rate_tau_i) - p.rate_tau_i * psi.tau_v[j]
+        out = 0.0
+        for q, tau in zip(self.precisions, self._taus(psi)):
+            if q.free:
+                out += np.log(q.rate) - q.rate * tau
         return float(out)
-
-    # -- constraints --------------------------------------------------------
-
-    def _constraint_blocks(self) -> tuple[np.ndarray, ...]:
-        lay = self.layout
-        blocks = []
-        if lay.smooth:
-            blocks.append(np.arange(lay.smooth_block.start, lay.smooth_block.stop))
-        for j in range(lay.n_varying):
-            blk = lay.varying_block(j)
-            blocks.append(np.arange(blk.start, blk.stop))
-        return tuple(blocks)
 
     # -- likelihood and derivatives ------------------------------------------
 
@@ -493,20 +498,6 @@ class ShoeModel(Design):
     @property
     def n_total(self) -> int:
         return self.layout.n_total
-
-    def _project_rows(self, r: np.ndarray) -> np.ndarray:
-        """B' @ vec(r) for a per-(shoe, cell) array r, done blockwise."""
-        lay, cols = self.layout, self.columns
-        rt = r.T  # [cell, shoe], as the factor maps
-        g = np.empty(lay.n_total)
-        g[lay.shoe] = r.sum(axis=1)
-        ur = (self.u * rt[:, :, None]).reshape(r.size, -1)
-        g[lay.fixed] = (ur.T @ self.v.reshape(r.size, -1))[cols.fixed_u, cols.fixed_v]
-        if lay.smooth:
-            g[lay.smooth_block] = r.sum(axis=0)
-        for j, (p, q) in enumerate(zip(cols.varying_u, cols.varying_v)):
-            g[lay.varying_block(j)] = (rt * self.U[:, :, p] * self.V[:, :, q]).sum(axis=1)
-        return g
 
     def _fisher(self, w: np.ndarray) -> tuple[ArrowMatrix, np.ndarray]:
         """B' diag(w) B for weights w (S, A), block by block, and B' w.
@@ -566,13 +557,6 @@ class ShoeModel(Design):
 
     # -- prior ---------------------------------------------------------------
 
-    def _block_taus(self, psi: Hyperparams) -> list[float]:
-        taus = []
-        if self.layout.smooth:
-            taus.append(psi.tau_sm)
-        taus.extend(psi.tau_v)
-        return taus
-
     def prior_precision(self, psi: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
         """Block-diagonal precision Sigma(psi) of theta (singular on the fields).
 
@@ -586,14 +570,14 @@ class ShoeModel(Design):
         ``_prior_rows[k]``, the diagonal first.
         """
         lay = self.layout
+        taus = self._taus(psi)
         if lay.n_constraints:
             q = self._q_rows
-            taus = np.array(self._block_taus(psi))
-            rows = (q[:, :, None] * taus).reshape(len(q), -1)
+            rows = (q[:, :, None] * np.array(taus[1:])).reshape(len(q), -1)
         else:
             rows = np.zeros((1, 0))
         diag = np.concatenate([
-            np.full(lay.n_shoes, psi.tau_s),
+            np.full(lay.n_shoes, taus[0]),
             np.full(lay.n_fixed, 1.0 / self.prior.fixef_var),
         ])
         return rows, diag
@@ -605,15 +589,11 @@ class ShoeModel(Design):
         block of theta that tau_j scales, multiplied by that block's
         unit precision (the identity for the shoe effects, Q for a field).
         """
-        lay = self.layout
-        out = np.zeros((self.n_free, lay.n_total))
-        out[0, lay.shoe] = psi.tau_s * theta[lay.shoe]
-        row = 1
-        for j, (blk, tau) in enumerate(zip(self.constraint_blocks, self._block_taus(psi))):
-            if j >= lay.smooth and not self.free_v[j - lay.smooth]:
-                continue
-            out[row, blk] = tau * band_matvec(self._q_rows, theta[blk], self._q_offsets)
-            row += 1
+        out = np.zeros((self.n_free, self.layout.n_total))
+        free = [(q.block, tau) for q, tau in zip(self.precisions, self._taus(psi)) if q.free]
+        for row, (blk, tau) in enumerate(free):
+            x = theta[blk] if row == 0 else band_matvec(self._q_rows, theta[blk], self._q_offsets)
+            out[row, blk] = tau * x
         return out
 
     def log_prior_gendet(self, psi: Hyperparams) -> float:
@@ -623,8 +603,9 @@ class ShoeModel(Design):
         i.e. (n_cells − 1)·log tau + log_gen_det(grid).
         """
         lay = self.layout
-        lgd = lay.n_shoes * np.log(psi.tau_s) - lay.n_fixed * np.log(self.prior.fixef_var)
-        for tau in self._block_taus(psi):
+        taus = self._taus(psi)
+        lgd = lay.n_shoes * np.log(taus[0]) - lay.n_fixed * np.log(self.prior.fixef_var)
+        for tau in taus[1:]:
             lgd += (lay.n_cells - 1) * np.log(tau) + self.log_gendet_q
         return float(lgd)
 

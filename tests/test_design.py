@@ -15,7 +15,8 @@ from coxforge.design import (
     interaction_order,
 )
 from coxforge.errors import ConfigError
-from coxforge.grids import GridSpec, ShoeRecord
+from coxforge.grids import ShoeRecord
+from coxforge.model import Design
 
 
 def _record(seed=0, nx=5, ny=4):
@@ -110,18 +111,18 @@ class TestModelSpecValidation:
 class TestCovariateValues:
     def test_intercept_is_one_everywhere(self):
         rec = _record()
-        t = build_tensor([rec], (INTERCEPT,), get_spec("m_a"))
+        t = build_tensor(rec, (INTERCEPT,), get_spec("m_a"))
         assert np.all(t == 1.0)
 
     def test_single_factor_center(self):
         rec = _record()
-        t = build_tensor([rec], ((1, 0, 0, 0, 0, 0),), get_spec("m_a"))
-        assert np.allclose(t[0, :, 0], rec.contact.ravel())
+        t = build_tensor(rec, ((1, 0, 0, 0, 0, 0),), get_spec("m_a"))
+        assert np.allclose(t[:, 0], rec.contact.ravel())
 
     def test_gradient_factor(self):
         rec = _record()
-        t = build_tensor([rec], ((0, 0, 0, 0, 0, 1),), get_spec("m_a"))
-        assert np.allclose(t[0, :, 0], rec.gradient.ravel())
+        t = build_tensor(rec, ((0, 0, 0, 0, 0, 1),), get_spec("m_a"))
+        assert np.allclose(t[:, 0], rec.gradient.ravel())
 
     def test_out_of_grid_neighbors_are_zero(self):
         rec = _record(nx=4, ny=3)
@@ -165,36 +166,31 @@ class TestCovariateValues:
     def test_tensor_matches_scalar_reference(self, seed, bits):
         idx = tuple(int(b) for b in format(bits, "06b"))
         rec = _record(seed=seed, nx=4, ny=3)
-        t = build_tensor([rec], (idx,), get_spec("m_a"))
+        t = build_tensor(rec, (idx,), get_spec("m_a"))
         for y in range(3):
             for x in range(4):
                 want = covariate_value(rec.contact, rec.gradient, idx, (y, x))
-                assert t[0, y * 4 + x, 0] == pytest.approx(want, abs=1e-13)
+                assert t[y * 4 + x, 0] == pytest.approx(want, abs=1e-13)
 
     def test_index_entries_are_exponents(self):
         rec = _record(seed=4)
         idx = ((2, 0, 0, 0, 0, 1), (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1))
-        t = build_tensor([rec], idx, get_spec("m_a"))
-        assert np.allclose(t[0, :, 0], t[0, :, 1] ** 2 * t[0, :, 2], rtol=1e-14, atol=0)
+        t = build_tensor(rec, idx, get_spec("m_a"))
+        assert np.allclose(t[:, 0], t[:, 1] ** 2 * t[:, 2], rtol=1e-14, atol=0)
 
     def test_binary_contact_mode_uses_binarized_surface(self):
         rec = _record(seed=8)
         idx = ((1, 0, 0, 0, 0, 0),)
-        t_bin = build_tensor([rec], idx, get_spec("m_b"))
-        assert np.allclose(t_bin[0, :, 0], rec.contact_binary.ravel())
-        t_cont = build_tensor([rec], idx, get_spec("variant_b"))
-        assert np.allclose(t_cont[0, :, 0], rec.contact.ravel())
-
-    def test_grid_pins_cell_count(self):
-        rec = _record(nx=5, ny=4)
-        g = GridSpec.synthetic(5, 4)
-        t = build_tensor([rec], (INTERCEPT,), get_spec("m_a"), g)
-        assert t.shape == (1, 20, 1)
+        t_bin = build_tensor(rec, idx, get_spec("m_b"))
+        assert np.allclose(t_bin[:, 0], rec.contact_binary.ravel())
+        t_cont = build_tensor(rec, idx, get_spec("variant_b"))
+        assert np.allclose(t_cont[:, 0], rec.contact.ravel())
 
     def test_multiple_shoes_stack(self):
+        # a design's factor maps stack the records' tensors, [cell, shoe, column]
         recs = [_record(seed=s) for s in range(3)]
-        idx = get_spec("m_final").varying
-        t = build_tensor(recs, idx, get_spec("m_final"))
-        assert t.shape == (3, 20, 3)
-        solo = build_tensor([recs[1]], idx, get_spec("m_final"))
-        assert np.array_equal(t[1], solo[0])
+        spec = get_spec("m_final")
+        d = Design(recs, spec)
+        assert d.U.shape[:2] == (20, 3)
+        solo = build_tensor(recs[1], d.columns.u_columns, spec)
+        assert np.array_equal(d.U[:, 1], solo)

@@ -1,13 +1,16 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import coxforge
 from _toys import queen_laplacian
+from coxforge import gmrf
 from coxforge.errors import ConfigError
 from coxforge.gmrf import (
     ConstrainedGaussian,
@@ -144,3 +147,27 @@ class TestSampling:
     def test_bad_tau_rejected(self):
         with pytest.raises(ConfigError):
             ConstrainedGaussian(3, 3, tau=0.0)
+
+    def test_draws_equal_the_dense_formula(self):
+        # the factor of Q + 11'/n built densely, as the formula reads
+        nx, ny, tau, size = 5, 4, 2.5, 3
+        Q = queen_laplacian(nx, ny)
+        n = Q.shape[0]
+        R = scipy.linalg.cholesky(Q + np.full((n, n), 1.0 / n), lower=False)
+        z = np.random.default_rng(9).standard_normal((n, size))
+        x = scipy.linalg.solve_triangular(R, z, lower=False) / np.sqrt(tau)
+        x -= x.mean(axis=0, keepdims=True)
+        got = sample_constrained(ConstrainedGaussian(nx, ny, tau=tau), rng=9, size=size)
+        assert np.array_equal(got, x.T)
+
+    def test_factor_build_holds_under_two_dense_copies(self):
+        nx, ny = 12, 16
+        gmrf._sampling_factor.cache_clear()
+        tracemalloc.start()
+        try:
+            gmrf._sampling_factor(nx, ny)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gmrf._sampling_factor.cache_clear()
+        assert peak < 2 * 8 * (nx * ny) ** 2

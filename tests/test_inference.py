@@ -303,7 +303,7 @@ class TestHyperparameterSearch:
         toy = _gaussian_toy(seed=11)
         center = np.array([0.2])
         cfg = GridConfig(points=5, spacing=0.5)
-        grid, modes = grid_posterior(toy, center, cfg, find_mode(np.exp(center[0]), toy))
+        grid, modes, _ = grid_posterior(toy, center, cfg, find_mode(np.exp(center[0]), toy))
         assert grid.points.shape == (5, 1)
         assert np.allclose(grid.points[:, 0],
                            center[0] + 0.5 * (np.arange(5) - 2))
@@ -317,6 +317,19 @@ class TestHyperparameterSearch:
         want = np.exp(lp - lp.max())
         want /= want.sum()
         assert np.abs(grid.weights - want).max() < 1e-7
+
+    def test_grid_modes_hold_no_factor(self):
+        toy = _gaussian_toy(seed=11)
+        center = np.array([0.2])
+        center_mode = find_mode(np.exp(center[0]), toy)
+        grid, modes, sds = grid_posterior(toy, center, GridConfig(points=3, spacing=0.5),
+                                          center_mode)
+        assert all(m._lu is None for m in modes)
+        assert center_mode._lu is not None
+        # each point's sds are its own mode's
+        for p, sd in zip(grid.points, sds):
+            want = marginal_sd(find_mode(np.exp(p[0]), toy))
+            assert np.allclose(sd, want, rtol=1e-12, atol=0)
 
     def test_grid_config_validation(self):
         with pytest.raises(ConfigError):

@@ -12,7 +12,6 @@ from coxforge.model import (
     PriorSpec,
     ShoeModel,
     ThetaLayout,
-    free_varying_mask,
     grad_hessian,
     log_joint,
 )
@@ -114,9 +113,14 @@ class TestHyperparams:
         assert got == psi
 
     def test_free_mask_keeps_single_factor_fields(self):
-        mask = free_varying_mask(get_spec("m_final"))
-        assert mask.tolist() == [True, True, False]
-        assert free_varying_mask(SMALL_SPEC).tolist() == [True, False]
+        # tau_s, then the smooth field's, then one per varying field
+        model, _ = _m_final_model()
+        assert [q.free for q in model.precisions] == [True, True, True, True, False]
+        model, _, _ = _small_model()
+        assert [q.free for q in model.precisions] == [True, True, True, False]
+        p = model.prior
+        assert [q.rate for q in model.precisions] == [p.rate_tau_s, p.rate_tau_sm,
+                                                      p.rate_tau_i, p.rate_tau_i]
 
 
 class TestFreeVectorPlumbing:
