@@ -195,7 +195,13 @@ def _fit_heatmaps(res: FitResult, outdir) -> None:
         ds.write_heatmap(res.heatmap(name), base / f"sv_{name}")
 
 
+def _check_threads(args) -> None:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+
+
 def cmd_fit(args) -> int:
+    _check_threads(args)
     records, grid = ds.load_dataset(args.dataset)
     spec = _load_model(args)
     prior = _load_prior(args)
@@ -270,6 +276,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    _check_threads(args)
     records, grid = ds.load_dataset(args.dataset)
     specs = [get_spec(n.strip()) for n in args.models.split(",") if n.strip()]
     plan = make_folds(

@@ -176,8 +176,11 @@ def run_cv(
 
     A failing fit is recorded for its cell and the remaining table is
     still produced. Cells run in parallel; aggregation is by cell index,
-    so results do not depend on completion order or thread count.
+    so results do not depend on completion order or thread count. An
+    empty model list is a ConfigError.
     """
+    if not specs:
+        raise ConfigError("the model list is empty: no model to cross-validate")
     recs = list(records)
     if grid is None:
         ny, nx = recs[0].contact.shape

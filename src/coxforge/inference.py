@@ -49,14 +49,16 @@ mode (Rue, Martino & Chopin 2009, JRSS-B 71, §6.5) (empirical Bayes), or
 summed over a centered grid with log-scale Jacobian weights. Both score
 a point by :func:`_score`.
 
-Any object with the :class:`coxforge.model.ShoeModel` likelihood/prior
-surface (``n_total``, ``n_free``, ``constraint_blocks``,
-``log_y_factorial``, ``lik_parts``, ``prior_precision``,
-``prior_tangents``, ``log_prior_gendet``, ``log_hyperprior``,
-``psi_from_free``, ``free_names``) can be driven by these routines;
-``find_mode`` alone does not use ``prior_tangents``. The engine treats
-``prior_precision``'s value as opaque: ``find_mode`` takes it once per
-mode search and only passes it back to ``lik_parts(theta, sigma)``, which
+The search runs over the free log-precisions x, and every routine takes
+a point as that vector. Any object with the
+:class:`coxforge.model.ShoeModel` likelihood/prior surface (``n_total``,
+``n_free``, ``constraint_blocks``, ``log_y_factorial``, ``lik_parts``,
+``prior_at``, ``prior_tangents``, and optionally ``cold_start``) can be
+driven by these routines; only :func:`fit` asks a ``ShoeModel`` for
+more, to name the precisions in its result. ``prior_at(x)`` gives the
+prior precision Sigma with the log prior's terms in x alone, and the
+engine treats Sigma as opaque: ``find_mode`` takes it once per mode
+search and only passes it back to ``lik_parts(theta, sigma)``, which
 returns the log-joint less its psi-only terms, its gradient, and the
 negative Hessian as ``ArrowMatrix``, factored as given. ``find_mode``
 evaluates each point once, so a line-search candidate's value comes with
@@ -317,8 +319,10 @@ class _Factor:
         return var
 
 
-def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
+def find_mode(sigma, model, theta0: np.ndarray | None = None) -> ModeResult:
     """Damped Newton ascent of the log-joint on the constrained subspace.
+
+    ``sigma`` is the prior precision, as the model's ``prior_at`` gives it.
 
     Starts from zero (always feasible) unless ``theta0`` is given; every
     iterate is re-centered so the constrained blocks sum to zero exactly.
@@ -334,7 +338,6 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
     """
     n = model.n_total
     blocks = model.constraint_blocks
-    sigma = model.prior_precision(psi)
 
     theta = np.zeros(n) if theta0 is None else np.array(theta0, dtype=float)
     if theta.shape != (n,):
@@ -420,16 +423,17 @@ def find_mode(psi, model, theta0: np.ndarray | None = None) -> ModeResult:
 
 
 def _psi_objective(
-    psi, model, theta0: np.ndarray | None = None
+    x: np.ndarray, model, theta0: np.ndarray | None = None
 ) -> tuple[float, ModeResult]:
-    """Unnormalized log posterior of the precisions, by Laplace approximation.
+    """Unnormalized log posterior at free log-precisions ``x``, by Laplace approximation.
 
     log p(y|th*) + log p(th*|psi) + log p(psi) + (d/2) log 2pi
     − ½ log det H, with d the constrained dimension; the (d/2) log 2pi
     cancels against the prior's normalizer. Returns it with the mode;
     raises on non-convergence of the inner mode search.
     """
-    mode = find_mode(psi, model, theta0=theta0)
+    sigma, log_prior = model.prior_at(x)
+    mode = find_mode(sigma, model, theta0=theta0)
     if not mode.converged:
         raise _Reject(
             "unconverged",
@@ -437,15 +441,10 @@ def _psi_objective(
             f"(relative decrement {mode.decrement:.3e}, |grad| {mode.grad_norm:.3e})",
             mode,
         )
-    # mode.value is lik_parts' loglik − ½ th' Sigma th at the mode; add the
-    # prior's normalization, the hyperprior, and the Gaussian-integral correction.
-    lp = (
-        mode.value
-        + 0.5 * model.log_prior_gendet(psi)
-        + model.log_hyperprior(psi)
-        - 0.5 * mode.log_det_H
-    )
-    return float(lp), mode
+    # mode.value is lik_parts' loglik − ½ th' Sigma th at the mode; add
+    # log_prior (the prior's normalization and the hyperprior) and the
+    # Gaussian-integral correction.
+    return float(mode.value + log_prior - 0.5 * mode.log_det_H), mode
 
 
 def _score(model, vec: np.ndarray,
@@ -462,7 +461,7 @@ def _score(model, vec: np.ndarray,
     else:
         cold = getattr(model, "cold_start", None)
         start = None if cold is None else cold()
-    return _psi_objective(model.psi_from_free(vec), model, theta0=start)
+    return _psi_objective(vec, model, theta0=start)
 
 
 def marginal_sd(mode: ModeResult) -> np.ndarray:
@@ -491,7 +490,7 @@ def predicted_start(model, vec0: np.ndarray, mode: ModeResult, vec: np.ndarray) 
     is O(|vec - vec0|^2).
     """
     dvec = np.asarray(vec, dtype=float) - vec0
-    tangent = dvec @ model.prior_tangents(model.psi_from_free(vec0), mode.theta_star)
+    tangent = dvec @ model.prior_tangents(vec0, mode.theta_star)
     return mode.theta_star + mode._lu.step(-tangent)
 
 
@@ -722,7 +721,7 @@ def grid_posterior(
     config: GridConfig,
     center_mode: ModeResult,
     threads: int = 1,
-) -> tuple[PsiGrid, list[ModeResult], list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, list[ModeResult], list[np.ndarray]]:
     """Evaluate a centered lattice in log-precision space.
 
     Posterior masses are exp(log posterior + sum of log precisions): the
@@ -731,10 +730,10 @@ def grid_posterior(
     scored by :func:`_score` anchored at the center and its mode
     ``center_mode``, so results are independent of evaluation order and
     thread count. A point that cannot be scored raises NumericError.
-    Returns the lattice with each point's mode and marginal sds; a mode's
-    factor goes once its sds are taken, since the factors of a whole
-    lattice outgrow memory (625 points of a 12x16 grid with 200 shoes
-    hold 1.5 GiB).
+    Returns the lattice, (m, n_free), its normalized masses, and each
+    point's mode and marginal sds; a mode's factor goes once its sds are
+    taken, since the factors of a whole lattice outgrow memory (625
+    points of a 12x16 grid with 200 shoes hold 1.5 GiB).
     """
     k = model.n_free
     offsets = config.spacing * (np.arange(config.points) - (config.points - 1) / 2)
@@ -760,7 +759,7 @@ def grid_posterior(
     log_mass -= log_mass.max()
     w = np.exp(log_mass)
     w /= w.sum()
-    return PsiGrid(points=points, weights=w, free_names=model.free_names()), list(modes), list(sds)
+    return points, w, list(modes), list(sds)
 
 
 # ---------------------------------------------------------------------------
@@ -889,22 +888,19 @@ def fit(
         raise NumericError("hyperparameter search found no evaluable point")
 
     if strategy == "empirical_bayes":
-        psi_grid = PsiGrid(
-            points=map_vec.reshape(1, -1),
-            weights=np.array([1.0]),
-            free_names=model.free_names(),
-        )
+        points, weights = map_vec.reshape(1, -1), np.array([1.0])
         modes, sds = [map_mode], [marginal_sd(map_mode)]
     else:
-        psi_grid, modes, sds = grid_posterior(
+        points, weights, modes, sds = grid_posterior(
             model, map_vec, grid_config or GridConfig(), map_mode, threads=threads,
         )
         for m in modes:
             search.add(m)
+    psi_grid = PsiGrid(points=points, weights=weights, free_names=model.free_names())
 
     n = model.n_total
     means = np.stack([m.theta_star for m in modes])
-    w = psi_grid.weights[:, None]
+    w = weights[:, None]
     mean = (w * means).sum(axis=0)
     second = (w * (np.stack(sds) ** 2 + means**2)).sum(axis=0)
     var = np.maximum(second - mean**2, 0.0)

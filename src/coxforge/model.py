@@ -17,9 +17,11 @@ eta is sum_ij u_i beta_ij v_j with beta laid out over the two halves,
 and no (shoe, cell, covariate) tensor is formed.
 
 :class:`ShoeModel` packages all of that behind the small interface the
-inference engine consumes: the prior precision Sigma(psi) and its
-derivatives in the log-precisions, the hyperprior, and ``lik_parts``,
-the one evaluation a Newton point costs. From one intensity pass and
+inference engine consumes, in the coordinates its search runs over, the
+free log-precisions x: ``prior_at(x)``, the prior precision Sigma with
+the log prior's terms in x alone (½ log |Sigma|_* and the hyperprior);
+``prior_tangents``, Sigma's derivatives in x; and ``lik_parts``, the one
+evaluation a Newton point costs. From one intensity pass and
 Sigma, ``lik_parts`` gives the log-joint less its psi-only terms, its
 gradient, and the negative Hessian as :class:`ArrowMatrix`, the one
 format of that matrix: a band over the field coordinates, interleaved
@@ -38,9 +40,9 @@ The model's precisions are listed once, in ``ShoeModel.precisions``:
 tau_s, then one per field in theta's order, the smooth field first, each
 with the block of theta it scales, whether it is free (a varying field's
 is pinned when its covariate multiplies two or more factors), its name
-and its hyperprior rate. The free log-precisions, the hyperprior,
-Sigma(psi), its tangents and log-determinant, and the sum-to-zero blocks
-all read that table.
+and its hyperprior rate. Sigma, its tangents, log-determinant and
+hyperprior, the record of the precisions a fit keeps, and the
+sum-to-zero blocks all read that table.
 """
 
 from __future__ import annotations
@@ -374,7 +376,7 @@ class ShoeModel(Design):
             self._q_rows = q_band[self._q_offsets]
             self.log_gendet_q = log_gen_det(grid)
             # H's band has the prior's width, and Q's band row d is the
-            # prior's row d * n_fields: those rows hold Sigma(psi)'s field block
+            # prior's row d * n_fields: those rows hold Sigma's field block
             self._band_rows = (len(q_band) - 1) * n_fields + 1
             self._prior_rows = self._q_offsets * n_fields
         else:
@@ -415,32 +417,26 @@ class ShoeModel(Design):
 
     # -- hyperparameter plumbing -------------------------------------------
 
-    def _taus(self, psi: Hyperparams) -> tuple[float, ...]:
-        """psi's precisions in the order of :attr:`precisions`."""
-        return (psi.tau_s,) + (psi.tau_sm,) * self.spec.smooth + psi.tau_v
+    def _taus(self, x: np.ndarray) -> np.ndarray:
+        """The precisions at free log-precisions ``x``, in the order of
+        :attr:`precisions`: exp(x) for the free ones, fixed_tau_high_order
+        for the pinned ones."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.n_free,):
+            raise ConfigError(f"expected {self.n_free} free log-precisions, got {x.shape}")
+        it = iter(np.exp(x))
+        return np.array([next(it) if q.free else self.prior.fixed_tau_high_order
+                         for q in self.precisions])
 
     def free_names(self) -> list[str]:
         return [q.name for q in self.precisions if q.free]
 
-    def psi_from_free(self, log_tau: np.ndarray) -> Hyperparams:
-        """Expand the free log-precision vector into a full Hyperparams."""
-        vec = np.asarray(log_tau, dtype=float)
-        if vec.shape != (self.n_free,):
-            raise ConfigError(f"expected {self.n_free} free log-precisions, got {vec.shape}")
-        it = iter(np.exp(vec))
-        taus = [next(it) if q.free else self.prior.fixed_tau_high_order
-                for q in self.precisions]
+    def psi_from_free(self, x: np.ndarray) -> Hyperparams:
+        """The precisions at free log-precisions ``x``, as the fit records them."""
+        taus = self._taus(x)
         smooth = self.spec.smooth
         return Hyperparams(tau_s=taus[0], tau_sm=taus[1] if smooth else None,
                            tau_v=tuple(taus[1 + smooth:]))
-
-    def log_hyperprior(self, psi: Hyperparams) -> float:
-        """Sum of Exponential log-densities over the *free* precisions."""
-        out = 0.0
-        for q, tau in zip(self.precisions, self._taus(psi)):
-            if q.free:
-                out += np.log(q.rate) - q.rate * tau
-        return float(out)
 
     # -- likelihood and derivatives ------------------------------------------
 
@@ -471,9 +467,9 @@ class ShoeModel(Design):
     ) -> tuple[float, np.ndarray, ArrowMatrix]:
         """The log-joint at fixed psi, less its psi-only terms, with its derivatives.
 
-        With ``sigma`` the prior precision Sigma(psi) of
-        :meth:`prior_precision`, returns loglik − ½ theta' Sigma theta, its
-        gradient grad loglik − Sigma theta, and the negative Hessian H =
+        With ``sigma`` the prior precision Sigma of :meth:`prior_at`,
+        returns loglik − ½ theta' Sigma theta, its gradient
+        grad loglik − Sigma theta, and the negative Hessian H =
         Sigma + B' diag(lambda) B, from one intensity pass. H is the Fisher
         term with Sigma's band rows and border diagonal added in place, once
         the gradient has summed its shoe columns. Raises NumericError where
@@ -557,65 +553,59 @@ class ShoeModel(Design):
 
     # -- prior ---------------------------------------------------------------
 
-    def prior_precision(self, psi: Hyperparams) -> tuple[np.ndarray, np.ndarray]:
-        """Block-diagonal precision Sigma(psi) of theta (singular on the fields).
+    def prior_at(self, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        """Sigma at free log-precisions ``x``, and the log prior's terms in x alone.
 
-        Returned compact, as the field band's rows that hold entries and the
-        border diagonal, for :meth:`lik_parts` to take back: the shoe
-        effects' diagonal is tau_s and the fixed effects' 1 / fixef_var.
-        Field j's block is tau_j Q. With the fields interleaved cell by cell
-        (cell a of field j at field position a * n_fields + j), Q's band row
-        d becomes band row d * n_fields, holding tau_j Q[a + d, a] at column
-        a * n_fields + j; row k of the field rows is band row
-        ``_prior_rows[k]``, the diagonal first.
+        Sigma, the prior precision of theta (singular on the fields), comes
+        compact for :meth:`lik_parts` to take back: the border diagonal,
+        tau_s for the shoe effects and 1 / fixef_var for the fixed ones,
+        and the field band's rows that hold entries. Field j's block is
+        tau_j Q; with the fields interleaved cell by cell (cell a of field j
+        at field position a * n_fields + j), Q's band row d becomes band row
+        d * n_fields, holding tau_j Q[a + d, a] at column a * n_fields + j,
+        and row k of the field rows is band row ``_prior_rows[k]``, the
+        diagonal first. The log terms are ½ log |Sigma|_*, over Sigma's
+        nonzero eigenvalues (each field block gives (n_cells − 1) log tau +
+        log_gen_det(grid)), plus the Exponential log-densities of the free
+        precisions.
         """
-        lay = self.layout
-        taus = self._taus(psi)
+        lay, fixef_var = self.layout, self.prior.fixef_var
+        taus = self._taus(x)
         if lay.n_constraints:
             q = self._q_rows
-            rows = (q[:, :, None] * np.array(taus[1:])).reshape(len(q), -1)
+            rows = (q[:, :, None] * taus[1:]).reshape(len(q), -1)
         else:
             rows = np.zeros((1, 0))
-        diag = np.concatenate([
-            np.full(lay.n_shoes, taus[0]),
-            np.full(lay.n_fixed, 1.0 / self.prior.fixef_var),
-        ])
-        return rows, diag
+        diag = np.concatenate([np.full(lay.n_shoes, taus[0]),
+                               np.full(lay.n_fixed, 1.0 / fixef_var)])
+        log_det = lay.n_shoes * np.log(taus[0]) - lay.n_fixed * np.log(fixef_var)
+        for tau in taus[1:]:
+            log_det += (lay.n_cells - 1) * np.log(tau) + self.log_gendet_q
+        hyper = sum(np.log(q.rate) - q.rate * tau
+                    for q, tau in zip(self.precisions, taus) if q.free)
+        return (rows, diag), float(0.5 * log_det + hyper)
 
-    def prior_tangents(self, psi: Hyperparams, theta: np.ndarray) -> np.ndarray:
-        """d(Sigma(psi) theta) / d log tau for each free precision, (n_free, n_total).
+    def prior_tangents(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """d(Sigma theta) / d x_j at free log-precisions ``x``, (n_free, n_total).
 
         Sigma is linear in the precisions, so row j is tau_j times the
         block of theta that tau_j scales, multiplied by that block's
         unit precision (the identity for the shoe effects, Q for a field).
         """
         out = np.zeros((self.n_free, self.layout.n_total))
-        free = [(q.block, tau) for q, tau in zip(self.precisions, self._taus(psi)) if q.free]
+        free = [(q.block, tau) for q, tau in zip(self.precisions, self._taus(x)) if q.free]
         for row, (blk, tau) in enumerate(free):
-            x = theta[blk] if row == 0 else band_matvec(self._q_rows, theta[blk], self._q_offsets)
-            out[row, blk] = tau * x
+            v = theta[blk] if row == 0 else band_matvec(self._q_rows, theta[blk], self._q_offsets)
+            out[row, blk] = tau * v
         return out
-
-    def log_prior_gendet(self, psi: Hyperparams) -> float:
-        """log |Sigma(psi)|_*: the product of Sigma's nonzero eigenvalues.
-
-        Each intrinsic field block contributes its nonzero spectrum only,
-        i.e. (n_cells − 1)·log tau + log_gen_det(grid).
-        """
-        lay = self.layout
-        taus = self._taus(psi)
-        lgd = lay.n_shoes * np.log(taus[0]) - lay.n_fixed * np.log(self.prior.fixef_var)
-        for tau in taus[1:]:
-            lgd += (lay.n_cells - 1) * np.log(tau) + self.log_gendet_q
-        return float(lgd)
 
 
 # ---------------------------------------------------------------------------
 # module-level operations in terms of ShoeModel
 
 
-def log_joint(theta: np.ndarray, psi: Hyperparams, model: ShoeModel) -> float:
-    """Fully normalized log p(y, theta, psi).
+def log_joint(theta: np.ndarray, x: np.ndarray, model: ShoeModel) -> float:
+    """Fully normalized log p(y, theta, psi) at free log-precisions ``x``.
 
     Likelihood + Gaussian prior (with generalized determinant on the
     intrinsic blocks) + Exponential hyperprior on the free precisions.
@@ -623,23 +613,19 @@ def log_joint(theta: np.ndarray, psi: Hyperparams, model: ShoeModel) -> float:
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise NumericError("non-finite theta in log_joint")
-    value, _, _ = model.lik_parts(theta, model.prior_precision(psi))
-    return (
-        value
-        + 0.5 * model.log_prior_gendet(psi)
-        - 0.5 * model.layout.constrained_dim * LOG_2PI
-        + model.log_hyperprior(psi)
-    )
+    sigma, log_prior = model.prior_at(x)
+    value, _, _ = model.lik_parts(theta, sigma)
+    return value + log_prior - 0.5 * model.layout.constrained_dim * LOG_2PI
 
 
 def grad_hessian(
-    theta: np.ndarray, psi: Hyperparams, model: ShoeModel
+    theta: np.ndarray, x: np.ndarray, model: ShoeModel
 ) -> tuple[np.ndarray, ArrowMatrix]:
     """Gradient of log_joint and the *negative* Hessian.
 
-    The negative Hessian is Sigma(psi) + sum_sa lambda[s,a] b b' — positive
+    The negative Hessian is Sigma + sum_sa lambda[s,a] b b' — positive
     semidefinite everywhere and positive definite on the constrained
     subspace.
     """
-    _, grad, H = model.lik_parts(np.asarray(theta, dtype=float), model.prior_precision(psi))
+    _, grad, H = model.lik_parts(np.asarray(theta, dtype=float), model.prior_at(x)[0])
     return grad, H

@@ -1,11 +1,12 @@
 """Small analytic problems driving the inference engine through its
 duck-typed model interface, and dense builders for test oracles.
 
-The engine only needs likelihood parts, the prior precision and
-constraint metadata, so closed-form Gaussian and one-dimensional
-Poisson problems exercise exactly the code paths the shoe model uses
-while the correct answers stay computable by hand. A toy's prior
-precision is a dense matrix, which its ``lik_parts`` takes back.
+The engine only needs likelihood parts, the prior at free
+log-precisions and constraint metadata, so closed-form Gaussian and
+one-dimensional Poisson problems exercise exactly the code paths the
+shoe model uses while the correct answers stay computable by hand. A
+toy's prior precision is a dense matrix, which its ``lik_parts`` takes
+back.
 """
 
 from __future__ import annotations
@@ -74,7 +75,8 @@ def prior_to_dense(model, sigma) -> np.ndarray:
 
 
 def dense_prior(model, psi) -> np.ndarray:
-    """Sigma(psi) of a ShoeModel from tau_j times the dense queen Laplacian."""
+    """Sigma of a ShoeModel at Hyperparams ``psi``, from tau_j times the dense
+    queen Laplacian."""
     lay = model.layout
     Q = queen_laplacian(model.grid.nx, model.grid.ny)
     taus = ([psi.tau_sm] if lay.smooth else []) + list(psi.tau_v)
@@ -178,20 +180,9 @@ class ScalarPoissonToy:
         value = float(self.y * t - lam - gammaln(self.y + 1))
         return joint_parts((value, np.array([self.y - lam]), np.array([[lam]])), theta, sigma)
 
-    def prior_precision(self, psi):
-        return np.array([[float(psi)]])
-
-    def log_prior_gendet(self, psi):
-        return float(np.log(psi))
-
-    def log_hyperprior(self, psi):
-        return 0.0
-
-    def psi_from_free(self, vec):
-        return float(np.exp(vec[0]))
-
-    def free_names(self):
-        return ["tau"]
+    def prior_at(self, x):
+        tau = float(np.exp(x[0]))
+        return np.array([[tau]]), 0.5 * float(np.log(tau))
 
 
 class GaussianSurrogateToy:
@@ -219,24 +210,13 @@ class GaussianSurrogateToy:
         return joint_parts((value, grad, self.B.T @ self.B / self.s2), theta, sigma,
                            self.constraint_blocks)
 
-    def prior_precision(self, psi):
-        return float(psi) * np.eye(self.n_total)
-
-    def prior_tangents(self, psi, theta):
-        return float(psi) * np.asarray(theta)[None, :]
-
-    def log_prior_gendet(self, psi):
+    def prior_at(self, x):
+        tau = float(np.exp(x[0]))
         d = self.n_total - len(self.constraint_blocks)
-        return float(d * np.log(psi))
+        return tau * np.eye(self.n_total), 0.5 * float(d * np.log(tau))
 
-    def log_hyperprior(self, psi):
-        return 0.0
-
-    def psi_from_free(self, vec):
-        return float(np.exp(vec[0]))
-
-    def free_names(self):
-        return ["tau"]
+    def prior_tangents(self, x, theta):
+        return float(np.exp(x[0])) * np.asarray(theta)[None, :]
 
     # -- oracles ----------------------------------------------------------
 
@@ -299,9 +279,6 @@ class TwoPrecisionGaussianToy:
         out[self.n1:] = j == 1
         return out
 
-    def _prior_diag(self, psi) -> np.ndarray:
-        return psi[0] * self._unit(0) + psi[1] * self._unit(1)
-
     def lik_parts(self, theta, sigma):
         r = self.yv - self.B @ theta
         m = self.yv.size
@@ -309,23 +286,14 @@ class TwoPrecisionGaussianToy:
         return joint_parts((value, self.B.T @ r / self.s2, self.B.T @ self.B / self.s2),
                            theta, sigma)
 
-    def prior_precision(self, psi):
-        return np.diag(self._prior_diag(psi))
+    def prior_at(self, x):
+        tau = np.exp(np.asarray(x, dtype=float))
+        log_det = self.n1 * np.log(tau[0]) + (self.n_total - self.n1) * np.log(tau[1])
+        return np.diag(tau[0] * self._unit(0) + tau[1] * self._unit(1)), 0.5 * float(log_det)
 
-    def prior_tangents(self, psi, theta):
-        return np.stack([psi[j] * self._unit(j) * theta for j in range(2)])
-
-    def log_prior_gendet(self, psi):
-        return float(self.n1 * np.log(psi[0]) + (self.n_total - self.n1) * np.log(psi[1]))
-
-    def log_hyperprior(self, psi):
-        return 0.0
-
-    def psi_from_free(self, vec):
-        return np.exp(np.asarray(vec, dtype=float))
-
-    def free_names(self):
-        return ["tau_1", "tau_2"]
+    def prior_tangents(self, x, theta):
+        tau = np.exp(np.asarray(x, dtype=float))
+        return np.stack([tau[j] * self._unit(j) * theta for j in range(2)])
 
     # -- oracles ----------------------------------------------------------
 

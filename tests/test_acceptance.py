@@ -109,10 +109,10 @@ def _small_model(seed):
     recs = [_shoe(3, 2, seed=seed * 10 + i, max_count=4) for i in range(2)]
     recs[1].shoe_id += "b"
     model = ShoeModel(recs, SMALL_SPEC, grid)
-    psi = model.psi_from_free(np.array([0.3, -0.2, 0.5]))
+    x = np.array([0.3, -0.2, 0.5])  # free log-precisions
     rng = np.random.default_rng(seed + 100)
     theta = 0.1 * rng.normal(size=model.layout.n_total)
-    return model, psi, theta
+    return model, x, theta
 
 
 def test_criterion_03_gradient_hessian_vs_finite_differences():
@@ -120,18 +120,18 @@ def test_criterion_03_gradient_hessian_vs_finite_differences():
     h = 1e-6
     worst_g, worst_h = 0.0, 0.0
     for seed in (0, 1, 2):
-        model, psi, theta = _small_model(seed)
+        model, x, theta = _small_model(seed)
         n = model.layout.n_total
-        grad, neg_hess = grad_hessian(theta, psi, model)
+        grad, neg_hess = grad_hessian(theta, x, model)
         dense = arrow_to_dense(neg_hess)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            fd = (log_joint(theta + e, psi, model)
-                  - log_joint(theta - e, psi, model)) / (2 * h)
+            fd = (log_joint(theta + e, x, model)
+                  - log_joint(theta - e, x, model)) / (2 * h)
             worst_g = max(worst_g, abs(grad[i] - fd) / max(1.0, abs(fd)))
-            gp, _ = grad_hessian(theta + e, psi, model)
-            gm, _ = grad_hessian(theta - e, psi, model)
+            gp, _ = grad_hessian(theta + e, x, model)
+            gm, _ = grad_hessian(theta - e, x, model)
             fd_row = -(gp - gm) / (2 * h)
             scale = max(1.0, np.abs(fd_row).max())
             worst_h = max(worst_h, np.abs(dense[i] - fd_row).max() / scale)
@@ -160,7 +160,7 @@ def test_criterion_04_laplace_fidelity():
     worst_pois = 0.0
     for y in (5.0, 9.0, 20.0):
         toy = ScalarPoissonToy(y)
-        lp = _psi_objective(1.0, toy)[0]
+        lp = _psi_objective(np.zeros(1), toy)[0]
         worst_pois = max(worst_pois,
                          abs(lp - _scalar_evidence_by_quadrature(toy, 1.0)))
     rng = np.random.default_rng(42)
@@ -170,7 +170,7 @@ def test_criterion_04_laplace_fidelity():
     for blocks in ((), (np.arange(1, 4),)):
         toy = GaussianSurrogateToy(B, yv, 0.5, blocks=blocks)
         for psi in (0.3, 1.0, 4.0):
-            lp = _psi_objective(psi, toy)[0]
+            lp = _psi_objective(np.log([psi]), toy)[0]
             worst_gauss = max(worst_gauss, abs(lp - toy.exact_evidence(psi)))
     ok = worst_pois <= 2e-2 and worst_gauss <= 1e-8
     _conclude(4, ok, f"Poisson toys |Laplace - quadrature| {worst_pois:.2e} "

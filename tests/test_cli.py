@@ -194,6 +194,17 @@ class TestFit:
                      "--out", str(tmp_path / "f.json")]) == 2
         assert "grid spacing" in caplog.text
 
+    @pytest.mark.parametrize("flags", [
+        ["--threads", "0"],
+        ["--strategy", "grid", "--grid-points", "2", "--threads", "-3"],
+    ])
+    def test_threads_below_one_exits_2(self, simdir, tmp_path, caplog, flags):
+        caplog.clear()
+        assert main(["fit", "--dataset", str(simdir / "dataset.json"), "--model", "m_a",
+                     *flags, "--out", str(tmp_path / "f.json")]) == 2
+        assert "--threads" in caplog.text
+        assert not (tmp_path / "f.json").exists()
+
     def test_numeric_failure_exits_3_with_error_artifact(self, simdir,
                                                          tmp_path, monkeypatch):
         out = tmp_path / "f.json"
@@ -283,6 +294,24 @@ class TestCv:
             "cv", "--dataset", str(simdir / "dataset.json"), "--models",
             "uniform,nope", "--folds", "2", "--out", str(tmp_path),
         ]) == 2
+
+    def test_empty_model_list_exits_2(self, simdir, tmp_path, caplog):
+        caplog.clear()
+        assert main([
+            "cv", "--dataset", str(simdir / "dataset.json"), "--models", ",",
+            "--folds", "2", "--out", str(tmp_path),
+        ]) == 2
+        assert "model list is empty" in caplog.text
+        assert not (tmp_path / "cv_table.csv").exists()
+
+    def test_threads_below_one_exits_2(self, simdir, tmp_path, caplog):
+        caplog.clear()
+        assert main([
+            "cv", "--dataset", str(simdir / "dataset.json"), "--models", "uniform",
+            "--folds", "2", "--threads", "0", "--out", str(tmp_path),
+        ]) == 2
+        assert "--threads" in caplog.text
+        assert not (tmp_path / "cv_table.csv").exists()
 
 
 class TestPrep:

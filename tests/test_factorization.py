@@ -29,7 +29,7 @@ SD_RTOL = 1e-8
 
 
 def _dense_neg_hessian(model, psi, theta):
-    """Sigma(psi) + B' diag(lambda) B from the dense design and tau_j Q."""
+    """Sigma + B' diag(lambda) B at Hyperparams ``psi``, from the dense design and tau_j Q."""
     B = dense_design(model)
     lam = np.exp(B @ theta)
     return dense_prior(model, psi) + B.T @ (lam[:, None] * B)
@@ -40,11 +40,11 @@ def mode_and_oracle():
     cfg = SimConfig(nx=3, ny=4, n_shoes=6, spec=get_spec("m_final"), seed=3)
     records, _ = gen_dataset(cfg)
     model = ShoeModel(records, cfg.spec, cfg.grid)
-    psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
-    mode = find_mode(psi, model)
+    x = np.linspace(-0.5, 1.0, model.n_free)
+    mode = find_mode(model.prior_at(x)[0], model)
 
     n = model.n_total
-    H = _dense_neg_hessian(model, psi, mode.theta_star)
+    H = _dense_neg_hessian(model, model.psi_from_free(x), mode.theta_star)
     A = np.zeros((len(model.constraint_blocks), n))
     for i, blk in enumerate(model.constraint_blocks):
         A[i, blk] = 1.0
@@ -91,7 +91,7 @@ def test_indefinite_hessian_is_a_rejected_candidate():
     toy = IndefiniteToy(rng.normal(size=(8, 4)), rng.normal(size=8), 1.0,
                         blocks=(np.arange(0, 2),))
     with pytest.raises(NumericError, match="not positive definite"):
-        find_mode(1.0, toy)
+        find_mode(toy.prior_at(np.zeros(1))[0], toy)
     _, search = empirical_bayes(toy)
     assert search.best_mode is None
     assert search.rejected == search.evals > 0

@@ -63,6 +63,11 @@ def scalar_evidence_oracle(toy, psi):
     return v_star + np.log(val) + 0.5 * np.log(psi) - 0.5 * np.log(2 * np.pi)
 
 
+def mode_at(toy, tau, theta0=None):
+    """``find_mode`` at the one-precision toy's precision ``tau``."""
+    return find_mode(toy.prior_at(np.log([tau]))[0], toy, theta0=theta0)
+
+
 class OffsetPoissonToy(ScalarPoissonToy):
     """The scalar toy with 1e12 added to the log-likelihood: the mode is unmoved."""
 
@@ -77,7 +82,7 @@ class TestScalarPoisson:
     @pytest.mark.parametrize("y,psi", [(3.0, 1.0), (5.0, 0.5), (20.0, 2.0)])
     def test_mode_matches_root_finder(self, y, psi):
         toy = ScalarPoissonToy(y)
-        mode = find_mode(psi, toy)
+        mode = mode_at(toy, psi)
         assert mode.converged
         assert mode.theta_star[0] == pytest.approx(
             scalar_mode_oracle(y, psi), abs=1e-9
@@ -86,7 +91,7 @@ class TestScalarPoisson:
     @pytest.mark.parametrize("y", [3.0, 20.0, 200.0])
     def test_constant_offset_does_not_change_where_newton_stops(self, y):
         toy = OffsetPoissonToy(y)
-        mode = find_mode(1.0, toy)
+        mode = mode_at(toy, 1.0)
         assert mode.converged
         # the bound the stopping rule implies: half the decrement,
         # h (t - t*)^2 / 2, is at most DECREMENT_RTOL * max(1, |value|)
@@ -97,7 +102,7 @@ class TestScalarPoisson:
 
     def test_log_det_is_curvature(self):
         toy = ScalarPoissonToy(3.0)
-        mode = find_mode(1.0, toy)
+        mode = mode_at(toy, 1.0)
         want = np.log(np.exp(mode.theta_star[0]) + 1.0)
         assert mode.log_det_H == pytest.approx(want, rel=1e-12)
 
@@ -106,13 +111,13 @@ class TestScalarPoisson:
         values = []
         for k in range(1, 8):
             monkeypatch.setattr(inference, "MAX_NEWTON_ITER", k)
-            values.append(find_mode(1.0, toy).value)
+            values.append(mode_at(toy, 1.0).value)
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("y", [5.0, 9.0, 20.0])
     def test_laplace_close_to_and_below_quadrature(self, y):
         toy = ScalarPoissonToy(y)
-        lp = _psi_objective(1.0, toy)[0]
+        lp = _psi_objective(np.zeros(1), toy)[0]
         truth = scalar_evidence_oracle(toy, 1.0)
         assert lp <= truth + 1e-12
         assert lp == pytest.approx(truth, abs=2e-2)
@@ -120,15 +125,15 @@ class TestScalarPoisson:
     def test_nonconvergence_reported_not_raised(self, monkeypatch):
         toy = ScalarPoissonToy(20.0)
         monkeypatch.setattr(inference, "MAX_NEWTON_ITER", 1)
-        mode = find_mode(1.0, toy)
+        mode = mode_at(toy, 1.0)
         assert not mode.converged
         with pytest.raises(NumericError):
-            _psi_objective(1.0, toy)[0]
+            _psi_objective(np.zeros(1), toy)[0]
 
     def test_bad_options_rejected(self):
         toy = ScalarPoissonToy()
         with pytest.raises(ConfigError):
-            find_mode(1.0, toy, theta0=np.zeros(3))
+            mode_at(toy, 1.0, theta0=np.zeros(3))
 
 
 def _gaussian_toy(seed=0, n=6, m=10, s2=0.5, blocks=()):
@@ -142,20 +147,20 @@ class TestGaussianSurrogate:
     def test_unconstrained_mode_is_gls(self):
         toy = _gaussian_toy()
         psi = 0.8
-        mode = find_mode(psi, toy)
+        mode = mode_at(toy, psi)
         assert mode.converged
         assert np.abs(mode.theta_star - toy.exact_mode(psi)).max() < 1e-8
 
     def test_quadratic_objective_converges_immediately(self):
         toy = _gaussian_toy(seed=1)
-        mode = find_mode(1.5, toy)
+        mode = mode_at(toy, 1.5)
         assert mode.iterations <= 2
 
     def test_constrained_mode_and_feasibility(self):
         blocks = (np.arange(0, 3), np.arange(3, 7))
         toy = _gaussian_toy(seed=2, n=7, m=12, blocks=blocks)
         psi = 1.2
-        mode = find_mode(psi, toy)
+        mode = mode_at(toy, psi)
         for blk in blocks:
             assert abs(mode.theta_star[blk].sum()) < 1e-12
         assert np.abs(mode.theta_star - toy.exact_mode(psi)).max() < 1e-8
@@ -164,7 +169,7 @@ class TestGaussianSurrogate:
         blocks = (np.arange(0, 4),)
         toy = _gaussian_toy(seed=3, n=6, m=9, blocks=blocks)
         psi = 0.7
-        mode = find_mode(psi, toy)
+        mode = mode_at(toy, psi)
         U = toy.nullspace_basis()
         H = toy.B.T @ toy.B / toy.s2 + psi * np.eye(6)
         _, want = np.linalg.slogdet(U.T @ H @ U)
@@ -174,22 +179,22 @@ class TestGaussianSurrogate:
     def test_evidence_is_exact_for_conjugate_problem(self, blocks):
         toy = _gaussian_toy(seed=4, n=6, m=11, blocks=blocks)
         for psi in (0.3, 1.0, 4.0):
-            lp = _psi_objective(psi, toy)[0]
+            lp = _psi_objective(np.log([psi]), toy)[0]
             assert lp == pytest.approx(toy.exact_evidence(psi), abs=1e-8)
 
     def test_evidence_invariant_under_coordinate_permutation(self):
         toy = _gaussian_toy(seed=5, n=6, m=10)
         perm = np.array([3, 0, 5, 1, 4, 2])
         permuted = GaussianSurrogateToy(toy.B[:, perm], toy.yv, toy.s2)
-        a = _psi_objective(0.9, toy)[0]
-        b = _psi_objective(0.9, permuted)[0]
+        a = _psi_objective(np.log([0.9]), toy)[0]
+        b = _psi_objective(np.log([0.9]), permuted)[0]
         assert a == pytest.approx(b, abs=1e-9)
 
     def test_marginal_sd_matches_exact_covariance(self):
         blocks = (np.arange(0, 3),)
         toy = _gaussian_toy(seed=6, n=7, m=14, blocks=blocks)
         psi = 1.1
-        mode = find_mode(psi, toy)
+        mode = mode_at(toy, psi)
         # three field coordinates in a band of width 2: the selected
         # inversion's blocks of two end in a partial one
         got = marginal_sd(mode)
@@ -198,8 +203,8 @@ class TestGaussianSurrogate:
 
     def test_warm_start_agrees_with_cold_start(self):
         toy = _gaussian_toy(seed=8)
-        cold = find_mode(1.0, toy)
-        warm = find_mode(1.0, toy, theta0=cold.theta_star + 0.1)
+        cold = mode_at(toy, 1.0)
+        warm = mode_at(toy, 1.0, theta0=cold.theta_star + 0.1)
         assert np.abs(cold.theta_star - warm.theta_star).max() < 1e-8
 
 
@@ -223,9 +228,9 @@ class TestSelectedInversion:
         cfg = SimConfig(nx=nx, ny=ny, n_shoes=4, spec=get_spec(spec), seed=5)
         records, _ = gen_dataset(cfg)
         model = ShoeModel(records, cfg.spec, cfg.grid)
-        psi = model.psi_from_free(np.linspace(-0.5, 0.8, model.n_free))
+        sigma, _ = model.prior_at(np.linspace(-0.5, 0.8, model.n_free))
         theta = 0.1 * np.random.default_rng(2).normal(size=model.n_total)
-        _, _, H = model.lik_parts(theta, model.prior_precision(psi))
+        _, _, H = model.lik_parts(theta, sigma)
         dense = arrow_to_dense(H)
         return inference._Factor(H, model.constraint_blocks), dense, model
 
@@ -266,7 +271,7 @@ class TestPredictedStart:
         blocks = (np.arange(0, 3),)
         toy = _gaussian_toy(seed=12, n=7, m=14, blocks=blocks)
         vec0 = np.array([0.2])
-        mode = find_mode(float(np.exp(vec0[0])), toy)
+        mode = find_mode(toy.prior_at(vec0)[0], toy)
         errors = []
         for h in (0.1, 0.05, 0.025):
             start = predicted_start(toy, vec0, mode, vec0 + h)
@@ -277,7 +282,7 @@ class TestPredictedStart:
 
     def test_zero_step_is_the_mode(self):
         toy = _gaussian_toy(seed=13)
-        mode = find_mode(1.0, toy)
+        mode = mode_at(toy, 1.0)
         start = predicted_start(toy, np.zeros(1), mode, np.zeros(1))
         assert np.array_equal(start, mode.theta_star)
 
@@ -303,32 +308,33 @@ class TestHyperparameterSearch:
         toy = _gaussian_toy(seed=11)
         center = np.array([0.2])
         cfg = GridConfig(points=5, spacing=0.5)
-        grid, modes, _ = grid_posterior(toy, center, cfg, find_mode(np.exp(center[0]), toy))
-        assert grid.points.shape == (5, 1)
-        assert np.allclose(grid.points[:, 0],
+        points, weights, modes, _ = grid_posterior(
+            toy, center, cfg, find_mode(toy.prior_at(center)[0], toy))
+        assert points.shape == (5, 1)
+        assert np.allclose(points[:, 0],
                            center[0] + 0.5 * (np.arange(5) - 2))
-        assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (grid.weights > 0).all()
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (weights > 0).all()
         assert len(modes) == 5
         # masses follow exp(evidence + log-scale Jacobian)
         lp = np.array([
-            toy.exact_evidence(np.exp(p[0])) + p[0] for p in grid.points
+            toy.exact_evidence(np.exp(p[0])) + p[0] for p in points
         ])
         want = np.exp(lp - lp.max())
         want /= want.sum()
-        assert np.abs(grid.weights - want).max() < 1e-7
+        assert np.abs(weights - want).max() < 1e-7
 
     def test_grid_modes_hold_no_factor(self):
         toy = _gaussian_toy(seed=11)
         center = np.array([0.2])
-        center_mode = find_mode(np.exp(center[0]), toy)
-        grid, modes, sds = grid_posterior(toy, center, GridConfig(points=3, spacing=0.5),
-                                          center_mode)
+        center_mode = find_mode(toy.prior_at(center)[0], toy)
+        points, _, modes, sds = grid_posterior(toy, center, GridConfig(points=3, spacing=0.5),
+                                               center_mode)
         assert all(m._lu is None for m in modes)
         assert center_mode._lu is not None
         # each point's sds are its own mode's
-        for p, sd in zip(grid.points, sds):
-            want = marginal_sd(find_mode(np.exp(p[0]), toy))
+        for p, sd in zip(points, sds):
+            want = marginal_sd(find_mode(toy.prior_at(p)[0], toy))
             assert np.allclose(sd, want, rtol=1e-12, atol=0)
 
     def test_grid_config_validation(self):
@@ -353,6 +359,39 @@ class TestHyperparameterSearch:
         assert np.allclose(got.points, grid.points)
         assert np.allclose(got.weights, grid.weights)
         assert got.free_names == grid.free_names
+
+
+class InterfaceOnly:
+    """A model seen through the engine's interface: any other attribute
+    raises AttributeError."""
+
+    MEMBERS = ("n_total", "n_free", "constraint_blocks", "log_y_factorial",
+               "lik_parts", "prior_at", "prior_tangents")
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        if name not in self.MEMBERS:
+            raise AttributeError(f"the engine asked for {name!r}")
+        return getattr(self._model, name)
+
+
+def test_engine_uses_only_the_model_interface():
+    toy = _gaussian_toy(seed=14, n=7, m=14, blocks=(np.arange(0, 3),))
+    proxy = InterfaceOnly(toy)
+    with pytest.raises(AttributeError):
+        proxy.psi_from_free
+    x, search = empirical_bayes(proxy)
+    assert np.array_equal(x, empirical_bayes(toy)[0])
+    assert search.rejected == 0
+    mode = search.best_mode
+    weights = grid_posterior(proxy, x, GridConfig(points=3), mode)[1]
+    assert np.array_equal(weights, grid_posterior(toy, x, GridConfig(points=3), mode)[1])
+    start = predicted_start(proxy, x, mode, x + 0.1)
+    assert np.array_equal(start, predicted_start(toy, x, mode, x + 0.1))
+    sd = marginal_sd(mode)
+    assert np.abs(sd - np.sqrt(np.diag(toy.exact_covariance(np.exp(x[0]))))).max() < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +557,7 @@ class TestOverflowingStep:
 
         monkeypatch.setattr(ShoeModel, "lik_parts", counted)
         monkeypatch.setattr(ShoeModel, "loglik", no_loglik)
-        mode = find_mode(model.psi_from_free(np.zeros(model.n_free)), model)
+        mode = find_mode(model.prior_at(np.zeros(model.n_free))[0], model)
         assert mode.converged
         assert mode.halvings >= 1 and raised
         # the start point, then one call per line-search candidate: the
@@ -530,11 +569,11 @@ class TestOverflowingStep:
         search's own factor was spent by then, so the one it returns is
         built again at the start."""
         model = ShoeModel(_overflowing_records(), get_spec("m_a"), GridSpec.synthetic(3, 2))
-        psi = model.psi_from_free(np.zeros(model.n_free))
+        sigma, _ = model.prior_at(np.zeros(model.n_free))
         monkeypatch.setattr(inference, "MAX_HALVINGS", 0)
-        mode = find_mode(psi, model)
+        mode = find_mode(sigma, model)
         assert (mode.converged, mode.iterations, mode.factorizations) == (False, 1, 2)
-        _, _, H = model.lik_parts(mode.theta_star, model.prior_precision(psi))
+        _, _, H = model.lik_parts(mode.theta_star, sigma)
         assert mode.log_det_H == inference._Factor(H, model.constraint_blocks).log_det
 
     @pytest.mark.parametrize("name", ["uniform", "m_a"])
@@ -555,10 +594,11 @@ class RejectingGaussianToy(GaussianSurrogateToy):
         super().__init__(B, y, s2)
         self.rejects = rejects
 
-    def prior_precision(self, psi):
-        if self.rejects(np.log(psi)):
-            return -1e6 * np.eye(self.n_total)
-        return super().prior_precision(psi)
+    def prior_at(self, x):
+        sigma, log_prior = super().prior_at(x)
+        if self.rejects(x[0]):
+            return -1e6 * np.eye(self.n_total), log_prior
+        return sigma, log_prior
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -567,7 +607,7 @@ def test_unscorable_grid_point_raises(threads):
     center = np.array([0.2])
     # the lattice is 0.2 + 0.5 * (-2 ... 2); only 0.7 fails to factor
     toy = RejectingGaussianToy(base.B, base.yv, base.s2, rejects=lambda v: abs(v - 0.7) < 0.1)
-    center_mode = find_mode(np.exp(center[0]), toy)
+    center_mode = find_mode(toy.prior_at(center)[0], toy)
     cfg = GridConfig(points=5, spacing=0.5)
     with pytest.raises(NumericError, match=r"grid point \[0\.7\] .* \(factorization\)"):
         grid_posterior(toy, center, cfg, center_mode, threads=threads)
@@ -679,9 +719,9 @@ class TestNewtonPsiSearch:
         starts = []
         real_find_mode = inference.find_mode
 
-        def recorded(psi, model, theta0=None):
+        def recorded(sigma, model, theta0=None):
             starts.append(theta0)
-            return real_find_mode(psi, model, theta0=theta0)
+            return real_find_mode(sigma, model, theta0=theta0)
 
         monkeypatch.setattr(inference, "find_mode", recorded)
         fit(records, get_spec("m_a"), cfg.grid)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
 from _toys import arrow_to_dense, dense_design, dense_prior, prior_to_dense, queen_laplacian
 from coxforge.design import ModelSpec, builtin_specs, get_spec
@@ -43,10 +42,10 @@ def _records(n, nx, ny, seed=0, max_count=4):
 def _small_model(seed=0):
     grid = GridSpec.synthetic(3, 2)
     model = ShoeModel(_records(2, 3, 2, seed=seed), SMALL_SPEC, grid)
-    psi = model.psi_from_free(np.array([0.3, -0.2, 0.5]))
+    x = np.array([0.3, -0.2, 0.5])  # free log-precisions
     rng = np.random.default_rng(seed + 100)
     theta = 0.1 * rng.normal(size=model.n_total)
-    return model, psi, theta
+    return model, x, theta
 
 
 def _m_final_model():
@@ -125,10 +124,11 @@ class TestHyperparams:
 
 class TestFreeVectorPlumbing:
     def test_round_trip(self):
-        model, psi, _ = _small_model()
+        model, x, _ = _small_model()
+        psi = model.psi_from_free(x)
         vec = np.log([psi.tau_s, psi.tau_sm, psi.tau_v[0]])
         assert model.psi_from_free(vec) == psi
-        assert np.allclose(vec, [0.3, -0.2, 0.5])
+        assert np.allclose(vec, x)
 
     def test_pinned_high_order_precision(self):
         model, _, _ = _small_model()
@@ -144,16 +144,26 @@ class TestFreeVectorPlumbing:
         model, _, _ = _small_model()
         with pytest.raises(ConfigError):
             model.psi_from_free(np.zeros(5))
+        with pytest.raises(ConfigError):
+            model.prior_at(np.zeros(5))
+        with pytest.raises(ConfigError):
+            model.prior_tangents(np.zeros(5), np.zeros(model.n_total))
 
     def test_hyperprior_is_sum_of_exponential_logdensities(self):
-        model, psi, _ = _small_model()
-        p = model.prior
+        """prior_at's log terms, less ½ log |Sigma|_* in closed form."""
+        model, x, _ = _small_model()
+        psi = model.psi_from_free(x)
+        p, lay = model.prior, model.layout
+        half_log_det = 0.5 * (
+            lay.n_shoes * np.log(psi.tau_s) - lay.n_fixed * np.log(p.fixef_var)
+            + sum((lay.n_cells - 1) * np.log(tau) + model.log_gendet_q
+                  for tau in (psi.tau_sm, *psi.tau_v)))
         want = (
             np.log(p.rate_tau_s) - p.rate_tau_s * psi.tau_s
             + np.log(p.rate_tau_sm) - p.rate_tau_sm * psi.tau_sm
             + np.log(p.rate_tau_i) - p.rate_tau_i * psi.tau_v[0]
         )  # the pinned tau_v[1] contributes nothing
-        assert model.log_hyperprior(psi) == pytest.approx(want, rel=1e-14)
+        assert model.prior_at(x)[1] - half_log_det == pytest.approx(want, rel=1e-14)
 
 
 class TestLikelihood:
@@ -204,9 +214,9 @@ class TestLikelihood:
         Sigma + B' diag(lambda) B, with B and Sigma built densely."""
         small, _, small_theta = _small_model()
         for model, theta in ((small, small_theta), _m_final_model()):
-            psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
-            sigma = dense_prior(model, psi)
-            value, grad, H = model.lik_parts(theta, model.prior_precision(psi))
+            x = np.linspace(-0.5, 1.0, model.n_free)
+            sigma = dense_prior(model, model.psi_from_free(x))
+            value, grad, H = model.lik_parts(theta, model.prior_at(x)[0])
             assert value == pytest.approx(model.loglik(theta) - 0.5 * theta @ sigma @ theta,
                                           rel=1e-14)
             B = dense_design(model)
@@ -224,46 +234,46 @@ class TestLikelihood:
                 if name == "no_fixed" else get_spec(name))
         model = ShoeModel(_records(3, 4, 3, seed=7), spec, GridSpec.synthetic(4, 3))
         theta = 0.3 * np.random.default_rng(8).normal(size=model.n_total)
-        psi = model.psi_from_free(np.zeros(model.n_free))
-        sigma = dense_prior(model, psi)
+        x = np.zeros(model.n_free)
+        sigma = dense_prior(model, model.psi_from_free(x))
         B = dense_design(model)
         y = np.concatenate([r.counts.ravel() for r in model.records])
         eta = B @ theta
         lam = np.exp(eta)
         assert np.abs(model.eta(theta).ravel() - eta).max() <= 1e-12
-        _, grad, H = model.lik_parts(theta, model.prior_precision(psi))
+        _, grad, H = model.lik_parts(theta, model.prior_at(x)[0])
         assert np.abs(grad - B.T @ (y - lam) + sigma @ theta).max() <= 1e-12
         assert np.abs(arrow_to_dense(H) - sigma - B.T @ (lam[:, None] * B)).max() <= 1e-12
 
 
 class TestDerivatives:
     def test_gradient_matches_central_differences(self):
-        model, psi, theta = _small_model()
-        grad, _ = grad_hessian(theta, psi, model)
+        model, x, theta = _small_model()
+        grad, _ = grad_hessian(theta, x, model)
         h = 1e-6
         for i in range(model.n_total):
             e = np.zeros(model.n_total)
             e[i] = h
-            fd = (log_joint(theta + e, psi, model)
-                  - log_joint(theta - e, psi, model)) / (2 * h)
+            fd = (log_joint(theta + e, x, model)
+                  - log_joint(theta - e, x, model)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_neg_hessian_matches_grad_differences(self):
-        model, psi, theta = _small_model()
-        _, neg_hess = grad_hessian(theta, psi, model)
+        model, x, theta = _small_model()
+        _, neg_hess = grad_hessian(theta, x, model)
         dense = arrow_to_dense(neg_hess)
         h = 1e-6
         for i in range(model.n_total):
             e = np.zeros(model.n_total)
             e[i] = h
-            gp, _ = grad_hessian(theta + e, psi, model)
-            gm, _ = grad_hessian(theta - e, psi, model)
+            gp, _ = grad_hessian(theta + e, x, model)
+            gm, _ = grad_hessian(theta - e, x, model)
             fd_row = -(gp - gm) / (2 * h)
             assert np.allclose(dense[i], fd_row, atol=2e-5), i
 
     def test_neg_hessian_positive_definite_on_constrained_subspace(self):
-        model, psi, theta = _small_model()
-        _, neg_hess = grad_hessian(theta, psi, model)
+        model, x, theta = _small_model()
+        _, neg_hess = grad_hessian(theta, x, model)
         n = model.n_total
         rows = np.zeros((len(model.constraint_blocks), n))
         for k, blk in enumerate(model.constraint_blocks):
@@ -274,8 +284,8 @@ class TestDerivatives:
         assert np.linalg.eigvalsh(reduced).min() > 0
 
     def test_symmetry(self):
-        model, psi, theta = _small_model(seed=3)
-        _, neg_hess = grad_hessian(theta, psi, model)
+        model, x, theta = _small_model(seed=3)
+        _, neg_hess = grad_hessian(theta, x, model)
         dense = arrow_to_dense(neg_hess)
         assert np.abs(dense - dense.T).max() < 1e-12
 
@@ -283,16 +293,17 @@ class TestDerivatives:
 class TestPrior:
     def test_prior_quad_matches_matrix_form(self):
         """lik_parts' value is loglik − ½ theta' Sigma theta, Sigma dense."""
-        model, psi, theta = _small_model()
-        sigma = model.prior_precision(psi)
+        model, x, theta = _small_model()
+        sigma, _ = model.prior_at(x)
         want = float(theta @ prior_to_dense(model, sigma) @ theta)
         value, _, _ = model.lik_parts(theta, sigma)
         assert 2 * (model.loglik(theta) - value) == pytest.approx(want, rel=1e-12)
 
     def test_prior_precision_block_structure(self):
-        model, psi, _ = _small_model()
+        model, x, _ = _small_model()
+        psi = model.psi_from_free(x)
         lay = model.layout
-        sigma = prior_to_dense(model, model.prior_precision(psi))
+        sigma = prior_to_dense(model, model.prior_at(x)[0])
         assert np.allclose(np.diag(sigma)[lay.shoe], psi.tau_s)
         assert np.allclose(np.diag(sigma)[lay.fixed], 1.0 / model.prior.fixef_var)
         blk = lay.smooth_block
@@ -302,36 +313,37 @@ class TestPrior:
         )
 
     def test_multi_field_prior_is_tau_q_per_field(self):
-        """Every field block of m_final's prior is tau_j Q, and nothing couples them."""
+        """Every field block of m_final's prior is tau_j Q, and nothing couples
+        them; its 100001 field's precision is pinned, so its log terms are
+        ½ log |Sigma|_* and the hyperprior of the other four precisions."""
         model, _ = _m_final_model()
-        lay = model.layout
-        psi = model.psi_from_free(np.linspace(-0.5, 1.0, model.n_free))
-        taus = [psi.tau_sm, *psi.tau_v]
-        assert len(taus) == 4
-        Q = queen_laplacian(model.grid.nx, model.grid.ny)
-        want = scipy.linalg.block_diag(
-            psi.tau_s * np.eye(lay.n_shoes),
-            np.eye(lay.n_fixed) / model.prior.fixef_var,
-            *[tau * Q for tau in taus],
-        )
-        assert np.array_equal(prior_to_dense(model, model.prior_precision(psi)), want)
-
-    def test_log_prior_gendet_matches_dense_spectrum(self):
-        model, psi, _ = _small_model()
-        sigma = prior_to_dense(model, model.prior_precision(psi))
-        w = np.linalg.eigvalsh(sigma)
+        x = np.linspace(-0.5, 1.0, model.n_free)
+        psi = model.psi_from_free(x)
+        assert len(psi.tau_v) == 3
+        assert psi.tau_v[2] == model.prior.fixed_tau_high_order
+        sigma, log_prior = model.prior_at(x)
+        dense = prior_to_dense(model, sigma)
+        assert np.array_equal(dense, dense_prior(model, psi))
+        w = np.linalg.eigvalsh(dense)
         nonzero = w[np.abs(w) > 1e-9]
         assert len(nonzero) == model.layout.constrained_dim
-        want = float(np.sum(np.log(nonzero)))
-        assert model.log_prior_gendet(psi) == pytest.approx(want, rel=1e-9)
+        p = model.prior
+        hyper = sum(np.log(rate) - rate * tau for rate, tau in (
+            (p.rate_tau_s, psi.tau_s), (p.rate_tau_sm, psi.tau_sm),
+            (p.rate_tau_i, psi.tau_v[0]), (p.rate_tau_i, psi.tau_v[1])))
+        want = 0.5 * float(np.sum(np.log(nonzero))) + hyper
+        assert log_prior == pytest.approx(want, rel=1e-9)
 
     def test_gendet_tau_scaling(self):
-        # multiplying tau_sm by c adds (n_cells - 1) log c
-        model, psi, _ = _small_model()
+        # multiplying tau_sm by c adds (n_cells - 1) log c to log |Sigma|_*,
+        # and -rate (c - 1) tau_sm to the hyperprior
+        model, x, _ = _small_model()
         c = 3.7
-        psi2 = Hyperparams(psi.tau_s, psi.tau_sm * c, psi.tau_v)
-        diff = model.log_prior_gendet(psi2) - model.log_prior_gendet(psi)
-        assert diff == pytest.approx((model.grid.n_cells - 1) * np.log(c), rel=1e-12)
+        scaled = x + np.array([0.0, np.log(c), 0.0])
+        diff = model.prior_at(scaled)[1] - model.prior_at(x)[1]
+        tau_sm, rate = np.exp(x[1]), model.prior.rate_tau_sm
+        want = 0.5 * (model.grid.n_cells - 1) * np.log(c) - rate * (c - 1) * tau_sm
+        assert diff == pytest.approx(want, rel=1e-12)
 
 
 class TestConstruction:
