@@ -25,7 +25,7 @@ from .grids import (
 )
 from .inference import FitResult, GridConfig, ModeResult, find_mode, fit
 from .metrics import ccc, fold_gain, median_loss_ratio, shoe_metric, uniform_metric
-from .model import Hyperparams, PriorSpec, ShoeModel, grad_hessian, log_joint
+from .model import Hyperparams, PriorSpec, ShoeModel
 from .predict import (
     PredictiveField,
     factorized_log_prob,
@@ -47,7 +47,7 @@ __all__ = [
     "coarsen", "crop_reflect", "make_record", "otsu_threshold",
     "FitResult", "GridConfig", "ModeResult", "find_mode", "fit",
     "ccc", "fold_gain", "median_loss_ratio", "shoe_metric", "uniform_metric",
-    "Hyperparams", "PriorSpec", "ShoeModel", "grad_hessian", "log_joint",
+    "Hyperparams", "PriorSpec", "ShoeModel",
     "PredictiveField", "factorized_log_prob", "log_multinomial", "poisson_marginal",
     "predictive_q",
     "FoldPlan", "make_folds", "run_cv",

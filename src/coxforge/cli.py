@@ -32,12 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets as ds
-from .crossval import make_folds, run_cv, write_cv_outputs
+from .crossval import make_folds, run_cv, score_shoes, write_cv_outputs
 from .design import ModelSpec, builtin_specs, get_spec, index_to_string
 from .errors import ConfigError, CoxforgeError, InputDataError, NumericError
 from .grids import GridSpec, make_record
 from .inference import FitResult, GridConfig, fit
-from .metrics import shoe_metric
 from .model import PriorSpec
 from .predict import predictive_q
 from .simulate import SimConfig, gen_dataset
@@ -70,14 +69,7 @@ def _read_config(path: str, what: str, parse):
     names the file.
     """
     p = Path(path)
-    if not p.exists():
-        raise InputDataError(f"{what} file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except ValueError as exc:
-        raise InputDataError(f"{p}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputDataError(f"{p}: a {what} file holds one JSON object")
+    doc = ds.read_json(p, what)
     try:
         return parse(doc)
     except (ConfigError, InputDataError) as exc:
@@ -250,15 +242,9 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     res = ds.load_fit(args.fit)
     records, grid = ds.load_dataset(args.dataset)
-    rows = []
-    excluded = 0
-    for rec in records:
-        if rec.counts.sum() == 0:
-            excluded += 1
-            continue
-        field = predictive_q(res, rec, res.spec)
-        rows.append((rec.shoe_id, shoe_metric(rec.counts, field, grid),
-                     int(rec.counts.sum())))
+    rows = [(rec.shoe_id, m, int(rec.counts.sum()))
+            for rec, m in score_shoes(res, records, grid)]
+    excluded = len(records) - len(rows)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "metrics.csv"

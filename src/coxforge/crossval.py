@@ -22,7 +22,7 @@ import numpy as np
 from .design import ModelSpec
 from .errors import ConfigError, CoxforgeError
 from .grids import GridSpec, ShoeRecord
-from .inference import GridConfig, fit
+from .inference import FitResult, GridConfig, fit
 from .metrics import compare, shoe_metric
 from .model import PriorSpec
 from .predict import predictive_q
@@ -134,6 +134,20 @@ class CvResult:
         }
 
 
+def score_shoes(
+    res: FitResult, records: Sequence[ShoeRecord], grid: GridSpec
+) -> list[tuple[ShoeRecord, float]]:
+    """Each shoe with accidentals and its held-out metric under the fit ``res``.
+
+    Zero-count shoes are skipped: their metric is undefined.
+    """
+    return [
+        (rec, shoe_metric(rec.counts, predictive_q(res, rec, res.spec), grid))
+        for rec in records
+        if rec.counts.sum() > 0
+    ]
+
+
 def _score_cell(
     fold: int,
     spec: ModelSpec,
@@ -153,12 +167,7 @@ def _score_cell(
     except CoxforgeError as exc:
         log.warning("fold %d, model %s: fit failed: %s", fold, spec.name, exc)
         return fold, spec.name, {}, str(exc)
-    scores = {}
-    for rec in test:
-        if rec.counts.sum() == 0:
-            continue
-        q = predictive_q(res, rec, spec)
-        scores[rec.shoe_id] = shoe_metric(rec.counts, q, grid)
+    scores = {rec.shoe_id: m for rec, m in score_shoes(res, test, grid)}
     return fold, spec.name, scores, None
 
 

@@ -10,6 +10,7 @@ field so that outputs are otherwise byte-reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import re
@@ -133,8 +134,12 @@ def read_accidentals(path) -> dict[str, tuple[Side, list[tuple[float, float]]]]:
     p = Path(path)
     if not p.exists():
         raise InputDataError(f"accidentals file not found: {p}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{p}: not UTF-8 text: {exc}") from exc
     out: dict[str, tuple[Side, list[tuple[float, float]]]] = {}
-    with p.open(newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.DictReader(fh)
         need = {"shoe_id", "side", "x", "y"}
         if reader.fieldnames is None or not need.issubset(reader.fieldnames):
@@ -164,7 +169,27 @@ def read_accidentals(path) -> dict[str, tuple[Side, list[tuple[float, float]]]]:
 
 
 # ---------------------------------------------------------------------------
-# dataset JSON
+# JSON files: datasets and fits, and the one reader of every JSON input
+
+
+def read_json(path, what: str, object_hook=None) -> dict:
+    """The one JSON object a ``what`` file holds (dataset, fit, model, ...).
+
+    A file that is missing, whose bytes are not JSON (in UTF-8), or whose
+    document is not one object is an InputDataError that names the file.
+    ``object_hook`` goes to :func:`json.loads`.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise InputDataError(f"{what} file not found: {p}")
+    try:
+        # the file text is a temporary, dropped once parsed
+        doc = json.loads(p.read_text(encoding="utf-8"), object_hook=object_hook)
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise InputDataError(f"{p}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputDataError(f"{p}: a {what} file holds one JSON object")
+    return doc
 
 
 def _grid_to_list(arr: np.ndarray, dtype=float) -> list:
@@ -214,13 +239,7 @@ def _cells_to_arrays(obj: dict) -> dict:
 
 def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
     p = Path(path)
-    if not p.exists():
-        raise InputDataError(f"dataset file not found: {p}")
-    try:
-        # the file text is a temporary, dropped before the records are built
-        doc = json.loads(p.read_text(), object_hook=_cells_to_arrays)
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{p}: not valid JSON: {exc}") from exc
+    doc = read_json(p, "dataset", object_hook=_cells_to_arrays)
     if doc.get("format") != DATASET_FORMAT:
         raise InputDataError(
             f"{p}: format tag {doc.get('format')!r}, expected {DATASET_FORMAT!r}"
@@ -265,12 +284,7 @@ def load_fit(path):
     from .inference import FitResult
 
     p = Path(path)
-    if not p.exists():
-        raise InputDataError(f"fit file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise InputDataError(f"{p}: not valid JSON: {exc}") from exc
+    doc = read_json(p, "fit")
     try:
         return FitResult.from_json_dict(doc)
     except InputDataError as exc:

@@ -84,7 +84,7 @@ from .design import ModelSpec, index_to_string
 from .errors import ConfigError, InputDataError, NumericError
 from .grids import GridSpec, ShoeRecord
 from .model import ArrowMatrix, Hyperparams, PriorSpec, ShoeModel, ThetaLayout
-from .util import parallel_map
+from .util import check_threads, parallel_map
 
 log = logging.getLogger("coxforge.inference")
 
@@ -877,6 +877,7 @@ def fit(
     """
     if strategy not in ("empirical_bayes", "grid"):
         raise ConfigError(f"unknown strategy {strategy!r}")
+    check_threads(threads)
     t_start = time.perf_counter()
     model = ShoeModel(records, spec, grid, prior)
     if model.y.sum() == 0:

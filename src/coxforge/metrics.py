@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .grids import GridSpec
+from .predict import log_multinomial
 
 log = logging.getLogger("coxforge.metrics")
 
@@ -58,20 +59,17 @@ def uniform_metric(spec: GridSpec) -> float:
 def shoe_metric(counts, q, spec: GridSpec) -> float:
     """Per-accidental log predictive density, grid-coarseness corrected.
 
-    Returns NaN for a shoe with zero accidentals — the caller excludes
-    such shoes rather than scoring them.
+    Sum y log q is :func:`~coxforge.predict.log_multinomial`'s, so an
+    occupied cell with q = 0 scores -inf with its warning. Returns NaN
+    for a shoe with zero accidentals — the caller excludes such shoes
+    rather than scoring them.
     """
     y = np.asarray(getattr(counts, "counts", counts), dtype=float).reshape(-1)
-    qv = np.asarray(getattr(q, "q", q), dtype=float).reshape(-1)
-    if y.shape != qv.shape:
-        raise ConfigError(f"counts {y.shape} and q {qv.shape} differ in length")
+    log_q = log_multinomial(y, q)
     n = y.sum()
     if n == 0:
         return float("nan")
-    occ = y > 0
-    with np.errstate(divide="ignore"):
-        lq = np.log(qv[occ])
-    return float((y[occ] @ lq) / n - np.log(spec.cell_area))
+    return float(log_q / n - np.log(spec.cell_area))
 
 
 def median_loss_ratio(metrics_m1, metrics_m2) -> float:

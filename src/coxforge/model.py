@@ -62,8 +62,6 @@ from .grids import GridSpec, ShoeRecord
 
 log = logging.getLogger("coxforge.model")
 
-LOG_2PI = float(np.log(2.0 * np.pi))
-
 # entries of the one (shoe, cell, column of U) work array that eta and the
 # Fisher build form at a time: 2^17 doubles are 1 MB, which stays in cache
 CHUNK_ENTRIES = 1 << 17
@@ -599,33 +597,3 @@ class ShoeModel(Design):
             out[row, blk] = tau * v
         return out
 
-
-# ---------------------------------------------------------------------------
-# module-level operations in terms of ShoeModel
-
-
-def log_joint(theta: np.ndarray, x: np.ndarray, model: ShoeModel) -> float:
-    """Fully normalized log p(y, theta, psi) at free log-precisions ``x``.
-
-    Likelihood + Gaussian prior (with generalized determinant on the
-    intrinsic blocks) + Exponential hyperprior on the free precisions.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise NumericError("non-finite theta in log_joint")
-    sigma, log_prior = model.prior_at(x)
-    value, _, _ = model.lik_parts(theta, sigma)
-    return value + log_prior - 0.5 * model.layout.constrained_dim * LOG_2PI
-
-
-def grad_hessian(
-    theta: np.ndarray, x: np.ndarray, model: ShoeModel
-) -> tuple[np.ndarray, ArrowMatrix]:
-    """Gradient of log_joint and the *negative* Hessian.
-
-    The negative Hessian is Sigma + sum_sa lambda[s,a] b b' — positive
-    semidefinite everywhere and positive definite on the constrained
-    subspace.
-    """
-    _, grad, H = model.lik_parts(np.asarray(theta, dtype=float), model.prior_at(x)[0])
-    return grad, H

@@ -5,6 +5,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+from .errors import ConfigError
+
 T = TypeVar("T")
 R = TypeVar("R")
 
@@ -18,7 +20,14 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> 
     overhead can outweigh that, which is why callers default to one.
     Results are returned in input order regardless of completion order.
     """
-    if threads <= 1 or len(items) <= 1:
+    check_threads(threads)
+    if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
+
+
+def check_threads(threads: int) -> None:
+    """A thread count below 1 is a ConfigError."""
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")

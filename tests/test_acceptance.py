@@ -26,7 +26,7 @@ from coxforge.gradient import fft_convolve2d, sobel_magnitude
 from coxforge.grids import GridSpec, ShoeRecord
 from coxforge.inference import _psi_objective, fit
 from coxforge.metrics import shoe_metric
-from coxforge.model import ShoeModel, grad_hessian, log_joint
+from coxforge.model import ShoeModel
 from coxforge.predict import log_multinomial, poisson_marginal, predictive_q
 from coxforge.simulate import SimConfig, gen_dataset
 
@@ -116,22 +116,24 @@ def _small_model(seed):
 
 
 def test_criterion_03_gradient_hessian_vs_finite_differences():
+    """lik_parts' gradient and negative Hessian against central differences
+    of its own value and gradient, at a fixed prior precision Sigma."""
     t0 = time.monotonic()
     h = 1e-6
     worst_g, worst_h = 0.0, 0.0
     for seed in (0, 1, 2):
         model, x, theta = _small_model(seed)
         n = model.layout.n_total
-        grad, neg_hess = grad_hessian(theta, x, model)
+        sigma, _ = model.prior_at(x)
+        _, grad, neg_hess = model.lik_parts(theta, sigma)
         dense = arrow_to_dense(neg_hess)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            fd = (log_joint(theta + e, x, model)
-                  - log_joint(theta - e, x, model)) / (2 * h)
+            vp, gp, _ = model.lik_parts(theta + e, sigma)
+            vm, gm, _ = model.lik_parts(theta - e, sigma)
+            fd = (vp - vm) / (2 * h)
             worst_g = max(worst_g, abs(grad[i] - fd) / max(1.0, abs(fd)))
-            gp, _ = grad_hessian(theta + e, x, model)
-            gm, _ = grad_hessian(theta - e, x, model)
             fd_row = -(gp - gm) / (2 * h)
             scale = max(1.0, np.abs(fd_row).max())
             worst_h = max(worst_h, np.abs(dense[i] - fd_row).max() / scale)

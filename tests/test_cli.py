@@ -485,6 +485,34 @@ class TestMalformedInput:
         assert code == 1
         assert str(path) in msg and shoe["shoe_id"] in msg
 
+    @pytest.mark.parametrize("content", [b"[1, 2]", b'"x"', b'\xff{"format": 1}'],
+                             ids=["array", "string", "not_utf8"])
+    @pytest.mark.parametrize("command,flag", [
+        ("fit", "--dataset"), ("cv", "--dataset"),
+        ("evaluate", "--fit"), ("predict", "--fit"),
+    ])
+    def test_json_file_that_is_not_one_utf8_object(self, simdir, tmp_path, caplog,
+                                                   command, flag, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        dataset = path if flag == "--dataset" else simdir / "dataset.json"
+        argv = [command, "--dataset", str(dataset), "--out", str(tmp_path / "out")]
+        if flag == "--fit":
+            argv += ["--fit", str(path)]
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg
+
+    def test_accidentals_csv_that_is_not_utf8(self, tmp_path, caplog):
+        path = tmp_path / "acc.csv"
+        path.write_bytes(b"shoe_id,side,x,y\nscan,left,3.5,4.5\nsc\xffan,left,6.0,2.0\n")
+        code, msg = self._exit_and_message(caplog, [
+            "prep", "--images", str(tmp_path), "--accidentals", str(path),
+            "--out", str(tmp_path / "data.json"),
+        ])
+        assert code == 1
+        assert str(path) in msg and "UTF-8" in msg
+
     @pytest.mark.parametrize("value", ["dark", [0.5, 0.5], 10**400, {"v": 1}])
     def test_cell_list_that_is_not_numbers(self, dataset_doc, tmp_path, caplog, value):
         """The loader's JSON hook leaves a list it cannot make into an

@@ -15,8 +15,10 @@ from coxforge.crossval import (
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec
+from coxforge.inference import GridConfig
 from coxforge.metrics import uniform_metric
 from coxforge.simulate import SimConfig, gen_dataset
+from coxforge.util import parallel_map
 
 
 @pytest.fixture(scope="module")
@@ -200,14 +202,29 @@ class TestRunCv:
             run_cv(records, [get_spec("m_a"), get_spec("m_a")], plan)
 
     def test_thread_count_invariant(self, cv_dataset):
+        """Under both strategies, every thread count gives the same JSON."""
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=3)
-        a = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan,
-                   threads=1)
-        b = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan,
-                   threads=4)
-        assert a.fold_means == b.fold_means
-        assert a.per_shoe == b.per_shoe
+        for strategy in ("empirical_bayes", "grid"):
+            docs = set()
+            for threads in (1, 2, 4):
+                res = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan,
+                             fit_strategy=strategy, grid_config=GridConfig(points=3),
+                             threads=threads)
+                docs.add(json.dumps([res.to_json_dict(), res.per_shoe], sort_keys=True))
+            assert len(docs) == 1, strategy
+
+    def test_thread_count_below_one_rejected(self, cv_dataset):
+        cfg, records = cv_dataset
+        plan = make_folds([r.shoe_id for r in records], 2, seed=3)
+        with pytest.raises(ConfigError, match="threads"):
+            run_cv(records, [get_spec("uniform")], plan, threads=0)
+
+
+@pytest.mark.parametrize("items", [[1, -2], [-1]])
+def test_parallel_map_rejects_threads_below_one(items):
+    with pytest.raises(ConfigError, match="threads"):
+        parallel_map(abs, items, 0)
 
 
 class TestOutputs:

@@ -435,10 +435,18 @@ class TestFit:
     def test_grid_strategy_thread_invariant(self, small_dataset):
         cfg, records = small_dataset
         kw = dict(strategy="grid", grid_config=GridConfig(points=3, spacing=0.5))
-        a = fit(records, get_spec("m_a"), cfg.grid, threads=1, **kw)
-        b = fit(records, get_spec("m_a"), cfg.grid, threads=2, **kw)
-        assert np.array_equal(a.marginal_mean, b.marginal_mean)
-        assert np.array_equal(a.marginal_sd, b.marginal_sd)
+        docs = []
+        for threads in (1, 2):
+            doc = fit(records, get_spec("m_a"), cfg.grid, threads=threads, **kw).to_json_dict()
+            del doc["diagnostics"]["seconds"]
+            docs.append(json.dumps(doc, sort_keys=True))
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("strategy,threads", [("grid", -3), ("empirical_bayes", 0)])
+    def test_thread_count_below_one_rejected(self, small_dataset, strategy, threads):
+        cfg, records = small_dataset
+        with pytest.raises(ConfigError, match="threads"):
+            fit(records, get_spec("m_a"), cfg.grid, strategy=strategy, threads=threads)
 
     def test_heatmap_shape_and_field_names(self, small_dataset):
         cfg, records = small_dataset

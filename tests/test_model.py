@@ -11,8 +11,6 @@ from coxforge.model import (
     PriorSpec,
     ShoeModel,
     ThetaLayout,
-    grad_hessian,
-    log_joint,
 )
 from coxforge.simulate import SimConfig, gen_dataset
 
@@ -247,33 +245,38 @@ class TestLikelihood:
 
 
 class TestDerivatives:
+    """lik_parts' gradient and negative Hessian against differences of its
+    own value and gradient, at a fixed prior precision Sigma."""
+
     def test_gradient_matches_central_differences(self):
         model, x, theta = _small_model()
-        grad, _ = grad_hessian(theta, x, model)
+        sigma, _ = model.prior_at(x)
+        _, grad, _ = model.lik_parts(theta, sigma)
         h = 1e-6
         for i in range(model.n_total):
             e = np.zeros(model.n_total)
             e[i] = h
-            fd = (log_joint(theta + e, x, model)
-                  - log_joint(theta - e, x, model)) / (2 * h)
+            fd = (model.lik_parts(theta + e, sigma)[0]
+                  - model.lik_parts(theta - e, sigma)[0]) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-6)
 
     def test_neg_hessian_matches_grad_differences(self):
         model, x, theta = _small_model()
-        _, neg_hess = grad_hessian(theta, x, model)
+        sigma, _ = model.prior_at(x)
+        _, _, neg_hess = model.lik_parts(theta, sigma)
         dense = arrow_to_dense(neg_hess)
         h = 1e-6
         for i in range(model.n_total):
             e = np.zeros(model.n_total)
             e[i] = h
-            gp, _ = grad_hessian(theta + e, x, model)
-            gm, _ = grad_hessian(theta - e, x, model)
+            gp = model.lik_parts(theta + e, sigma)[1]
+            gm = model.lik_parts(theta - e, sigma)[1]
             fd_row = -(gp - gm) / (2 * h)
             assert np.allclose(dense[i], fd_row, atol=2e-5), i
 
     def test_neg_hessian_positive_definite_on_constrained_subspace(self):
         model, x, theta = _small_model()
-        _, neg_hess = grad_hessian(theta, x, model)
+        _, _, neg_hess = model.lik_parts(theta, model.prior_at(x)[0])
         n = model.n_total
         rows = np.zeros((len(model.constraint_blocks), n))
         for k, blk in enumerate(model.constraint_blocks):
@@ -285,7 +288,7 @@ class TestDerivatives:
 
     def test_symmetry(self):
         model, x, theta = _small_model(seed=3)
-        _, neg_hess = grad_hessian(theta, x, model)
+        _, _, neg_hess = model.lik_parts(theta, model.prior_at(x)[0])
         dense = arrow_to_dense(neg_hess)
         assert np.abs(dense - dense.T).max() < 1e-12
 
