@@ -22,9 +22,10 @@ from .grids import (
     crop_reflect,
     make_record,
     otsu_threshold,
+    surface_record,
 )
 from .inference import FitResult, GridConfig, ModeResult, find_mode, fit
-from .metrics import ccc, fold_gain, median_loss_ratio, shoe_metric, uniform_metric
+from .metrics import fold_gain, median_loss_ratio, shoe_metric, uniform_metric
 from .model import Hyperparams, PriorSpec, ShoeModel
 from .predict import (
     PredictiveField,
@@ -44,9 +45,9 @@ __all__ = [
     "ConstrainedGaussian", "besag_precision", "log_gen_det", "sample_constrained",
     "fft_convolve2d", "sobel_magnitude",
     "GridSpec", "RawImage", "ShoeRecord", "bin_accidentals", "binarize",
-    "coarsen", "crop_reflect", "make_record", "otsu_threshold",
+    "coarsen", "crop_reflect", "make_record", "otsu_threshold", "surface_record",
     "FitResult", "GridConfig", "ModeResult", "find_mode", "fit",
-    "ccc", "fold_gain", "median_loss_ratio", "shoe_metric", "uniform_metric",
+    "fold_gain", "median_loss_ratio", "shoe_metric", "uniform_metric",
     "Hyperparams", "PriorSpec", "ShoeModel",
     "PredictiveField", "factorized_log_prob", "log_multinomial", "poisson_marginal",
     "predictive_q",

@@ -13,10 +13,11 @@ Verbosity is controlled by the COXFORGE_LOG environment variable
 (DEBUG/INFO/WARNING/ERROR; default WARNING). Exit codes: 0 success,
 1 I/O problems, 2 configuration problems, 3 numeric failures.
 
-All randomness flows from --seed: `simulate` seeds its master generator
-with it directly and derives shoe i's surface stream from (seed, i);
-`cv` uses it for the fold shuffle. Fitting itself consumes no randomness,
-so outputs are reproducible given equal inputs, seeds, and flags.
+All randomness flows from --seed, which `simulate` and `cv` take:
+`simulate` seeds its master generator with it directly and derives shoe
+i's surface stream from (seed, i); `cv` uses it for the fold shuffle.
+Fitting consumes no randomness, so `fit` has no --seed, and outputs are
+reproducible given equal inputs, seeds, and flags.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ def cmd_fit(args) -> int:
         res = fit(
             records, spec, grid, prior=prior, strategy=args.strategy,
             grid_config=GridConfig(points=args.grid_points, spacing=args.grid_spacing),
-            seed=args.seed, threads=args.threads,
+            threads=args.threads,
         )
     except NumericError as exc:
         Path(args.out).write_text(json.dumps({
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-spacing", type=float, default=0.75)
     p.add_argument("--out", required=True, help="output fit JSON")
     p.add_argument("--heatmaps", help="directory for field heatmaps")
-    common(p, threads=True)
+    common(p, seed=False, threads=True)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("predict", help="write predictive q heatmaps")

@@ -157,13 +157,9 @@ def _score_cell(
     prior: PriorSpec | None,
     strategy: str,
     grid_config: GridConfig | None,
-    seed: int,
 ) -> tuple[int, str, dict[str, float], str | None]:
     try:
-        res = fit(
-            train, spec, grid, prior=prior, strategy=strategy,
-            grid_config=grid_config, seed=seed,
-        )
+        res = fit(train, spec, grid, prior=prior, strategy=strategy, grid_config=grid_config)
     except CoxforgeError as exc:
         log.warning("fold %d, model %s: fit failed: %s", fold, spec.name, exc)
         return fold, spec.name, {}, str(exc)
@@ -175,8 +171,8 @@ def run_cv(
     records: Sequence[ShoeRecord],
     specs: Sequence[ModelSpec],
     plan: FoldPlan,
+    grid: GridSpec,
     fit_strategy: str = "empirical_bayes",
-    grid: GridSpec | None = None,
     prior: PriorSpec | None = None,
     grid_config: GridConfig | None = None,
     threads: int = 1,
@@ -191,9 +187,6 @@ def run_cv(
     if not specs:
         raise ConfigError("the model list is empty: no model to cross-validate")
     recs = list(records)
-    if grid is None:
-        ny, nx = recs[0].contact.shape
-        grid = GridSpec.synthetic(nx, ny)
     missing = [r.shoe_id for r in recs if r.shoe_id not in plan.assignments]
     if missing:
         raise ConfigError(f"{len(missing)} records missing from the fold plan: {missing[:3]}")
@@ -213,10 +206,7 @@ def run_cv(
             cells.append((f, spec, train, test))
 
     results = parallel_map(
-        lambda c: _score_cell(
-            c[0], c[1], c[2], c[3], grid, prior, fit_strategy,
-            grid_config, plan.seed,
-        ),
+        lambda c: _score_cell(*c, grid, prior, fit_strategy, grid_config),
         cells,
         threads,
     )

@@ -84,13 +84,13 @@ def read_pgm(path) -> np.ndarray:
     return img
 
 
-def write_pgm(path, values: np.ndarray, maxval: int = 255) -> None:
+def write_pgm(path, values: np.ndarray) -> None:
     """8-bit binary PGM of an array already scaled to [0, 1]."""
     v = np.clip(np.asarray(values, dtype=float), 0.0, 1.0)
-    data = np.round(v * maxval).astype(np.uint8)
+    data = np.round(v * 255).astype(np.uint8)
     h, w = data.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode())
+        fh.write(f"P5\n{w} {h}\n255\n".encode())
         fh.write(data.tobytes())
 
 
@@ -99,11 +99,13 @@ def read_csv_grid(path) -> np.ndarray:
         arr = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except ValueError as exc:
         raise InputDataError(f"{path}: malformed CSV grid: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise InputDataError(f"{path}: CSV grid holds a non-finite sample")
     return arr
 
 
-def write_csv_grid(path, values: np.ndarray, fmt: str = "%.10g") -> None:
-    np.savetxt(path, np.asarray(values, dtype=float), delimiter=",", fmt=fmt)
+def write_csv_grid(path, values: np.ndarray) -> None:
+    np.savetxt(path, np.asarray(values, dtype=float), delimiter=",", fmt="%.10g")
 
 
 def read_image(path, side: Side) -> RawImage:
@@ -135,7 +137,8 @@ def read_accidentals(path) -> dict[str, tuple[Side, list[tuple[float, float]]]]:
     if not p.exists():
         raise InputDataError(f"accidentals file not found: {p}")
     try:
-        text = p.read_bytes().decode("utf-8")
+        # utf-8-sig drops the byte-order mark spreadsheet programs write
+        text = p.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputDataError(f"{p}: not UTF-8 text: {exc}") from exc
     out: dict[str, tuple[Side, list[tuple[float, float]]]] = {}
@@ -175,8 +178,9 @@ def read_accidentals(path) -> dict[str, tuple[Side, list[tuple[float, float]]]]:
 def read_json(path, what: str, object_hook=None) -> dict:
     """The one JSON object a ``what`` file holds (dataset, fit, model, ...).
 
-    A file that is missing, whose bytes are not JSON (in UTF-8), or whose
-    document is not one object is an InputDataError that names the file.
+    A file that is missing, whose bytes are not JSON (in UTF-8, with or
+    without a byte-order mark), or whose document is not one object is an
+    InputDataError that names the file.
     ``object_hook`` goes to :func:`json.loads`.
     """
     p = Path(path)
@@ -184,7 +188,7 @@ def read_json(path, what: str, object_hook=None) -> dict:
         raise InputDataError(f"{what} file not found: {p}")
     try:
         # the file text is a temporary, dropped once parsed
-        doc = json.loads(p.read_text(encoding="utf-8"), object_hook=object_hook)
+        doc = json.loads(p.read_text(encoding="utf-8-sig"), object_hook=object_hook)
     except ValueError as exc:  # also UnicodeDecodeError
         raise InputDataError(f"{p}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -9,8 +9,9 @@ pipeline that turns raw material into per-cell arrays:
 * ``coarsen``     — area-weighted averaging of pixels into grid cells
   (cell edges fall at fractional pixel positions, so pixels straddling an
   edge are split proportionally),
-* ``binarize``    — threshold a contact surface, by a fixed cut or Otsu's
-  histogram criterion,
+* ``binarize``    — threshold a contact surface at a cut,
+* ``surface_record`` — a coarsened surface, its gradient and its counts as
+  one record, cut at a fixed threshold or Otsu's histogram criterion,
 * ``bin_accidentals`` — count marked accidental locations per grid cell.
 
 Array convention: 2-D arrays are indexed ``[row, col] == [y, x]`` with row 0
@@ -209,7 +210,8 @@ def crop_reflect(image: RawImage, spec: GridSpec) -> np.ndarray:
             f"x={spec.crop_x}, y={spec.crop_y}"
         )
     lo, hi = float(px.min()), float(px.max())
-    if lo < -1e-9 or hi > 1 + 1e-9:
+    # written so that a NaN fails it
+    if not (lo >= -1e-9 and hi <= 1 + 1e-9):
         raise InputDataError(f"scan intensities must lie in [0, 1], found [{lo}, {hi}]")
     out = px[y0 : y1 + 1, x0 : x1 + 1]
     if image.side == "right":
@@ -253,10 +255,14 @@ def coarsen(cropped: np.ndarray, spec: GridSpec) -> np.ndarray:
     return wy @ img @ wx.T
 
 
-def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
+# bins of the histogram Otsu's threshold is chosen on
+OTSU_BINS = 256
+
+
+def otsu_threshold(values: np.ndarray) -> float:
     """Otsu's threshold on a histogram over [0, 1].
 
-    Splits the ``bins``-bin histogram at the cut maximizing between-class
+    Splits the ``OTSU_BINS``-bin histogram at the cut maximizing between-class
     variance w0*w1*(mu0 - mu1)^2; ties go to the lowest cut. Returns the bin
     edge separating the classes, so ``value > threshold`` selects the upper
     class exactly.
@@ -264,7 +270,7 @@ def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ConfigError("cannot threshold an empty array")
-    hist, edges = np.histogram(v, bins=bins, range=(0.0, 1.0))
+    hist, edges = np.histogram(v, bins=OTSU_BINS, range=(0.0, 1.0))
     p = hist.astype(float) / hist.sum()
     centers = 0.5 * (edges[:-1] + edges[1:])
     w0 = np.cumsum(p)
@@ -279,17 +285,15 @@ def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
     return float(edges[t + 1])
 
 
-def binarize(surface: np.ndarray, threshold: float | None = None) -> np.ndarray:
+def binarize(surface: np.ndarray, threshold: float) -> np.ndarray:
     """Binary contact grid: 1 where ``surface > threshold``.
 
-    With ``threshold=None`` the cut is chosen by :func:`otsu_threshold` on
-    the surface itself. Returns a uint8 array of the same shape.
+    Returns a uint8 array of the same shape.
     """
-    surf = np.asarray(surface, dtype=float)
-    thr = otsu_threshold(surf) if threshold is None else float(threshold)
+    thr = float(threshold)
     if not 0.0 <= thr < 1.0:
         raise ConfigError(f"threshold must lie in [0, 1), got {thr}")
-    return (surf > thr).astype(np.uint8)
+    return (np.asarray(surface, dtype=float) > thr).astype(np.uint8)
 
 
 def bin_accidentals(
@@ -327,6 +331,31 @@ def bin_accidentals(
     return counts, rejects
 
 
+def surface_record(
+    shoe_id: str,
+    side: Side,
+    contact: np.ndarray,
+    gradient: np.ndarray,
+    counts: np.ndarray,
+    threshold: float | None = None,
+) -> ShoeRecord:
+    """The record of one shoe's (ny, nx) surface, gradient and counts.
+
+    The surface is cut at ``threshold``, or at :func:`otsu_threshold` of
+    the surface itself when none is given.
+    """
+    thr = otsu_threshold(contact) if threshold is None else float(threshold)
+    return ShoeRecord(
+        shoe_id=shoe_id,
+        side=side,
+        contact=contact,
+        contact_binary=binarize(contact, thr),
+        gradient=gradient,
+        counts=counts,
+        threshold=thr,
+    )
+
+
 def make_record(
     image: RawImage,
     shoe_id: str,
@@ -340,20 +369,10 @@ def make_record(
     """
     from .gradient import sobel_magnitude  # deferred: gradient imports nothing from here
 
-    cropped = crop_reflect(image, spec)
-    contact = coarsen(cropped, spec)
-    thr = otsu_threshold(contact) if threshold is None else float(threshold)
-    binary = binarize(contact, thr)
-    grad = sobel_magnitude(contact)
+    contact = coarsen(crop_reflect(image, spec), spec)
     counts, rejects = bin_accidentals(points, image.side, spec)
-    rec = ShoeRecord(
-        shoe_id=shoe_id,
-        side=image.side,
-        contact=contact,
-        contact_binary=binary,
-        gradient=grad,
-        counts=counts,
-        threshold=thr,
+    rec = surface_record(
+        shoe_id, image.side, contact, sobel_magnitude(contact), counts, threshold
     )
     rec.validate(spec)
     return rec, rejects

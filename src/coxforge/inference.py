@@ -776,7 +776,6 @@ class FitResult:
     layout: ThetaLayout
     shoe_ids: list[str]
     strategy: str
-    seed: int
     psi_map: Hyperparams
     psi_grid: PsiGrid
     marginal_mean: np.ndarray
@@ -811,7 +810,6 @@ class FitResult:
             "layout": self.layout.to_json_dict(),
             "shoe_ids": list(self.shoe_ids),
             "strategy": self.strategy,
-            "seed": self.seed,
             "psi_map": self.psi_map.to_json_dict(self.spec),
             "psi_grid": self.psi_grid.to_json_dict(),
             "marginal_mean": [float(v) for v in self.marginal_mean],
@@ -832,7 +830,6 @@ class FitResult:
                 layout=ThetaLayout.from_json_dict(d["layout"]),
                 shoe_ids=list(d["shoe_ids"]),
                 strategy=str(d["strategy"]),
-                seed=int(d["seed"]),
                 psi_map=Hyperparams.from_json_dict(d["psi_map"], spec),
                 psi_grid=PsiGrid.from_json_dict(d["psi_grid"]),
                 marginal_mean=np.array(d["marginal_mean"], dtype=float),
@@ -863,7 +860,6 @@ def fit(
     prior: PriorSpec | None = None,
     strategy: str = "empirical_bayes",
     grid_config: GridConfig | None = None,
-    seed: int = 0,
     threads: int = 1,
 ) -> FitResult:
     """Fit the model: hyperparameter search, then Gaussian marginals.
@@ -871,9 +867,8 @@ def fit(
     ``strategy`` is "empirical_bayes" (marginals at the maximizing
     precisions) or "grid" (mixture over a centered lattice of precisions
     weighted by posterior mass). The returned marginal means of every
-    constrained block sum to zero. Deterministic for fixed inputs; the
-    seed is carried into the result for provenance but no randomness is
-    consumed.
+    constrained block sum to zero. Deterministic for fixed inputs: no
+    randomness is consumed.
     """
     if strategy not in ("empirical_bayes", "grid"):
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -941,7 +936,6 @@ def fit(
         layout=model.layout,
         shoe_ids=model.shoe_ids,
         strategy=strategy,
-        seed=seed,
         psi_map=model.psi_from_free(map_vec),
         psi_grid=psi_grid,
         marginal_mean=mean,

@@ -7,14 +7,13 @@ locations, expressed per accidental and corrected for grid coarseness:
 
 so values are comparable across grid resolutions (the area term converts
 cell probabilities to a density over the shoe sole). Models are compared
-pairwise by the median loss ratio across shoes and the geometric-mean
-gain across cross-validation folds, and calibration of predicted versus
-realized totals uses the concordance correlation coefficient.
+pairwise by the median loss ratio across shoes, the geometric-mean
+gain across cross-validation folds, and the concordance correlation of
+their per-shoe metrics.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ import numpy as np
 from .errors import ConfigError
 from .grids import GridSpec
 from .predict import log_multinomial
-
-log = logging.getLogger("coxforge.metrics")
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,7 @@ def shoe_metric(counts, q, spec: GridSpec) -> float:
     for a shoe with zero accidentals — the caller excludes such shoes
     rather than scoring them.
     """
-    y = np.asarray(getattr(counts, "counts", counts), dtype=float).reshape(-1)
+    y = np.asarray(counts, dtype=float).reshape(-1)
     log_q = log_multinomial(y, q)
     n = y.sum()
     if n == 0:
@@ -122,26 +119,6 @@ def _concordance(xv: np.ndarray, yv: np.ndarray) -> tuple[float, float, float, f
     nu = float(sx / sy)
     u = float((xv.mean() - yv.mean()) / np.sqrt(sx * sy))
     return rho, nu, u, float(rho * 2.0 / (nu + 1.0 / nu + u * u))
-
-
-def ccc(x, y) -> float:
-    """Concordance correlation: Pearson rho scaled by accuracy.
-
-    rho * 2 / (nu + 1/nu + u^2) with nu the ratio of sample standard
-    deviations and u the standardized mean difference. NaN when either
-    input has zero variance (or a non-finite entry).
-    """
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise ConfigError("ccc wants two equal-length vectors")
-    if xv.size < 2:
-        raise ConfigError("ccc needs at least two points")
-    c = _concordance(xv, yv)[3]
-    if np.isnan(c):
-        log.warning("ccc undefined: an input has (numerically) zero variance "
-                    "or a non-finite entry")
-    return c
 
 
 def compare(

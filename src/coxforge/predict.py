@@ -85,7 +85,7 @@ def log_multinomial(counts, q, include_coefficient: bool = False) -> float:
     cell yields -inf (flagged in the log, since it usually means the model
     assigns no mass where data fall).
     """
-    y = np.asarray(getattr(counts, "counts", counts), dtype=float).reshape(-1)
+    y = np.asarray(counts, dtype=float).reshape(-1)
     qv = np.asarray(getattr(q, "q", q), dtype=float).reshape(-1)
     if y.shape != qv.shape:
         raise ConfigError(f"counts {y.shape} and q {qv.shape} differ in length")
@@ -151,7 +151,7 @@ def factorized_log_prob(
     the full marginal log probability of the count vector.
     """
     field = predictive_q(theta, shoe, spec)
-    y = np.asarray(getattr(counts, "counts", counts), dtype=float).reshape(-1)
+    y = np.asarray(counts, dtype=float).reshape(-1)
     total = int(round(float(y.sum())))
     lambda1 = float(np.exp(field.eta1).sum())
     log_poisson = poisson_marginal(total, lambda1, psi.tau_s)

@@ -24,13 +24,16 @@ from .design import ModelSpec, get_spec
 from .errors import ConfigError
 from .gmrf import ConstrainedGaussian, sample_constrained
 from .gradient import sobel_magnitude
-from .grids import GridSpec, ShoeRecord, binarize, otsu_threshold
+from .grids import GridSpec, ShoeRecord, surface_record
 from .model import Design, Hyperparams, ThetaLayout
 
 CONTACT_KINDS = ("blobs", "stripes", "uniform_noise")
 
 # the largest mean numpy's Generator.poisson accepts
 POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+# sd of the fixed effects' draw around zero (see true_theta)
+FIXEF_SD = 0.3
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,6 @@ class SimConfig:
     seed: int = 0
     contact_kind: str = "blobs"
     intercept: float = -2.5
-    fixef_sd: float = 0.3
 
     def __post_init__(self) -> None:
         if self.nx < 2 or self.ny < 2 or self.n_shoes < 1:
@@ -54,7 +56,7 @@ class SimConfig:
             raise ConfigError(
                 f"contact_kind must be one of {CONTACT_KINDS}, got {self.contact_kind!r}"
             )
-        values = (self.tau_s, self.tau_sm, self.tau_v, self.intercept, self.fixef_sd)
+        values = (self.tau_s, self.tau_sm, self.tau_v, self.intercept)
         if not np.all(np.isfinite(values)):
             raise ConfigError(f"simulation settings must be finite, got {values}")
         if min(self.tau_s, self.tau_sm, self.tau_v) <= 0:
@@ -109,26 +111,12 @@ def gen_contact(config: SimConfig, shoe_index: int) -> tuple[np.ndarray, np.ndar
     return surface, sobel_magnitude(surface)
 
 
-def _record_for_surface(config: SimConfig, i: int) -> ShoeRecord:
-    surface, grad = gen_contact(config, i)
-    thr = otsu_threshold(surface.reshape(-1))
-    return ShoeRecord(
-        shoe_id=f"sim{i:04d}",
-        side="left" if i % 2 == 0 else "right",
-        contact=surface,
-        contact_binary=binarize(surface, thr),
-        gradient=grad,
-        counts=np.zeros((config.ny, config.nx), dtype=np.int64),
-        threshold=thr,
-    )
-
-
 def true_theta(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw the latent vector from the prior, except the fixed effects.
 
     The prior variance for fixed effects (10^3) produces intensities
     exp(beta'x) far beyond float range, so fixed effects are drawn from a
-    tight N(0, fixef_sd^2) around zero instead, with the empty-product
+    tight N(0, FIXEF_SD^2) around zero instead, with the empty-product
     coordinate pinned at the configured intercept; hyperprior-level truth
     (the precisions) is exactly what the fit estimates.
     """
@@ -136,7 +124,7 @@ def true_theta(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     lay = ThetaLayout.for_model(config.n_shoes, spec, config.nx * config.ny)
     theta = np.zeros(lay.n_total)
     theta[lay.shoe] = rng.normal(0.0, 1.0 / np.sqrt(config.tau_s), size=lay.n_shoes)
-    beta = rng.normal(0.0, config.fixef_sd, size=lay.n_fixed)
+    beta = rng.normal(0.0, FIXEF_SD, size=lay.n_fixed)
     empty = (0, 0, 0, 0, 0, 0)
     if empty in spec.fixed:
         beta[spec.fixed.index(empty)] = config.intercept
@@ -153,7 +141,12 @@ def true_theta(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
 def gen_dataset(config: SimConfig) -> tuple[list[ShoeRecord], np.ndarray]:
     """Simulate shoes: surfaces, a prior draw of theta, Poisson counts."""
     rng = np.random.default_rng(config.seed)
-    records = [_record_for_surface(config, i) for i in range(config.n_shoes)]
+    shape = (config.ny, config.nx)
+    records = [
+        surface_record(f"sim{i:04d}", "left" if i % 2 == 0 else "right",
+                       *gen_contact(config, i), np.zeros(shape, dtype=np.int64))
+        for i in range(config.n_shoes)
+    ]
     theta = true_theta(config, rng)
     eta = Design(records, config.spec).eta(theta)  # (S, A)
     with np.errstate(over="ignore"):

@@ -326,7 +326,7 @@ def test_criterion_07_parameter_recovery_and_cv():
     frac_recovered = float((z <= 3.0).mean())
 
     plan = make_folds([r.shoe_id for r in records], 5, seed=7)
-    cv = run_cv(records, [get_spec("uniform"), cfg.spec], plan)
+    cv = run_cv(records, [get_spec("uniform"), cfg.spec], plan, grid=cfg.grid)
     mu = cv.per_shoe["uniform"]
     mf = cv.per_shoe["m_final"]
     shared = sorted(set(mu) & set(mf))

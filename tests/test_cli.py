@@ -178,6 +178,23 @@ class TestFit:
             "--out", str(tmp_path / "eval"),
         ]) == 0
 
+    def test_model_file_with_byte_order_mark(self, simdir, tmp_path):
+        """A --model-file saved with the UTF-8 byte-order mark fits as its twin without."""
+        spec = b'{"name": "m_a_file", "fixed": ["000000"], "smooth": true}'
+        docs = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            model = tmp_path / f"{name}.json"
+            model.write_bytes(prefix + spec)
+            out = tmp_path / f"fit_{name}.json"
+            assert main([
+                "fit", "--dataset", str(simdir / "dataset.json"), "--model-file", str(model),
+                "--out", str(out), "--threads", "1",
+            ]) == 0
+            doc = _strip_metadata(json.loads(out.read_text()))
+            doc["diagnostics"].pop("seconds")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_missing_dataset_exits_1(self, tmp_path):
         assert main(["fit", "--dataset", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "f.json")]) == 1
@@ -268,6 +285,21 @@ class TestPredictEvaluate:
             sid, m, n = ln.split(",")
             assert float(m) < 0  # log mass per accidental is negative
             assert int(n) > 0
+
+    def test_fit_written_with_seed_evaluates_the_same(self, simdir, fitfile, tmp_path):
+        """Fit files from before the seed was dropped carry one; it is ignored."""
+        doc = json.loads(fitfile.read_text())
+        assert "seed" not in doc
+        doc["seed"] = 0
+        old = tmp_path / "fit_with_seed.json"
+        old.write_text(json.dumps(doc))
+        tables = []
+        for fit in (fitfile, old):
+            out = tmp_path / fit.stem
+            assert main(["evaluate", "--fit", str(fit), "--dataset",
+                         str(simdir / "dataset.json"), "--out", str(out)]) == 0
+            tables.append((out / "metrics.csv").read_bytes())
+        assert tables[0] == tables[1]
 
 
 class TestCv:
@@ -419,6 +451,31 @@ class TestPrep:
         assert code == 1
         assert str(path) in msg
 
+    def test_prep_accidentals_with_byte_order_mark(self, toydir):
+        """A CSV saved with the UTF-8 byte-order mark preps as its twin without."""
+        acc = toydir / "acc.csv"
+        (toydir / "acc_bom.csv").write_bytes(b"\xef\xbb\xbf" + acc.read_bytes())
+        docs = []
+        for name in ("acc.csv", "acc_bom.csv"):
+            out = toydir / f"data_{name}.json"
+            assert main([
+                "prep", "--images", str(toydir), "--accidentals", str(toydir / name),
+                "--grid-file", str(toydir / "grid.json"), "--out", str(out),
+            ]) == 0
+            docs.append(_strip_metadata(json.loads(out.read_text())))
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+    def test_prep_nonfinite_csv_scan_exits_1(self, toydir, caplog, sample):
+        """The file is named, with no RuntimeWarning (an error in this suite)."""
+        path = toydir / "s2.csv"
+        scan = np.loadtxt(path, delimiter=",")
+        scan[3, 1] = float(sample)
+        ds.write_csv_grid(path, scan)
+        code, msg = self._prep_exit_and_message(toydir, caplog)
+        assert code == 1
+        assert str(path) in msg and "non-finite" in msg
+
     @pytest.mark.parametrize("row", ["s1,left,2.5", "s2"])
     def test_prep_accidentals_row_with_missing_fields_exits_1(self, toydir, caplog, row):
         path = toydir / "acc.csv"
@@ -446,6 +503,24 @@ class TestGradient:
     def test_missing_image_exits_1(self, tmp_path):
         assert main(["gradient", "--image", str(tmp_path / "no.pgm"),
                      "--raw", "--out", str(tmp_path / "x")]) == 1
+
+    @pytest.mark.parametrize("sample", ["nan", "inf"])
+    @pytest.mark.parametrize("raw", [False, True], ids=["grid", "raw"])
+    def test_nonfinite_csv_scan_exits_1(self, tmp_path, caplog, sample, raw):
+        """No heatmap is written, and no RuntimeWarning (an error in this suite)."""
+        scan = np.full((12, 16), 0.2)
+        scan[4:8, 5:11] = 0.9
+        scan[6, 0] = float(sample)
+        path = tmp_path / "s.csv"
+        ds.write_csv_grid(path, scan)
+        grid = GridSpec(nx=4, ny=3, src_w=16, src_h=12, crop_x=(0, 15), crop_y=(0, 11))
+        (tmp_path / "g.json").write_text(json.dumps(grid.to_json_dict()))
+        argv = ["gradient", "--image", str(path), "--out", str(tmp_path / "edges")]
+        argv += ["--raw"] if raw else ["--grid-file", str(tmp_path / "g.json")]
+        caplog.clear()
+        assert main(argv) == 1
+        assert str(path) in " ".join(r.getMessage() for r in caplog.records)
+        assert not list(tmp_path.glob("edges*"))
 
 
 class TestMalformedInput:

@@ -103,30 +103,29 @@ class TestMakeFolds:
 
 class TestRunCv:
     def test_uniform_model_scores_are_exactly_uniform(self, cv_dataset):
+        """-log(n_cells * cell_area), on a unit-area grid and on one whose
+        cells cover 3x4 scan pixels."""
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=0)
-        result = run_cv(records, [get_spec("uniform")], plan)
-        want = uniform_metric(cfg.grid)
-        for f in range(2):
-            assert result.fold_means[(f, "uniform")] == pytest.approx(
-                want, abs=1e-12)
-        for v in result.per_shoe["uniform"].values():
-            assert v == pytest.approx(want, abs=1e-12)
+        scan = GridSpec(nx=cfg.nx, ny=cfg.ny, src_w=3 * cfg.nx, src_h=4 * cfg.ny,
+                        crop_x=(0, 3 * cfg.nx - 1), crop_y=(0, 4 * cfg.ny - 1))
+        assert scan.cell_area == 12.0
+        for grid in (cfg.grid, scan):
+            result = run_cv(records, [get_spec("uniform")], plan, grid=grid)
+            want = uniform_metric(grid)
+            for f in range(2):
+                assert result.fold_means[(f, "uniform")] == pytest.approx(
+                    want, abs=1e-12)
+            for v in result.per_shoe["uniform"].values():
+                assert v == pytest.approx(want, abs=1e-12)
 
     def test_every_nonzero_shoe_scored_once(self, cv_dataset):
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=0)
-        result = run_cv(records, [get_spec("uniform")], plan)
+        result = run_cv(records, [get_spec("uniform")], plan, grid=cfg.grid)
         nonzero = {r.shoe_id for r in records if r.counts.sum() > 0}
         assert set(result.per_shoe["uniform"]) == nonzero
         assert result.excluded_zero_count == len(records) - len(nonzero)
-
-    def test_grid_inferred_from_record_shape(self, cv_dataset):
-        cfg, records = cv_dataset
-        plan = make_folds([r.shoe_id for r in records], 2, seed=0)
-        a = run_cv(records, [get_spec("uniform")], plan)
-        b = run_cv(records, [get_spec("uniform")], plan, grid=cfg.grid)
-        assert a.fold_means == b.fold_means
 
     def test_held_out_shoes_do_not_influence_fits(self, cv_dataset):
         """Perturbing one held-out shoe's counts leaves every other score
@@ -134,7 +133,7 @@ class TestRunCv:
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=1)
         spec = get_spec("m_a")
-        base = run_cv(records, [spec], plan)
+        base = run_cv(records, [spec], plan, grid=cfg.grid)
 
         fold0 = [r for r in records if plan.fold_of(r.shoe_id) == 0
                  and r.counts.sum() > 0]
@@ -148,7 +147,7 @@ class TestRunCv:
                 bumped.append(dataclasses.replace(r, counts=c))
             else:
                 bumped.append(r)
-        redo = run_cv(bumped, [spec], plan)
+        redo = run_cv(bumped, [spec], plan, grid=cfg.grid)
 
         for r in fold0[1:]:
             assert redo.per_shoe["m_a"][r.shoe_id] == \
@@ -168,7 +167,7 @@ class TestRunCv:
         assignments = {r.shoe_id: (0 if i < 3 else 1)
                        for i, r in enumerate(records)}
         plan = FoldPlan(k=2, assignments=assignments, seed=0)
-        result = run_cv(records, [get_spec("uniform")], plan)
+        result = run_cv(records, [get_spec("uniform")], plan, grid=cfg.grid)
         assert (0, "uniform") in result.failures
         assert "zero" in result.failures[(0, "uniform")]
         # fold 1's test shoes are the emptied ones, so nothing is scored
@@ -181,7 +180,7 @@ class TestRunCv:
     def test_pairwise_stats_present_for_model_pairs(self, cv_dataset):
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=2)
-        result = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan)
+        result = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan, grid=cfg.grid)
         assert set(result.pairwise) == {"uniform_vs_m_a", "m_a_vs_uniform"}
         stats = result.pairwise["uniform_vs_m_a"]
         assert stats["median_loss_ratio"] > 0
@@ -193,13 +192,13 @@ class TestRunCv:
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records[:-1]], 2, seed=0)
         with pytest.raises(ConfigError):
-            run_cv(records, [get_spec("uniform")], plan)
+            run_cv(records, [get_spec("uniform")], plan, grid=cfg.grid)
 
     def test_duplicate_model_names_rejected(self, cv_dataset):
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=0)
         with pytest.raises(ConfigError):
-            run_cv(records, [get_spec("m_a"), get_spec("m_a")], plan)
+            run_cv(records, [get_spec("m_a"), get_spec("m_a")], plan, grid=cfg.grid)
 
     def test_thread_count_invariant(self, cv_dataset):
         """Under both strategies, every thread count gives the same JSON."""
@@ -208,7 +207,7 @@ class TestRunCv:
         for strategy in ("empirical_bayes", "grid"):
             docs = set()
             for threads in (1, 2, 4):
-                res = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan,
+                res = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan, grid=cfg.grid,
                              fit_strategy=strategy, grid_config=GridConfig(points=3),
                              threads=threads)
                 docs.add(json.dumps([res.to_json_dict(), res.per_shoe], sort_keys=True))
@@ -218,7 +217,7 @@ class TestRunCv:
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=3)
         with pytest.raises(ConfigError, match="threads"):
-            run_cv(records, [get_spec("uniform")], plan, threads=0)
+            run_cv(records, [get_spec("uniform")], plan, grid=cfg.grid, threads=0)
 
 
 @pytest.mark.parametrize("items", [[1, -2], [-1]])
@@ -231,7 +230,7 @@ class TestOutputs:
     def test_files_and_columns(self, cv_dataset, tmp_path):
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=4)
-        result = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan)
+        result = run_cv(records, [get_spec("uniform"), get_spec("m_a")], plan, grid=cfg.grid)
         paths = write_cv_outputs(result, tmp_path)
         assert sorted(p.name for p in paths) == [
             "cv_table.csv", "pairwise.json", "per_shoe.csv"]
@@ -252,7 +251,7 @@ class TestOutputs:
     def test_avg_row_matches_fold_mean_average(self, cv_dataset, tmp_path):
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=5)
-        result = run_cv(records, [get_spec("uniform")], plan)
+        result = run_cv(records, [get_spec("uniform")], plan, grid=cfg.grid)
         write_cv_outputs(result, tmp_path)
         lines = (tmp_path / "cv_table.csv").read_text().strip().splitlines()
         avg = [ln for ln in lines if ln.startswith("avg,uniform")][0]
@@ -263,7 +262,7 @@ class TestOutputs:
     def test_result_json_round_trippable(self, cv_dataset):
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=6)
-        result = run_cv(records, [get_spec("uniform")], plan)
+        result = run_cv(records, [get_spec("uniform")], plan, grid=cfg.grid)
         doc = json.loads(json.dumps(result.to_json_dict()))
         assert doc["plan"]["k"] == 2
         assert doc["models"] == ["uniform"]

@@ -13,6 +13,7 @@ from coxforge.grids import (
     crop_reflect,
     make_record,
     otsu_threshold,
+    surface_record,
 )
 
 
@@ -76,6 +77,11 @@ class TestCropReflect:
         g = GridSpec.synthetic(3, 3)
         with pytest.raises(InputDataError):
             crop_reflect(RawImage(np.full((3, 3), 1.5), "left"), g)
+        # a NaN compares false with both bounds, and must still fail
+        px = np.zeros((3, 3))
+        px[1, 2] = np.nan
+        with pytest.raises(InputDataError):
+            crop_reflect(RawImage(px, "left"), g)
 
 
 class TestCoarsen:
@@ -159,11 +165,14 @@ class TestOtsu:
         assert out.dtype == np.uint8
 
     def test_binarize_matches_threshold_invariant(self):
+        """Without a threshold, a record is cut at Otsu's on its own surface."""
         rng = np.random.default_rng(5)
         surf = rng.uniform(size=(7, 7))
         thr = otsu_threshold(surf)
-        out = binarize(surf)
-        assert np.array_equal(out == 1, surf > thr)
+        zeros = np.zeros((7, 7))
+        rec = surface_record("s", "left", surf, zeros, zeros)
+        assert rec.threshold == thr
+        assert np.array_equal(rec.contact_binary == 1, surf > thr)
 
     def test_binarize_rejects_bad_threshold(self):
         with pytest.raises(ConfigError):

@@ -182,10 +182,11 @@ class TestLogMultinomial:
             log_multinomial([1, 2, 3], [0.5, 0.5])
 
     def test_accepts_record_and_field_objects(self):
+        """A record's (ny, nx) counts and a PredictiveField go in as they are."""
         shoe = _shoe(2, 2, seed=12, max_count=2)
         field = PredictiveField(
             q=np.full(4, 0.25), eta1=np.zeros(4), grid_shape=(2, 2))
-        got = log_multinomial(shoe, field)
+        got = log_multinomial(shoe.counts, field)
         want = log_multinomial(shoe.counts.ravel(), field.q)
         assert got == want
 

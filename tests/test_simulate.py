@@ -28,8 +28,7 @@ class TestConfig:
             SimConfig(contact_kind="plaid")
         with pytest.raises(ConfigError):
             SimConfig(tau_s=0.0)
-        for bad in ({"tau_s": np.nan}, {"tau_v": np.inf}, {"intercept": -np.inf},
-                    {"fixef_sd": np.nan}):
+        for bad in ({"tau_s": np.nan}, {"tau_v": np.inf}, {"intercept": -np.inf}):
             with pytest.raises(ConfigError):
                 SimConfig(**bad)
 
@@ -95,7 +94,7 @@ class TestTrueTheta:
         assert theta[lay.fixed][k] == -2.2
 
     def test_fixed_effects_stay_small(self):
-        cfg = SimConfig(nx=4, ny=4, n_shoes=2, fixef_sd=0.3)
+        cfg = SimConfig(nx=4, ny=4, n_shoes=2)
         theta = true_theta(cfg, np.random.default_rng(2))
         lay = ThetaLayout.for_model(2, cfg.spec, 16)
         beta = np.delete(theta[lay.fixed],
