@@ -95,8 +95,10 @@ def write_pgm(path, values: np.ndarray) -> None:
 
 
 def read_csv_grid(path) -> np.ndarray:
+    """A CSV grid of samples; a UTF-8 byte-order mark, as spreadsheet
+    programs write, is skipped."""
     try:
-        arr = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        arr = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2, encoding="utf-8-sig")
     except ValueError as exc:
         raise InputDataError(f"{path}: malformed CSV grid: {exc}") from exc
     if not np.all(np.isfinite(arr)):

@@ -34,28 +34,40 @@ the gradient projected onto A x = 0,
     covariance     H^-1 - V M^-1 V'
 
 so one factorization per iterate yields the step, the constrained
-log-determinant and, at the mode, the marginal variances. The field
-block's share of diag(H^-1), diag(F^-1), comes by selected inversion: a
-block Takahashi recursion on the band factor (Takahashi, Fagan & Chin
-1973; Rue & Martino 2007, J. Statist. Plann. Inference 137, §2), as INLA
-computes its marginal variances, in O(n_f kd^2) time for a field block of
-n_f coordinates and band width kd.
+log-determinant and, at the mode, the constrained covariance on H's own
+arrow pattern (:meth:`_Factor.covariance`): its field band is selected
+inversion, a block Takahashi recursion on the band factor (Takahashi,
+Fagan & Chin 1973; Rue & Martino 2007, J. Statist. Plann. Inference 137,
+§2), as INLA computes its marginal variances, in O(n_f kd^2) time for a
+field block of n_f coordinates and band width kd, plus the low-rank terms
+of the border and the kriging. Its diagonal is the marginal variances.
 
 The hyperparameter posterior uses the standard Laplace identity
 p(psi|y) ∝ p(y|th*) p(th*|psi) p(psi) / N(th*; th*, H^-1), maximized by
-a damped Newton ascent in log-precision space whose gradient and Hessian
-come from central differences of that log posterior, as R-INLA finds its
-mode (Rue, Martino & Chopin 2009, JRSS-B 71, §6.5) (empirical Bayes), or
+a quasi-Newton (BFGS) ascent in log-precision space (empirical Bayes), or
 summed over a centered grid with log-scale Jacobian weights. Both score
-a point by :func:`_score`.
+a point by :func:`_score`. The ascent runs on the exact gradient of that
+log posterior (:func:`psi_gradient`), obtained by differentiating the
+Laplace approximation as TMB does (Kristensen, Nielsen, Berg, Skaug &
+Bell 2016, J. Stat. Softw. 70(5), §2): with x_j = log tau_j, the mode's
+derivative theta'_j = -H_c^-1 d(Sigma theta*)/dx_j and the constrained
+covariance H_c^-1,
+
+    dL/dx_j = -½ theta*' Sigma_j theta* + ½ r_j + (hyperprior term)
+              - ½ tr(H_c^-1 (Sigma_j + B' diag(lambda ⊙ B theta'_j) B)),
+
+whose traces read H_c^-1 only where H has entries. The gradient reuses
+the factor of the mode it is taken at, so it costs no mode search.
 
 The search runs over the free log-precisions x, and every routine takes
 a point as that vector. Any object with the
 :class:`coxforge.model.ShoeModel` likelihood/prior surface (``n_total``,
 ``n_free``, ``constraint_blocks``, ``log_y_factorial``, ``lik_parts``,
-``prior_at``, ``prior_tangents``, and optionally ``cold_start``) can be
-driven by these routines; only :func:`fit` asks a ``ShoeModel`` for
-more, to name the precisions in its result. ``prior_at(x)`` gives the
+``prior_at``, ``prior_tangents``, ``psi_gradient``, and optionally
+``cold_start``) can be driven by these routines; only :func:`fit` asks a
+``ShoeModel`` for more, to name the precisions in its result.
+``psi_gradient(x, theta, dtheta, cov)`` turns a mode, its derivatives in
+x and the constrained covariance into the gradient. ``prior_at(x)`` gives the
 prior precision Sigma with the log prior's terms in x alone, and the
 engine treats Sigma as opaque: ``find_mode`` takes it once per mode
 search and only passes it back to ``lik_parts(theta, sigma)``, which
@@ -88,21 +100,26 @@ from .util import check_threads, parallel_map
 
 log = logging.getLogger("coxforge.inference")
 
-# the empirical-Bayes Newton search over the free log-precisions: the
-# finite-difference step, the predicted ascent in nats at which it stops,
-# the longest Newton step it tries first, and the box its steps are clipped
-# to. The central gradient errs by h^2 f'''/6, which moves the point where it
-# vanishes by about that over f''; h = 0.01 keeps this near 2e-5 in
-# log-precision on the two-precision oracle toy (7e-5 at h = 0.02)
-SEARCH_H = 0.01
+# the empirical-Bayes quasi-Newton search over the free log-precisions: the
+# predicted ascent in nats at which it stops, the length of its first step
+# (and how far from a rejected start it looks for a point to go on from),
+# the longest step it takes, and the box its steps are clipped to
 SEARCH_TOL = 1e-6
+SEARCH_FIRST_STEP = 1.0
 SEARCH_MAX_STEP = 6.0
 SEARCH_BOUNDS = (-12.0, 12.0)
-# eigenvalues of the negative Hessian below this fraction of the largest
-# are raised to it, so that every step is an ascent direction
-SEARCH_EIG_FLOOR = 1e-6
-# a search converges in under ten iterations; fifty only end one that does not
-SEARCH_MAX_ITER = 50
+# the curvature, in nats per squared log-precision, that the search's model
+# takes where it has measured none. At the fits measured, the curvatures at
+# the MAP run from 0.009 (the flattest field of variant_a on 6x8 cells with
+# 20 shoes) to 64 (tau_s of 200 shoes on 12x16). A model flatter than the
+# truth overshoots, which the step
+# radius and the line search cut back; one steeper than the truth predicts
+# too little ascent and stops the search early: at 1 in place of 0.1,
+# variant_a on 6x8 cells with 20 shoes stopped 2.1e-6 nats below its MAP
+SEARCH_CURVATURE = 0.1
+# the searches measured take at most 22 iterations (variant_a, 7 free
+# precisions); a hundred only end one that does not converge
+SEARCH_MAX_ITER = 100
 
 # the Newton stopping rule: the largest power of ten at which every oracle
 # test passes (a scalar-toy iterate 1.9e-9 from its root has 3.1e-18)
@@ -247,26 +264,33 @@ class _Factor:
         return out
 
     def step(self, g: np.ndarray) -> np.ndarray:
-        """The Newton step on A delta = 0: H^-1 g - V M^-1 A H^-1 g."""
-        d = self.solve(g.reshape(-1, 1))
+        """The Newton step on A delta = 0: H^-1 g - V M^-1 A H^-1 g.
+
+        ``g`` is one right-hand side, (n,), or several, (n, k).
+        """
+        d = self.solve(g.reshape(self.n, -1))
         if self.blocks:
             d -= self.V @ lapack.dpotrs(self.Lm, self.A @ d, lower=1)[0]
-        return d[:, 0]
+        return d.reshape(g.shape)
 
-    def _field_variances(self) -> np.ndarray:
-        """diag(F^-1) by a block Takahashi recursion on the band factor Lf.
+    def _field_inverse(self, P: np.ndarray, signs: np.ndarray) -> np.ndarray:
+        """The band of F^-1 + P diag(signs) P', by a block Takahashi recursion on Lf.
 
         Cut into blocks of b = max(kd, 1) columns, with kd Lf's band width,
         Lf is block lower bidiagonal for any band: diagonal blocks D_k and,
         below them, blocks E_k. Since Lf' Z = Lf^-1 for Z = F^-1 and Lf^-1
-        is lower triangular, the diagonal blocks of Z follow walking back
-        from the last block (Takahashi, Fagan & Chin 1973; Rue & Martino
-        2007, J. Statist. Plann. Inference 137, §2):
+        is lower triangular, the blocks of Z on and below the diagonal
+        follow walking back from the last block (Takahashi, Fagan & Chin
+        1973; Rue & Martino 2007, J. Statist. Plann. Inference 137, §2):
 
-            Z_kk = D_k^-T D_k^-1 + G' Z_{k+1,k+1} G,   G = E_k D_k^-1.
+            Z_kk = D_k^-T D_k^-1 + G' Z_{k+1,k+1} G,
+            Z_{k+1,k} = -Z_{k+1,k+1} G,            G = E_k D_k^-1.
 
-        Each block is read from the band when it is needed, so the work
-        is O(n_f kd^2) and the working memory O(kd^2).
+        Those two blocks hold every entry of the band in block k's
+        columns. The low-rank term, P (n_f x p) with ±1 ``signs``, is added
+        to them as they are written out, in Lf's band layout, (kd + 1, n_f).
+        Each block of Lf is read from the band when it is needed, so the
+        work is O(n_f kd (kd + p)) and the working memory O(kd (kd + p)).
         """
         Lf, n = self.Lf, self.nf
         kd = len(Lf) - 1
@@ -279,43 +303,80 @@ class _Factor:
         i, j = np.indices((2 * b, b))
         in_band = (i >= j) & (i - j <= kd)
         idx = np.where(in_band, i + j * kd, 0)
-        out = np.empty(n)
+        # where a stacked block's band entries go in ``out``, by block shape
+        put = {}
+        Ps = P * signs
+        out = np.zeros(n * (kd + 1))
         Z = None
         for c in range((n - 1) // b * b, -1, -b):
             m = min(b, n - c)  # only the last block can be narrower
             r = 0 if Z is None else len(Z)
             DE = flat.take(c * (kd + 1) + idx[:m + r, :m]) * in_band[:m + r, :m]
             D_inv = lapack.dtrtri(DE[:m], lower=1)[0]
+            # Z's columns c .. c + m - 1, down to the next block's end
+            cols = P[c:c + m + r] @ Ps[c:c + m].T
             if Z is None:
                 Z = D_inv.T @ D_inv
             else:
                 G = DE[m:] @ D_inv
-                Z = D_inv.T @ D_inv + G.T @ (Z @ G)
-            out[c:c + m] = Z.diagonal()
-        return out
+                ZG = Z @ G
+                cols[m:] -= ZG
+                Z = D_inv.T @ D_inv + G.T @ ZG
+            cols[:m] += Z
+            if (m, r) not in put:
+                keep = np.flatnonzero(in_band[:m + r, :m])
+                put[m, r] = keep, idx[:m + r, :m].ravel()[keep]
+            keep, at = put[m, r]
+            out[c * (kd + 1) + at] = cols.ravel()[keep]
+        return out.reshape(n, kd + 1).T
 
-    def variances(self) -> np.ndarray:
-        """Diagonal of the constrained covariance H^-1 - V M^-1 V'.
+    def _field_variances(self) -> np.ndarray:
+        """diag(F^-1), the first row of :meth:`_field_inverse`'s band."""
+        return self._field_inverse(np.zeros((self.nf, 0)), np.zeros(0))[0]
 
-        The field block's diag(F^-1) comes by selected inversion, a block
-        Takahashi recursion on Lf (Takahashi, Fagan & Chin 1973; Rue &
-        Martino 2007; :meth:`_field_variances`); the border's Schur
-        complement adds the rows of Lf'^-1 W Ls'^-1 to it, and the kriging
-        subtracts the columns of Lm^-1 V'.
+    def covariance(self) -> ArrowMatrix:
+        """The constrained covariance H_c^-1 = H^-1 - V M^-1 V' on H's arrow pattern.
+
+        With Y = Lf'^-1 W Ls'^-1, the blocks of H^-1 are F^-1 + Y Y' on the
+        field, -Y Ls^-1 between field and border, and Ls'^-1 Ls^-1 on the
+        border; with R = Lm^-1 V', split into its field and border columns
+        Rf and Rb, the kriging subtracts R'R. So
+
+            band  the band of F^-1 + Y Y' - Rf' Rf   (:meth:`_field_inverse`)
+            C     -Y Ls^-1 - Rf' Rb
+            B     Ls'^-1 Ls^-1 - Rb' Rb
+
+        and the field block is selected inversion of Lf (Rue, Martino &
+        Chopin 2009, JRSS-B 71, as INLA computes its marginal variances).
         """
-        var = np.empty(self.n)
+        R = (lapack.dtrtrs(self.Lm, self.V.T, lower=1)[0] if self.blocks
+             else np.zeros((0, self.n)))
+        Rf, Rb = R[:, self.field], R[:, self.border]
+        B = -(Rb.T @ Rb)
+        C = -(Rf.T @ Rb)
+        Y = np.zeros((self.nf, 0))
         if self.nb:
             Ls_inv = lapack.dtrtri(self.Ls, lower=1)[0]
-            var[self.border] = (Ls_inv**2).sum(axis=0)
-        if self.nf:
-            d = self._field_variances()
-            if self.nb:
-                # + diag(F^-1 C S^-1 C' F^-1), rows of Lf'^-1 W Ls'^-1
+            B += Ls_inv.T @ Ls_inv
+            if self.nf:
                 Y = self._field_solve(self._border_solve(self.W.T).T, trans="T")
-                d += (Y**2).sum(axis=1)
-            var[self.field] = d
-        if self.blocks:
-            var -= (lapack.dtrtrs(self.Lm, self.V.T, lower=1)[0] ** 2).sum(axis=0)
+                C -= Y @ Ls_inv
+        if self.nf:
+            # Y's own copy goes before the recursion (19 MB at 39x91 cells
+            # and 100 shoes)
+            P = np.hstack([Y, Rf.T])
+            del Y
+            band = self._field_inverse(P, np.repeat([1.0, -1.0], [P.shape[1] - len(R), len(R)]))
+        else:
+            band = np.zeros((1, 0))
+        return ArrowMatrix(self.field, self.border, band, C, B)
+
+    def variances(self) -> np.ndarray:
+        """Diagonal of the constrained covariance, :meth:`covariance`."""
+        cov = self.covariance()
+        var = np.empty(self.n)
+        var[self.field] = cov.band[0]
+        var[self.border] = cov.B.diagonal()
         return var
 
 
@@ -494,6 +555,22 @@ def predicted_start(model, vec0: np.ndarray, mode: ModeResult, vec: np.ndarray) 
     return mode.theta_star + mode._lu.step(-tangent)
 
 
+def psi_gradient(model, vec: np.ndarray, mode: ModeResult) -> np.ndarray:
+    """The exact gradient of the Laplace log posterior at ``vec``, whose mode is ``mode``.
+
+    The mode moves with vec as d theta*/d x_j = -H_c^-1 d(Sigma theta*)/d x_j
+    (:func:`predicted_start`'s tangents), and the log-determinant's
+    derivative is tr(H_c^-1 dH/dx_j) with H_c^-1 = H^-1 - V M^-1 V' the
+    constrained covariance. Both come from the factor the mode holds, so
+    the gradient costs no mode search; the model contracts them into the
+    gradient (``psi_gradient(x, theta, dtheta, cov)``).
+    """
+    fac = mode._lu
+    tangents = model.prior_tangents(vec, mode.theta_star)
+    dtheta = fac.step(-tangents.T).T
+    return model.psi_gradient(vec, mode.theta_star, dtheta, fac.covariance())
+
+
 # ---------------------------------------------------------------------------
 # hyperparameter search
 
@@ -543,9 +620,11 @@ class _Search:
     dense blocks of n × (border + constraints). A point whose mode search
     fails scores -inf and is counted by reason. It totals the mode
     searches' work, and the largest stopping decrement of those that
-    scored; :func:`empirical_bayes` records its Newton ``iterations``
-    and the predicted ascent ``decrement`` of its last complete stencil
-    here (None before the first).
+    scored. :meth:`gradient` takes :func:`psi_gradient` at the best point
+    from the mode kept there, so it costs no mode search, and counts it;
+    :func:`empirical_bayes` records its quasi-Newton ``iterations`` and the
+    predicted ascent ``decrement`` of its last model here (None before
+    the first).
     """
 
     def __init__(self, model):
@@ -558,6 +637,7 @@ class _Search:
         self.work: Counter = Counter()
         self.max_decrement = -np.inf
         self.iterations = 0
+        self.gradients = 0
         self.decrement: float | None = None
 
     def __call__(self, vec: np.ndarray) -> float:
@@ -584,57 +664,24 @@ class _Search:
         if scored:
             self.max_decrement = max(self.max_decrement, mode.decrement)
 
+    def gradient(self) -> np.ndarray:
+        """:func:`psi_gradient` at the best point so far."""
+        self.gradients += 1
+        return psi_gradient(self.model, self.best_vec, self.best_mode)
+
     @property
     def rejected(self) -> int:
         return sum(self.rejected_by_reason.values())
 
 
-def _stencil(ev: _Search, x: np.ndarray, fx: float, known: Sequence[tuple] = ()
-             ) -> tuple[tuple[np.ndarray, np.ndarray] | None, list[tuple]]:
-    """Gradient and Hessian of ``ev`` at ``x`` by finite differences.
-
-    With h = ``SEARCH_H``, the points x ± h e_j give the central gradient
-    and the Hessian's diagonal, and x + h (e_i + e_j) its off-diagonal:
-    2k + k(k-1)/2 evaluations, in a fixed order. A point that one of
-    ``known`` (point, value) pairs holds, to within rounding, takes that
-    value and is not evaluated again. The derivatives are None when ``x``
-    or one of the points is rejected, since the differences then say
-    nothing; every point is evaluated all the same, so that the search
-    can move to the best of them. Returns them with the stencil's own
-    (point, value) pairs, ``x`` first.
-    """
-    k = x.size
-    step = SEARCH_H * np.eye(k)
-    pairs = list(itertools.combinations(range(k), 2))
-    points = [x + s for j in range(k) for s in (step[j], -step[j])]
-    points += [x + step[i] + step[j] for i, j in pairs]
-
-    def value(p: np.ndarray) -> float:
-        for q, fq in known:
-            # x + h - h may differ from x in its last bit
-            if np.abs(p - q).max() <= 1e-6 * SEARCH_H:
-                return fq
-        return ev(p)
-
-    f = np.array([fx] + [value(p) for p in points])
-    read = list(zip([x] + points, f))
-    if not np.all(np.isfinite(f)):
-        return None, read
-    fp, fm, fij = f[1:2 * k + 1:2], f[2:2 * k + 1:2], f[2 * k + 1:]
-    hess = np.diag((fp - 2.0 * fx + fm) / SEARCH_H**2)
-    for (i, j), fi in zip(pairs, fij):
-        hess[i, j] = hess[j, i] = (fi - fp[i] - fp[j] + fx) / SEARCH_H**2
-    return ((fp - fm) / (2.0 * SEARCH_H), hess), read
-
-
-def _line_search(ev: _Search, x: np.ndarray, fx: float,
-                 d: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _line_search(ev: _Search, x: np.ndarray, fx: float, d: np.ndarray,
+                 extend: bool = False) -> tuple[np.ndarray, float] | None:
     """The first of x + d, x + d/2, ... that beats ``fx``, clipped to the box.
 
-    When the full step beats it, the step keeps doubling while that still
-    improves, since Newton undershoots along a flat log-precision
-    direction. None when ``MAX_HALVINGS`` halvings find no ascent, or when
-    the box leaves no step to take.
+    With ``extend``, when the full step beats it, the step keeps doubling
+    while that still improves. None when ``MAX_HALVINGS`` halvings find no
+    ascent, or when the box leaves no step to take. When ``fx`` is the best
+    value ``ev`` has scored, the point returned is its new best.
     """
     t = 1.0
     for _ in range(MAX_HALVINGS + 1):
@@ -647,7 +694,7 @@ def _line_search(ev: _Search, x: np.ndarray, fx: float,
         t *= 0.5
     else:
         return None
-    while t >= 1.0:
+    while extend and t >= 1.0:
         t *= 2.0
         nxt = np.clip(x + t * d, *SEARCH_BOUNDS)
         if np.array_equal(nxt, cand):
@@ -662,57 +709,87 @@ def _line_search(ev: _Search, x: np.ndarray, fx: float,
 def empirical_bayes(model) -> tuple[np.ndarray, _Search]:
     """Maximize the hyperparameter posterior over the free log-precisions.
 
-    Damped Newton ascent from the origin. Each iteration takes the gradient
-    g and Hessian H of the log posterior from a :func:`_stencil` of
-    evaluations around the current point, raises the eigenvalues of -H to
-    at least ``SEARCH_EIG_FLOOR`` of the largest, caps the step's length
-    at ``SEARCH_MAX_STEP`` and takes it by :func:`_line_search`. It stops
-    once -H is positive definite and the predicted ascent g'(-H)^-1 g / 2
-    is at most ``SEARCH_TOL`` nats, a bound that does not depend on the
-    scale of the data; also after ``SEARCH_MAX_ITER`` iterations or when
-    the line search fails. A stencil with a rejected point (or a rejected
-    start) gives no derivatives: the search then moves to the best point
-    evaluated so far if that beats the current one, and stops otherwise;
-    the stencil around that point takes the values of the points it shares
-    with the one before, the rejected one included.
+    Quasi-Newton (BFGS) ascent from the origin on the exact gradients of
+    :func:`psi_gradient` (Nocedal & Wright, *Numerical Optimization*,
+    §6.1). Each iteration takes the gradient g at the best point so far,
+    from the mode and factor it already holds, and keeps a model K of the
+    inverse negative Hessian: K starts as the identity over
+    ``SEARCH_CURVATURE`` and takes the BFGS update from each step s and
+    fall in gradient y = g - g_new with s'y > 0, so it stays positive
+    definite. The step K g, shortened to at most a step radius, is taken
+    by :func:`_line_search`, whose halvings also pass over a rejected
+    point. The radius starts at ``SEARCH_FIRST_STEP`` and doubles with
+    each line search, up to ``SEARCH_MAX_STEP``; after a line search that
+    met a rejected point it is the length of the step taken instead, so
+    that a search pressed against a region it cannot score does not try
+    that region again at full length. A step with s'y <= 0 leaves K as it
+    is: the log posterior was not concave along it, so the step was too
+    short, and the next line search doubles its step while that improves.
+    The search stops once K holds the curvature of a step and the model's
+    ascent along the step it would take, g'K g / 2 for a full step, is at
+    most ``SEARCH_TOL`` nats, a bound that does not depend on the scale of
+    the data; it scores that last step all the same, which costs one mode
+    search and no gradient, and keeps it if it improves. It also stops
+    after ``SEARCH_MAX_ITER`` iterations or when the line search fails. A
+    rejected start has no gradient: the search then scores the points
+    ``SEARCH_FIRST_STEP`` from it along each axis and goes on from the
+    best of them, or stops if none scores.
     Returns the best point evaluated, and the evaluator, which counts the
     work and the rejected candidates. Entirely deterministic.
     """
     ev = _Search(model)
     x = np.zeros(model.n_free)
     fx = ev(x)
-    read = []
-    while ev.iterations < SEARCH_MAX_ITER:
-        derivs, read = _stencil(ev, x, fx, read)
-        ev.iterations += 1
-        if derivs is None:
-            # with a point rejected there are no differences, but the best
-            # point evaluated so far, where it beats x, is a step all the same
-            if not ev.best_value > fx:
-                log.warning("psi search stops at %s: no evaluable point improves on it",
-                            np.round(x, 3))
-                break
-            x, fx = ev.best_vec.copy(), ev.best_value
-            continue
-        read = []
-        grad, hess = derivs
-        lam, vecs = np.linalg.eigh(-hess)
-        gq = vecs.T @ grad
-        floored = np.maximum(lam, SEARCH_EIG_FLOOR * max(np.abs(lam).max(), np.finfo(float).tiny))
-        ev.decrement = 0.5 * float((gq**2 / floored).sum())
-        if lam.min() > 0 and ev.decrement <= SEARCH_TOL:
-            break
-        d = vecs @ (gq / floored)
+    if not np.isfinite(fx):
+        for p in np.concatenate([np.eye(x.size), -np.eye(x.size)]):
+            ev(x + SEARCH_FIRST_STEP * p)
+        if ev.best_mode is None:
+            log.warning("psi search stops at %s: no point near it can be scored",
+                        np.round(x, 3))
+            return x, ev
+        x, fx = ev.best_vec, ev.best_value
+    K = np.eye(x.size) / SEARCH_CURVATURE
+    radius = SEARCH_FIRST_STEP
+    curved = extend = False
+    g = ev.gradient()
+    while np.all(np.isfinite(g)):
+        d = K @ g
         length = float(np.linalg.norm(d))
-        if length > SEARCH_MAX_STEP:
-            d *= SEARCH_MAX_STEP / length
-        moved = _line_search(ev, x, fx, d)
+        # the model's ascent along the step taken, d shortened by a factor a:
+        # a g'K g - a^2 g'K g / 2
+        a = min(1.0, radius / length) if length > 0 else 1.0
+        ev.decrement = 0.5 * float(g @ d) * a * (2.0 - a)
+        if curved and ev.decrement <= SEARCH_TOL:
+            last = np.clip(x + a * d, *SEARCH_BOUNDS)
+            if not np.array_equal(last, x):
+                ev(last)
+            break
+        if ev.iterations == SEARCH_MAX_ITER:
+            break
+        ev.iterations += 1
+        d *= a
+        rejected = ev.rejected
+        moved = _line_search(ev, x, fx, d, extend)
         if moved is None:
             log.debug("psi line search failed at %s (predicted ascent %.3e)",
                       np.round(x, 3), ev.decrement)
             break
+        s = moved[0] - x
         x, fx = moved
-    return (x if ev.best_vec is None else ev.best_vec), ev
+        radius = (float(np.linalg.norm(s)) if ev.rejected > rejected
+                  else min(2.0 * radius, SEARCH_MAX_STEP))
+        g_new = ev.gradient()
+        y = g - g_new
+        sy = float(s @ y)
+        extend = sy <= 0
+        if not extend:
+            E = np.eye(x.size) - np.outer(s, y) / sy
+            K = E @ K @ E.T + np.outer(s, s) / sy
+            curved = True
+        g = g_new
+    else:
+        log.warning("psi search stops at %s: non-finite gradient", np.round(x, 3))
+    return ev.best_vec, ev
 
 
 def grid_posterior(
@@ -922,6 +999,7 @@ def fit(
         "max_accepted_decrement": float(search.max_decrement),
         "psi_search_iterations": int(search.iterations),
         "psi_search_decrement": search.decrement,
+        "psi_gradients": int(search.gradients),
         "seconds": float(elapsed),
     }
     log.info(

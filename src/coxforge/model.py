@@ -269,6 +269,15 @@ class ArrowMatrix:
     C: np.ndarray     # (n_field, n_border)
     B: np.ndarray     # (n_border, n_border)
 
+    def inner(self, other: "ArrowMatrix") -> float:
+        """tr(self other), for ``other`` on the same field, border and band width.
+
+        Off the diagonal each stored entry stands for two of the matrix.
+        """
+        band = self.band * other.band
+        return float(2.0 * band.sum() - band[0].sum() + 2.0 * (self.C * other.C).sum()
+                     + (self.B * other.B).sum())
+
 
 class Design:
     """Covariates of a list of records under a spec, and their predictor.
@@ -582,6 +591,46 @@ class ShoeModel(Design):
         hyper = sum(np.log(q.rate) - q.rate * tau
                     for q, tau in zip(self.precisions, taus) if q.free)
         return (rows, diag), float(0.5 * log_det + hyper)
+
+    def psi_gradient(self, x: np.ndarray, theta: np.ndarray, dtheta: np.ndarray,
+                     cov: ArrowMatrix) -> np.ndarray:
+        """The gradient in ``x`` of the Laplace log posterior, at its mode ``theta``.
+
+        ``dtheta`` (n_free, n_total) holds the mode's derivatives in x, and
+        ``cov`` the constrained covariance H_c^-1 on H's arrow pattern.
+        With Sigma_j = d Sigma / d x_j, r_j its rank (n_shoes for tau_s,
+        n_cells - 1 for a field) and rate_j its hyperprior's rate, entry j is
+
+            -½ theta' Sigma_j theta + ½ r_j - rate_j tau_j - ½ tr(H_c^-1 Sigma_j)
+            - ½ tr(H_c^-1 B' diag(lambda ⊙ B dtheta_j) B):
+
+        the log-joint's and the log prior's derivatives in x at a fixed
+        mode (the mode's own movement does not change the log-joint to
+        first order), and the log-determinant's, whose last term is H's
+        change through lambda as the mode moves (Kristensen, Nielsen, Berg,
+        Skaug & Bell 2016, J. Stat. Softw. 70(5), §2). That term is a
+        :meth:`_fisher` build with weights lambda ⊙ B dtheta_j; Sigma_j's
+        trace reads Sigma's band rows of ``cov``, or its shoe diagonal.
+        """
+        lay = self.layout
+        lam = np.exp(self.eta(theta))
+        tangents = self.prior_tangents(x, theta)
+        band = cov.band[self._prior_rows]
+        free = [(slot, q, tau) for slot, (q, tau) in enumerate(zip(self.precisions, self._taus(x)))
+                if q.free]
+        out = np.empty(self.n_free)
+        for j, (slot, q, tau) in enumerate(free):
+            if slot == 0:
+                rank, unit = lay.n_shoes, cov.B.diagonal()[:lay.n_shoes].sum()
+            else:
+                # field slot - 1 sits at every n_fields-th column of the band
+                rank = lay.n_cells - 1
+                prod = band[:, slot - 1::lay.n_constraints] * self._q_rows
+                unit = 2.0 * prod.sum() - prod[0].sum()
+            fisher = self._fisher(lam * self.eta(dtheta[j]))[0]
+            out[j] = (-0.5 * tangents[j] @ theta + 0.5 * rank - q.rate * tau
+                      - 0.5 * tau * unit - 0.5 * cov.inner(fisher))
+        return out
 
     def prior_tangents(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
         """d(Sigma theta) / d x_j at free log-precisions ``x``, (n_free, n_total).

@@ -60,6 +60,21 @@ def joint_parts(lik, theta, sigma, blocks=()):
             dense_arrow(fisher + sigma, blocks))
 
 
+def dense_psi_gradient(units, ranks, taus, theta, cov, third=None) -> np.ndarray:
+    """``psi_gradient`` in dense closed form, for a prior precision sum_j tau_j units[j].
+
+    Entry j is -½ theta' Sigma_j theta + ½ r_j - ½ tr(H_c^-1 Sigma_j), with
+    Sigma_j = tau_j units[j], less ½ tr(H_c^-1 third[j]) where the Fisher
+    term moves with the mode (``third`` is None for a Gaussian likelihood).
+    """
+    cov = arrow_to_dense(cov)
+    out = np.array([0.5 * r - 0.5 * tau * (theta @ U @ theta + np.sum(cov * U))
+                    for U, r, tau in zip(units, ranks, taus)])
+    if third is not None:
+        out -= 0.5 * np.array([np.sum(cov * T) for T in third])
+    return out
+
+
 def prior_to_dense(model, sigma) -> np.ndarray:
     """A ShoeModel's compact prior precision (field band rows, border diagonal), dense.
 
@@ -184,6 +199,14 @@ class ScalarPoissonToy:
         tau = float(np.exp(x[0]))
         return np.array([[tau]]), 0.5 * float(np.log(tau))
 
+    def prior_tangents(self, x, theta):
+        return float(np.exp(x[0])) * np.asarray(theta)[None, :]
+
+    def psi_gradient(self, x, theta, dtheta, cov):
+        """The Fisher term exp(t) moves with the mode by exp(t) dt."""
+        third = [np.exp(theta[0]) * dtheta[0, 0] * np.eye(1)]
+        return dense_psi_gradient([np.eye(1)], [1], np.exp(x), theta, cov, third)
+
 
 class GaussianSurrogateToy:
     """Linear-Gaussian observation y = B theta + N(0, s2 I).
@@ -217,6 +240,10 @@ class GaussianSurrogateToy:
 
     def prior_tangents(self, x, theta):
         return float(np.exp(x[0])) * np.asarray(theta)[None, :]
+
+    def psi_gradient(self, x, theta, dtheta, cov):
+        d = self.n_total - len(self.constraint_blocks)
+        return dense_psi_gradient([np.eye(self.n_total)], [d], np.exp(x), theta, cov)
 
     # -- oracles ----------------------------------------------------------
 
@@ -294,6 +321,10 @@ class TwoPrecisionGaussianToy:
     def prior_tangents(self, x, theta):
         tau = np.exp(np.asarray(x, dtype=float))
         return np.stack([tau[j] * self._unit(j) * theta for j in range(2)])
+
+    def psi_gradient(self, x, theta, dtheta, cov):
+        units = [np.diag(self._unit(j)) for j in range(2)]
+        return dense_psi_gradient(units, [self.n1, self.n_total - self.n1], np.exp(x), theta, cov)
 
     # -- oracles ----------------------------------------------------------
 

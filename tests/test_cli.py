@@ -523,6 +523,22 @@ class TestGradient:
         assert not list(tmp_path.glob("edges*"))
 
 
+    def test_csv_scan_with_byte_order_mark(self, tmp_path):
+        """A scan saved with a UTF-8 byte-order mark gives the same heatmap."""
+        scan = np.full((12, 16), 0.2)
+        scan[4:8, 5:11] = 0.9
+        ds.write_csv_grid(tmp_path / "plain.csv", scan)
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+        grid = GridSpec(nx=4, ny=3, src_w=16, src_h=12, crop_x=(0, 15), crop_y=(0, 11))
+        (tmp_path / "g.json").write_text(json.dumps(grid.to_json_dict()))
+        for name in ("plain", "bom"):
+            assert main(["gradient", "--image", str(tmp_path / f"{name}.csv"), "--grid-file",
+                         str(tmp_path / "g.json"), "--out", str(tmp_path / f"edges_{name}")]) == 0
+        for suffix in (".csv", ".pgm", ".json"):
+            assert ((tmp_path / f"edges_plain{suffix}").read_bytes()
+                    == (tmp_path / f"edges_bom{suffix}").read_bytes())
+
+
 class TestMalformedInput:
     """Broken files end in exit 1 with the file (and shoe) named."""
 

@@ -20,7 +20,9 @@ import scipy.linalg
 from _toys import GaussianSurrogateToy, arrow_to_dense, dense_arrow, dense_design, dense_prior
 from coxforge.design import get_spec
 from coxforge.errors import NumericError
-from coxforge.inference import empirical_bayes, find_mode, marginal_sd
+from coxforge.inference import (
+    _psi_objective, empirical_bayes, find_mode, marginal_sd, psi_gradient,
+)
 from coxforge.model import ShoeModel
 from coxforge.simulate import SimConfig, gen_dataset
 
@@ -75,6 +77,42 @@ def test_marginal_sd_matches_dense_constrained_covariance(mode_and_oracle):
     model, mode, _, want = mode_and_oracle
     got = marginal_sd(mode)
     assert np.abs(got / want - 1.0).max() < SD_RTOL
+
+
+def test_covariance_matches_dense_constrained_inverse(mode_and_oracle):
+    """The band, C and B of the constrained covariance, each to 1e-10 of its
+    largest entry; entries of the field block beyond the band are not kept."""
+    model, mode, _, _ = mode_and_oracle
+    x = np.linspace(-0.5, 1.0, model.n_free)
+    H = _dense_neg_hessian(model, model.psi_from_free(x), mode.theta_star)
+    A = np.zeros((len(model.constraint_blocks), model.n_total))
+    for i, blk in enumerate(model.constraint_blocks):
+        A[i, blk] = 1.0
+    U = scipy.linalg.null_space(A)
+    want = U @ np.linalg.inv(U.T @ H @ U) @ U.T
+    cov = mode._lu.covariance()
+    field, border = cov.field, cov.border
+    F = want[np.ix_(field, field)]
+    band = np.zeros_like(cov.band)
+    for d in range(len(band)):
+        band[d, :field.size - d] = np.diagonal(F, -d)
+    for got, ref in ((cov.band, band), (cov.C, want[np.ix_(field, border)]),
+                     (cov.B, want[np.ix_(border, border)])):
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_gradient_matches_central_differences(mode_and_oracle):
+    """The exact gradient of the Laplace log posterior against central
+    differences of it, h = 1e-4, on four fields and a border."""
+    model, mode, _, _ = mode_and_oracle
+    x = np.linspace(-0.5, 1.0, model.n_free)
+    got = psi_gradient(model, x, mode)
+    h = 1e-4
+    want = np.array([
+        (_psi_objective(x + h * e, model, mode.theta_star)[0]
+         - _psi_objective(x - h * e, model, mode.theta_star)[0]) / (2 * h)
+        for e in np.eye(model.n_free)])
+    assert np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max())
 
 
 class IndefiniteToy(GaussianSurrogateToy):

@@ -366,7 +366,7 @@ class InterfaceOnly:
     raises AttributeError."""
 
     MEMBERS = ("n_total", "n_free", "constraint_blocks", "log_y_factorial",
-               "lik_parts", "prior_at", "prior_tangents")
+               "lik_parts", "prior_at", "prior_tangents", "psi_gradient")
 
     def __init__(self, model):
         self._model = model
@@ -523,6 +523,34 @@ class TestFit:
             "psi_rejected"))
         assert "psi_cache_hits" not in d and "search_start_log_tau" not in d
 
+    @pytest.mark.parametrize("name,strategy", [("m_final", "empirical_bayes"), ("m_a", "grid")])
+    def test_mode_searches_are_evaluations_and_grid_points(self, small_dataset, monkeypatch,
+                                                           name, strategy):
+        """The count the benchmark checks its trace against: a gradient
+        reuses its point's mode, so every mode search is a psi evaluation
+        or a grid point."""
+        cfg, records = small_dataset
+        modes, gradients = [], []
+        real_find_mode, real_gradient = inference.find_mode, inference.psi_gradient
+
+        def counted_find_mode(*args, **kwargs):
+            modes.append(real_find_mode(*args, **kwargs))
+            return modes[-1]
+
+        def counted_gradient(*args):
+            gradients.append(real_gradient(*args))
+            return gradients[-1]
+
+        monkeypatch.setattr(inference, "find_mode", counted_find_mode)
+        monkeypatch.setattr(inference, "psi_gradient", counted_gradient)
+        res = fit(records[:8], get_spec(name), cfg.grid, strategy=strategy,
+                  grid_config=GridConfig(points=3))
+        d = res.diagnostics
+        grid_points = len(res.psi_grid.weights) if strategy == "grid" else 0
+        assert len(modes) == d["psi_evaluations"] + grid_points
+        assert d["psi_gradients"] == len(gradients) > 0
+        assert type(d["psi_gradients"]) is int
+
 
 def _overflowing_records():
     """Two shoes on a 3x2 grid, one with 5,000 accidentals in every cell.
@@ -656,19 +684,22 @@ class TestNewtonPsiSearch:
         assert search.decrement <= inference.SEARCH_TOL
         assert search.rejected == 0
 
-    def test_stencil_matches_exact_derivatives(self):
-        """Central differences err by h^2 f'''/6 in the gradient, and the
-        one-sided off-diagonal difference by h (f_iij + f_ijj) / 2. This
-        evidence's third derivatives are the size of its second, so 1e-3
-        and 5e-2 of the largest |H| bound both with a wide margin; the
-        start is checked too, since at the peak the gradient is 0."""
+    def test_gradient_matches_exact_derivatives(self):
+        """The exact gradient against the closed-form evidence gradient, at
+        the peak, where it is 0, and at the start."""
         toy = _two_precision_toy()
         for at in (_evidence_peak(toy), np.zeros(2)):
-            got, _ = inference._stencil(inference._Search(toy), at, toy.exact_evidence(at))
-            grad, hess = toy.exact_derivatives(at)
-            scale = np.abs(hess).max()
-            assert np.abs(got[0] - grad).max() <= 1e-3 * scale
-            assert np.abs(got[1] - hess).max() <= 5e-2 * scale
+            got = inference.psi_gradient(toy, at, _psi_objective(at, toy)[1])
+            want = toy.exact_derivatives(at)[0]
+            assert np.abs(got - want).max() <= 1e-7 * max(1.0, np.abs(want).max())
+
+    def test_gradient_matches_central_differences_on_a_poisson_toy(self):
+        """Here H moves with the mode, so the third-derivative term counts."""
+        for y, x in ((3.0, 0.3), (20.0, -1.0)):
+            toy, at, h = ScalarPoissonToy(y), np.array([x]), 1e-4
+            got = inference.psi_gradient(toy, at, _psi_objective(at, toy)[1])
+            want = (_psi_objective(at + h, toy)[0] - _psi_objective(at - h, toy)[0]) / (2 * h)
+            assert abs(got[0] - want) <= 1e-5 * max(1.0, abs(want))
 
     def test_rejected_region_ends_at_best_finite_point(self, monkeypatch):
         base = _gaussian_toy(seed=9, n=5, m=40, s2=0.3)
@@ -694,14 +725,16 @@ class TestNewtonPsiSearch:
         assert search.rejected_by_reason == {"factorization": search.rejected}
         assert search.best_value == max(v for v in values if np.isfinite(v))
         assert np.array_equal(x, search.best_vec)
-        # the evidence rises up to the cap, so the search stops within one
-        # difference step below it
-        assert cap - inference.SEARCH_H < x[0] <= cap
+        # the evidence rises up to the cap, so the search stops below it
+        # once the steps it can take there gain at most SEARCH_TOL nats
+        assert x[0] <= cap
+        gap = base.exact_evidence(np.exp(cap)) - base.exact_evidence(np.exp(x[0]))
+        assert 0.0 <= gap <= inference.SEARCH_TOL
 
     def test_rejected_start_is_stepped_over(self, monkeypatch):
         base = _gaussian_toy(seed=9, n=5, m=40, s2=0.3)
         toy = RejectingGaussianToy(base.B, base.yv, base.s2,
-                                   rejects=lambda v: abs(v) < inference.SEARCH_H / 2)
+                                   rejects=lambda v: abs(v) < inference.SEARCH_FIRST_STEP / 2)
         scored = []
         real_score = inference._score
 
@@ -711,8 +744,8 @@ class TestNewtonPsiSearch:
 
         monkeypatch.setattr(inference, "_score", recorded)
         x, search = empirical_bayes(toy)
-        # the second stencil, around the best point h, takes the start's
-        # value as its x - h from the first, and scores no point again
+        # both points SEARCH_FIRST_STEP from the start score, and the ascent
+        # from the better one scores no point again
         assert search.rejected_by_reason == {"factorization": 1}
         assert len(set(scored)) == len(scored) == search.evals
         assert search.decrement <= inference.SEARCH_TOL
@@ -740,24 +773,33 @@ class TestNewtonPsiSearch:
 
     def test_fit_reports_the_search(self, small_dataset, monkeypatch):
         cfg, records = small_dataset
-        stencils = []
-        real_stencil = inference._stencil
+        points, gradients = [], []
+        real_gradient = inference.psi_gradient
 
-        def recorded(*args):
-            stencils.append(real_stencil(*args))
-            return stencils[-1]
+        def recorded(model, vec, mode):
+            points.append(np.array(vec))
+            gradients.append(real_gradient(model, vec, mode))
+            return gradients[-1]
 
-        monkeypatch.setattr(inference, "_stencil", recorded)
+        monkeypatch.setattr(inference, "psi_gradient", recorded)
         d = fit(records, get_spec("m_a"), cfg.grid).diagnostics
-        assert d["psi_search_iterations"] == len(stencils)
-        grad, hess = stencils[-1][0]
-        assert np.linalg.eigvalsh(-hess).min() > 0
+        assert d["psi_gradients"] == len(gradients)
+        # one gradient at the start and one at the end of each line search
+        assert d["psi_search_iterations"] == len(gradients) - 1
+        # the quasi-Newton model, rebuilt from the gradients' points: BFGS
+        # on the negative Hessian B from SEARCH_CURVATURE times the
+        # identity, skipping pairs with s'y <= 0 (Nocedal & Wright, eq. 6.19)
+        B = inference.SEARCH_CURVATURE * np.eye(d["n_free_hyper"])
+        for s, y in zip(np.diff(points, axis=0), -np.diff(gradients, axis=0)):
+            if s @ y > 0:
+                Bs = B @ s
+                B = B - np.outer(Bs, Bs) / (s @ Bs) + np.outer(y, y) / (s @ y)
+        g = gradients[-1]
+        assert np.linalg.eigvalsh(B).min() > 0
         assert d["psi_search_decrement"] == pytest.approx(
-            0.5 * grad @ np.linalg.solve(-hess, grad), rel=1e-9)
+            0.5 * g @ np.linalg.solve(B, g), rel=1e-9)
         assert d["psi_search_decrement"] <= inference.SEARCH_TOL
-        # the start, one stencil per iteration and a line-search point
-        # between each two
-        k = d["n_free_hyper"]
-        per_stencil = 2 * k + k * (k - 1) // 2
-        assert d["psi_evaluations"] >= 1 + len(stencils) * (per_stencil + 1) - 1
+        # the start, a line-search point per iteration, and the model's
+        # last step
+        assert d["psi_evaluations"] >= 1 + d["psi_search_iterations"] + 1
         assert "search_initial_step" not in d
