@@ -56,8 +56,9 @@ covariance H_c^-1,
     dL/dx_j = -½ theta*' Sigma_j theta* + ½ r_j + (hyperprior term)
               - ½ tr(H_c^-1 (Sigma_j + B' diag(lambda ⊙ B theta'_j) B)),
 
-whose traces read H_c^-1 only where H has entries. The gradient reuses
-the factor of the mode it is taken at, so it costs no mode search.
+whose traces read H_c^-1 only where H has entries, the second as
+sum lambda ⊙ h ⊙ B theta'_j with h = diag(B H_c^-1 B') once per gradient.
+The gradient reuses the mode's factor, so it costs no mode search.
 
 The search runs over the free log-precisions x, and every routine takes
 a point as that vector. Any object with the
@@ -200,8 +201,8 @@ class _Factor:
     ``ShoeModel.lik_parts`` makes them, so the factorization spends H.
     The sum-to-zero rows are one dense 0/1 matrix ``A``, and every
     factorization and triangular solve, the kriging's included, is a raw
-    LAPACK call. The marginal variances take diag(F^-1) by selected
-    inversion of Lf, a block Takahashi recursion (:meth:`_field_variances`).
+    LAPACK call. The covariance takes F^-1's band by selected inversion
+    of Lf, a block Takahashi recursion (:meth:`_field_inverse`).
     """
 
     def __init__(self, H: ArrowMatrix, blocks: Sequence[np.ndarray]):
@@ -329,10 +330,6 @@ class _Factor:
             keep, at = put[m, r]
             out[c * (kd + 1) + at] = cols.ravel()[keep]
         return out.reshape(n, kd + 1).T
-
-    def _field_variances(self) -> np.ndarray:
-        """diag(F^-1), the first row of :meth:`_field_inverse`'s band."""
-        return self._field_inverse(np.zeros((self.nf, 0)), np.zeros(0))[0]
 
     def covariance(self) -> ArrowMatrix:
         """The constrained covariance H_c^-1 = H^-1 - V M^-1 V' on H's arrow pattern.

@@ -259,8 +259,8 @@ class ArrowMatrix:
 
     so the field block is banded in ``field`` order and the rest is dense.
     Entries of ``band`` past the end of its rows are zero and unused.
-    Plain storage: :meth:`ShoeModel.lik_parts` builds the one a Newton
-    point needs, and its factorization overwrites the band and C.
+    Plain storage, no methods: :meth:`ShoeModel.lik_parts` builds the one a
+    Newton point needs, and its factorization overwrites the band and C.
     """
 
     field: np.ndarray
@@ -268,15 +268,6 @@ class ArrowMatrix:
     band: np.ndarray  # (bandwidth + 1, n_field)
     C: np.ndarray     # (n_field, n_border)
     B: np.ndarray     # (n_border, n_border)
-
-    def inner(self, other: "ArrowMatrix") -> float:
-        """tr(self other), for ``other`` on the same field, border and band width.
-
-        Off the diagonal each stored entry stands for two of the matrix.
-        """
-        band = self.band * other.band
-        return float(2.0 * band.sum() - band[0].sum() + 2.0 * (self.C * other.C).sum()
-                     + (self.B * other.B).sum())
 
 
 class Design:
@@ -558,6 +549,39 @@ class ShoeModel(Design):
         b_w[self._field] = field_sums.ravel()
         return ArrowMatrix(self._field, self._border, band, C, B), b_w
 
+    def _leverage(self, M: ArrowMatrix) -> np.ndarray:
+        """h_i = b_i' M b_i for each design row b_i, (S, A), with M on H's arrow pattern.
+
+        The adjoint of :meth:`_fisher`, tr(M B' diag(w) B) = sum w ⊙ h: M's
+        entry at each moment (U w)' V it gathers is added to the cell's
+        weight on the columns of U and V, twice off the diagonal, which meets
+        the rows of U and V ``CHUNK_ENTRIES`` entries at a time. The shoe x
+        fixed block is a per-shoe beta, the shoe x field block a covariate.
+        """
+        lay, cols = self.layout, self.columns
+        S, A, n_fields = lay.n_shoes, lay.n_cells, lay.n_constraints
+        C3 = M.C.T.reshape(S + lay.n_fixed, A, n_fields)        # [border, cell, field]
+        band3 = M.band.T.reshape(A, n_fields, self._band_rows)  # [cell, field, row]
+        kk = np.zeros((self.U.shape[2], self.V.shape[2]))
+        np.add.at(kk, self._kk, M.B[S:, S:])
+        beta = np.zeros((S, cols.n_u, cols.n_v))
+        beta[:, cols.fixed_u, cols.fixed_v] = 2.0 * M.B[:S, S:]
+        diag, field, pu, pv = self._field_pairs
+        out = np.empty((A, S))
+        for cells in self._cell_chunks():
+            U, V = self.U[cells], self.V[cells]
+            weight = np.repeat(kk[None], len(U), axis=0)
+            np.add.at(weight, (slice(None), *self._field_fixed),
+                      2.0 * C3[S:, cells].transpose(1, 2, 0))
+            np.add.at(weight, (slice(None), pu, pv),
+                      np.where(diag, 2.0, 1.0) * band3[cells, field, diag])
+            uw = U @ weight
+            uw[:, :, :cols.n_v] += (self.u[cells].transpose(1, 0, 2) @ beta).transpose(1, 0, 2)
+            for i, (p, q) in enumerate(zip(*self._field_cols)):
+                uw[:, :, q] += 2.0 * U[:, :, p] * C3[:S, cells, i].T
+            out[cells] = np.einsum("asq,asq->as", uw, V)
+        return (out + M.B.diagonal()[:S]).T
+
     # -- prior ---------------------------------------------------------------
 
     def prior_at(self, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
@@ -608,14 +632,13 @@ class ShoeModel(Design):
         mode (the mode's own movement does not change the log-joint to
         first order), and the log-determinant's, whose last term is H's
         change through lambda as the mode moves (Kristensen, Nielsen, Berg,
-        Skaug & Bell 2016, J. Stat. Softw. 70(5), §2). That term is a
-        :meth:`_fisher` build with weights lambda ⊙ B dtheta_j; Sigma_j's
-        trace reads Sigma's band rows of ``cov``, or its shoe diagonal.
+        Skaug & Bell 2016, J. Stat. Softw. 70(5), §2): sum lambda ⊙ h ⊙ B dtheta_j,
+        h the predictor's variances (:meth:`_leverage`). Sigma_j's trace reads
+        Sigma's band rows of ``cov``, or its shoe diagonal.
         """
         lay = self.layout
-        lam = np.exp(self.eta(theta))
+        lam_h = np.exp(self.eta(theta)) * self._leverage(cov)
         tangents = self.prior_tangents(x, theta)
-        band = cov.band[self._prior_rows]
         free = [(slot, q, tau) for slot, (q, tau) in enumerate(zip(self.precisions, self._taus(x)))
                 if q.free]
         out = np.empty(self.n_free)
@@ -625,11 +648,10 @@ class ShoeModel(Design):
             else:
                 # field slot - 1 sits at every n_fields-th column of the band
                 rank = lay.n_cells - 1
-                prod = band[:, slot - 1::lay.n_constraints] * self._q_rows
+                prod = cov.band[self._prior_rows, slot - 1::lay.n_constraints] * self._q_rows
                 unit = 2.0 * prod.sum() - prod[0].sum()
-            fisher = self._fisher(lam * self.eta(dtheta[j]))[0]
             out[j] = (-0.5 * tangents[j] @ theta + 0.5 * rank - q.rate * tau
-                      - 0.5 * tau * unit - 0.5 * cov.inner(fisher))
+                      - 0.5 * tau * unit - 0.5 * (lam_h * self.eta(dtheta[j])).sum())
         return out
 
     def prior_tangents(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:

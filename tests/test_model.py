@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from _toys import arrow_to_dense, dense_design, dense_prior, prior_to_dense, queen_laplacian
+from coxforge import inference
 from coxforge.design import ModelSpec, builtin_specs, get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec, ShoeRecord
@@ -46,8 +48,9 @@ def _small_model(seed=0):
     return model, x, theta
 
 
-def _m_final_model():
-    cfg = SimConfig(nx=3, ny=4, n_shoes=6, spec=get_spec("m_final"), seed=3)
+def _sim_model(spec="m_final", n_shoes=6):
+    """A model of simulated data on a 3x4 grid, with the true theta."""
+    cfg = SimConfig(nx=3, ny=4, n_shoes=n_shoes, spec=get_spec(spec), seed=3)
     records, theta = gen_dataset(cfg)
     return ShoeModel(records, cfg.spec, cfg.grid), theta
 
@@ -111,7 +114,7 @@ class TestHyperparams:
 
     def test_free_mask_keeps_single_factor_fields(self):
         # tau_s, then the smooth field's, then one per varying field
-        model, _ = _m_final_model()
+        model, _ = _sim_model()
         assert [q.free for q in model.precisions] == [True, True, True, True, False]
         model, _, _ = _small_model()
         assert [q.free for q in model.precisions] == [True, True, True, False]
@@ -211,7 +214,7 @@ class TestLikelihood:
         """Gradient B'(y - lambda) - Sigma theta and negative Hessian
         Sigma + B' diag(lambda) B, with B and Sigma built densely."""
         small, _, small_theta = _small_model()
-        for model, theta in ((small, small_theta), _m_final_model()):
+        for model, theta in ((small, small_theta), _sim_model()):
             x = np.linspace(-0.5, 1.0, model.n_free)
             sigma = dense_prior(model, model.psi_from_free(x))
             value, grad, H = model.lik_parts(theta, model.prior_at(x)[0])
@@ -319,7 +322,7 @@ class TestPrior:
         """Every field block of m_final's prior is tau_j Q, and nothing couples
         them; its 100001 field's precision is pinned, so its log terms are
         ½ log |Sigma|_* and the hyperprior of the other four precisions."""
-        model, _ = _m_final_model()
+        model, _ = _sim_model()
         x = np.linspace(-0.5, 1.0, model.n_free)
         psi = model.psi_from_free(x)
         assert len(psi.tau_v) == 3
@@ -368,3 +371,67 @@ class TestConstruction:
         got = np.concatenate(model.constraint_blocks)
         want = np.arange(lay.smooth_block.start, lay.n_total)
         assert np.array_equal(np.sort(got), want)
+
+
+class TestLeverage:
+    """h_i = b_i' M b_i for M the constrained covariance, against dense
+    oracles, each to 1e-10 of its scale."""
+
+    @staticmethod
+    def _covariance(model, theta):
+        """H_c^-1 at theta on the arrow pattern, and the whole of it dense."""
+        x = np.linspace(-0.5, 1.0, model.n_free)
+        _, _, H = model.lik_parts(theta, model.prior_at(x)[0])
+        dense = arrow_to_dense(H)  # the factorization overwrites H
+        A = np.zeros((len(model.constraint_blocks), model.n_total))
+        for row, blk in zip(A, model.constraint_blocks):
+            row[blk] = 1.0
+        U = scipy.linalg.null_space(A)
+        want = U @ np.linalg.inv(U.T @ dense @ U) @ U.T
+        return inference._Factor(H, model.constraint_blocks).covariance(), want
+
+    def _check_against_dense(self, model, theta):
+        M, cov = self._covariance(model, theta)
+        B = dense_design(model)
+        want = np.einsum("ij,jk,ik->i", B, cov, B).reshape(model.layout.n_shoes, -1)
+        got = model._leverage(M)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("spec, n_shoes", [("m_final", 6), ("variant_a", 4)])
+    def test_matches_dense_predictor_variances(self, spec, n_shoes):
+        """diag(B H_c^-1 B'), on four fields and on sixteen."""
+        self._check_against_dense(*_sim_model(spec, n_shoes))
+
+    @pytest.mark.parametrize("spec, n_shoes", [("m_final", 6), ("variant_a", 4)])
+    def test_matches_dense_across_cell_chunks(self, spec, n_shoes, monkeypatch):
+        """The same with the 12 cells in chunks of 5, 5 and 2."""
+        model, theta = _sim_model(spec, n_shoes)
+        monkeypatch.setattr("coxforge.model.CHUNK_ENTRIES", 5 * n_shoes * model.U.shape[2])
+        assert [len(range(12)[c]) for c in model._cell_chunks()] == [5, 5, 2]
+        self._check_against_dense(model, theta)
+
+    def test_adjoint_of_fisher_build(self):
+        """sum w ⊙ h = tr(M B' diag(w) B), the Fisher term built by _fisher."""
+        model, theta = _sim_model()
+        M, _ = self._covariance(model, theta)
+        w = np.random.default_rng(4).uniform(0.5, 2.0, size=(model.layout.n_shoes,
+                                                             model.layout.n_cells))
+        want = np.sum(arrow_to_dense(M) * arrow_to_dense(model._fisher(w)[0]))
+        got = (w * model._leverage(M)).sum()
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("spec", ["m_final", "uniform"])
+    def test_psi_gradient_builds_no_fisher_matrix(self, spec, monkeypatch):
+        model, _ = _sim_model(spec)
+        x = np.zeros(model.n_free)
+        sigma = model.prior_at(x)[0]
+        mode = inference.find_mode(sigma, model, model.cold_start())
+        calls = []
+        fisher = ShoeModel._fisher
+        monkeypatch.setattr(ShoeModel, "_fisher",
+                            lambda self, w: calls.append(w.shape) or fisher(self, w))
+        assert np.all(np.isfinite(inference.psi_gradient(model, x, mode)))
+        assert calls == []
+        model.lik_parts(mode.theta_star, sigma)  # the counter counts
+        assert len(calls) == 1
