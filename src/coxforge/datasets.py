@@ -5,10 +5,21 @@ grid geometry travel together in one JSON dataset file; fitted results
 round-trip through JSON; heatmaps leave as CSV plus 8-bit PGM with the
 scaling recorded in a sidecar JSON. Timestamps live in a single metadata
 field so that outputs are otherwise byte-reproducible.
+
+A dataset file (format ``coxforge-dataset-v2``) is one JSON object: the
+format tag, the grid, and one object per shoe. A shoe's ``contact`` and
+``gradient`` cells are stored as the base64 of their row-major,
+little-endian float64 bytes, which round-trip exactly and cost no
+float-to-text conversion; ``contact_binary`` and ``counts`` stay JSON
+integer lists, so their checks (0/1, whole, non-negative) still read in a
+hand-edited file. A v1 file, which held every array as a JSON number
+list, is refused with the file named: rewrite it with this version's
+``prep`` or ``simulate``.
 """
 
 from __future__ import annotations
 
+import base64
 import csv
 import io
 import json
@@ -25,7 +36,7 @@ from .grids import GridSpec, RawImage, ShoeRecord, Side
 
 log = logging.getLogger("coxforge.datasets")
 
-DATASET_FORMAT = "coxforge-dataset-v1"
+DATASET_FORMAT = "coxforge-dataset-v2"
 
 
 def _utc_now() -> str:
@@ -69,6 +80,8 @@ def read_pgm(path) -> np.ndarray:
                 f"{path}: truncated PGM data: expected {need} bytes, found {max(len(raw) - pos, 0)}"
             )
         data = np.frombuffer(raw, dtype=dt, count=width * height, offset=pos)
+        # unsigned samples are >= 0 by their type
+        in_range = data.max() <= maxval
     else:
         try:
             data = np.array(raw[pos:].split(), dtype=float)
@@ -78,7 +91,9 @@ def read_pgm(path) -> np.ndarray:
             raise InputDataError(
                 f"{path}: expected {width * height} samples, found {data.size}"
             )
-    if not np.all((data >= 0) & (data <= maxval)):
+        # written so that NaN fails it
+        in_range = np.all((data >= 0) & (data <= maxval))
+    if not in_range:
         raise InputDataError(f"{path}: PGM samples must lie in [0, {maxval}]")
     img = data.reshape(height, width).astype(float) / maxval
     return img
@@ -198,8 +213,28 @@ def read_json(path, what: str, object_hook=None) -> dict:
     return doc
 
 
-def _grid_to_list(arr: np.ndarray, dtype=float) -> list:
-    return np.asarray(arr, dtype=dtype).ravel().tolist()
+#: Float cells, stored as base64 of row-major little-endian float64 bytes.
+_FLOAT_KEYS = ("contact", "gradient")
+#: Integer cells, stored as JSON lists.
+_INT_KEYS = ("contact_binary", "counts")
+
+
+def _encode_floats(arr: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_floats(key: str, value, n_cells: int) -> np.ndarray:
+    """The float64 cells that ``_encode_floats`` wrote, as a writable array."""
+    if not isinstance(value, str):
+        raise TypeError(f"{key}: expected a base64 string, found {type(value).__name__}")
+    try:
+        # without validate, characters outside the alphabet are silently dropped
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a string that is not ASCII
+        raise ValueError(f"{key}: not base64: {exc}") from exc
+    if len(raw) != 8 * n_cells:
+        raise ValueError(f"{key}: {len(raw)} bytes, expected 8 per cell x {n_cells} cells")
+    return np.frombuffer(raw, dtype="<f8").astype(float)
 
 
 def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
@@ -209,10 +244,10 @@ def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
             "shoe_id": r.shoe_id,
             "side": r.side,
             "threshold": float(r.threshold),
-            "contact": _grid_to_list(r.contact),
-            "contact_binary": _grid_to_list(r.contact_binary, np.int64),
-            "gradient": _grid_to_list(r.gradient),
-            "counts": _grid_to_list(r.counts, np.int64),
+            "contact": _encode_floats(r.contact),
+            "contact_binary": np.asarray(r.contact_binary, dtype=np.int64).ravel().tolist(),
+            "gradient": _encode_floats(r.gradient),
+            "counts": np.asarray(r.counts, dtype=np.int64).ravel().tolist(),
         })
     doc = {
         "format": DATASET_FORMAT,
@@ -223,17 +258,15 @@ def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-_CELL_KEYS = ("contact", "contact_binary", "gradient", "counts")
-
-
 def _cells_to_arrays(obj: dict) -> dict:
-    """A JSON object hook: a shoe's cell lists become float arrays as it closes.
+    """A JSON object hook: a shoe's integer cell lists become float arrays
+    as it closes.
 
     So the parser never holds more than one shoe's cells as Python lists.
     It never raises: a list it cannot convert stays a list, for
     :func:`load_dataset` to report with the file and the shoe.
     """
-    for key in _CELL_KEYS:
+    for key in _INT_KEYS:
         value = obj.get(key)
         if isinstance(value, list):
             try:
@@ -248,7 +281,8 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
     doc = read_json(p, "dataset", object_hook=_cells_to_arrays)
     if doc.get("format") != DATASET_FORMAT:
         raise InputDataError(
-            f"{p}: format tag {doc.get('format')!r}, expected {DATASET_FORMAT!r}"
+            f"{p}: format tag {doc.get('format')!r}, expected {DATASET_FORMAT!r}; "
+            f"rewrite the dataset with this version's prep or simulate"
         )
     try:
         grid = GridSpec.from_json_dict(doc["grid"])
@@ -260,7 +294,10 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
     for i, s in enumerate(shoes):
         sid = s.get("shoe_id", f"#{i}") if isinstance(s, dict) else f"#{i}"
         try:
-            cells = {key: np.asarray(s[key], dtype=float).reshape(shape) for key in _CELL_KEYS}
+            cells = {key: _decode_floats(key, s[key], grid.n_cells).reshape(shape)
+                     for key in _FLOAT_KEYS}
+            cells.update({key: np.asarray(s[key], dtype=float).reshape(shape)
+                          for key in _INT_KEYS})
             rec = ShoeRecord(
                 shoe_id=str(s["shoe_id"]),
                 side=s["side"],

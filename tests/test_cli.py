@@ -5,6 +5,7 @@ can be asserted directly; the heavy lifting happens on tiny synthetic
 grids to keep the suite quick.
 """
 
+import base64
 import csv
 import json
 import string
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from coxforge import datasets as ds
 from coxforge import inference
 from coxforge.cli import main
-from coxforge.grids import GridSpec
+from coxforge.grids import _MAX_GRADIENT, GridSpec, ShoeRecord
 from coxforge.metrics import uniform_metric
 
 
@@ -25,6 +26,20 @@ def _strip_metadata(doc):
     doc = dict(doc)
     doc.pop("metadata", None)
     return doc
+
+
+def _set_cell(shoe, key, cell, value):
+    """Set one cell of a shoe's array in a dataset document.
+
+    ``contact`` and ``gradient`` are decoded from their base64 float64
+    bytes, edited and encoded again; the integer arrays are JSON lists.
+    """
+    if isinstance(shoe[key], list):
+        shoe[key][cell] = value
+        return
+    cells = np.frombuffer(base64.b64decode(shoe[key]), dtype="<f8").copy()
+    cells[cell] = value
+    shoe[key] = base64.b64encode(cells.tobytes()).decode("ascii")
 
 
 @pytest.fixture(scope="module")
@@ -68,17 +83,6 @@ class TestSimulate:
         a = _strip_metadata(json.loads((simdir / "dataset.json").read_text()))
         b = _strip_metadata(json.loads((tmp_path / "dataset.json").read_text()))
         assert a == b
-
-    def test_dataset_arrays_saved_as_element_by_element(self, simdir, tmp_path):
-        """save_dataset writes each array as the per-element float/int lists would."""
-        records, grid = ds.load_dataset(simdir / "dataset.json")
-        ds.save_dataset(records, grid, tmp_path / "again.json")
-        shoes = json.loads((tmp_path / "again.json").read_text())["shoes"]
-        for rec, shoe in zip(records, shoes):
-            for key, cast in (("contact", float), ("contact_binary", int),
-                              ("gradient", float), ("counts", int)):
-                want = [cast(v) for v in getattr(rec, key).reshape(-1)]
-                assert json.dumps(shoe[key]) == json.dumps(want)
 
     def test_bad_grid_string_is_config_error(self, tmp_path):
         assert main(["simulate", "--grid", "5by6",
@@ -440,9 +444,9 @@ class TestPrep:
         ])
         return code, " ".join(r.getMessage() for r in caplog.records)
 
-    @pytest.mark.parametrize("sample", ["2x5", "300"])
+    @pytest.mark.parametrize("sample", ["2x5", "300", "nan"])
     def test_prep_bad_pgm_sample_exits_1(self, toydir, caplog, sample):
-        """A non-numeric sample, or one above maxval, names the file."""
+        """A non-numeric sample, one above maxval, or nan names the file."""
         path = toydir / "s1.pgm"
         lines = path.read_text().splitlines()
         lines[-1] = lines[-1].rsplit(" ", 1)[0] + " " + sample
@@ -450,6 +454,17 @@ class TestPrep:
         code, msg = self._prep_exit_and_message(toydir, caplog)
         assert code == 1
         assert str(path) in msg
+        assert {"2x5": "non-numeric", "300": "[0, 255]", "nan": "[0, 255]"}[sample] in msg
+
+    def test_prep_p5_sample_above_maxval_exits_1(self, toydir, caplog):
+        """Binary samples are checked against a maxval below their type's range."""
+        path = toydir / "s1.pgm"
+        pixels = np.full(6 * 8, 100, dtype=np.uint8)
+        pixels[17] = 101
+        path.write_bytes(b"P5\n6 8\n100\n" + pixels.tobytes())
+        code, msg = self._prep_exit_and_message(toydir, caplog)
+        assert code == 1
+        assert str(path) in msg and "[0, 100]" in msg
 
     def test_prep_accidentals_with_byte_order_mark(self, toydir):
         """A CSV saved with the UTF-8 byte-order mark preps as its twin without."""
@@ -569,12 +584,48 @@ class TestMalformedInput:
         assert str(path) in msg and "truncated" in msg
 
     def test_dataset_array_of_wrong_length(self, dataset_doc, tmp_path, caplog):
+        """One cell short: 8 bytes fewer than the grid's cells take."""
         shoe = dataset_doc["shoes"][2]
-        shoe["gradient"] = shoe["gradient"][:-1]
+        cells = base64.b64decode(shoe["gradient"])
+        shoe["gradient"] = base64.b64encode(cells[:-8]).decode("ascii")
         path, argv = self._fit_argv(dataset_doc, tmp_path)
         code, msg = self._exit_and_message(caplog, argv)
         assert code == 1
         assert str(path) in msg and shoe["shoe_id"] in msg
+
+    @pytest.mark.parametrize("key", ["contact", "gradient"])
+    @pytest.mark.parametrize("value", [
+        0.5,
+        [0.5] * 30,
+        # 30 zero cells with one stray character, which a lenient decoder drops
+        base64.b64encode(bytes(8 * 30)).decode("ascii").replace("A", "A*", 1),
+        base64.b64encode(bytes(8 * 30 + 3)).decode("ascii"),
+    ], ids=["number", "list", "not_base64", "bytes_not_8_per_cell"])
+    def test_float_cells_that_are_not_base64_float64(self, dataset_doc, tmp_path, caplog,
+                                                     key, value):
+        """The simulated grid has 30 cells."""
+        shoe = dataset_doc["shoes"][6]
+        shoe[key] = value
+        path, argv = self._fit_argv(dataset_doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and shoe["shoe_id"] in msg and key in msg
+
+    def test_v1_dataset_exits_1(self, simdir, tmp_path, caplog):
+        """A file of the format before base64 float cells: its float
+        arrays are number lists. It is refused, not read."""
+        records, _ = ds.load_dataset(simdir / "dataset.json")
+        doc = json.loads((simdir / "dataset.json").read_text())
+        doc["format"] = "coxforge-dataset-v1"
+        for rec, shoe in zip(records, doc["shoes"]):
+            for key in ("contact", "gradient"):
+                shoe[key] = getattr(rec, key).ravel().tolist()
+        path, argv = self._fit_argv(doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and "'coxforge-dataset-v1'" in msg
+        assert "prep" in msg and "simulate" in msg
+        assert caplog.records[-1].exc_info is None
 
     @pytest.mark.parametrize("content", [b"[1, 2]", b'"x"', b'\xff{"format": 1}'],
                              ids=["array", "string", "not_utf8"])
@@ -609,7 +660,7 @@ class TestMalformedInput:
         """The loader's JSON hook leaves a list it cannot make into an
         array as it is, and the record ends as a reported error."""
         shoe = dataset_doc["shoes"][3]
-        shoe["gradient"][5] = value
+        shoe["counts"][5] = value
         path, argv = self._fit_argv(dataset_doc, tmp_path)
         code, msg = self._exit_and_message(caplog, argv)
         assert code == 1
@@ -619,7 +670,7 @@ class TestMalformedInput:
     def test_contact_outside_unit_interval(self, dataset_doc, tmp_path,
                                            caplog, value):
         shoe = dataset_doc["shoes"][1]
-        shoe["contact"][3] = value
+        _set_cell(shoe, "contact", 3, value)
         path, argv = self._fit_argv(dataset_doc, tmp_path)
         code, msg = self._exit_and_message(caplog, argv)
         assert code == 1
@@ -629,7 +680,7 @@ class TestMalformedInput:
     def test_bad_accidental_count(self, dataset_doc, fitfile, tmp_path, caplog,
                                   value):
         shoe = dataset_doc["shoes"][4]
-        shoe["counts"][7] = value
+        _set_cell(shoe, "counts", 7, value)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dataset_doc))
         code, msg = self._exit_and_message(caplog, [
@@ -643,7 +694,7 @@ class TestMalformedInput:
     def test_gradient_outside_sobel_range(self, dataset_doc, fitfile, tmp_path,
                                           caplog, value):
         shoe = dataset_doc["shoes"][5]
-        shoe["gradient"][2] = value
+        _set_cell(shoe, "gradient", 2, value)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dataset_doc))
         code, msg = self._exit_and_message(caplog, [
@@ -655,7 +706,7 @@ class TestMalformedInput:
 
     def test_binary_contact_not_zero_one(self, dataset_doc, tmp_path, caplog):
         shoe = dataset_doc["shoes"][0]
-        shoe["contact_binary"][0] = 0.5
+        _set_cell(shoe, "contact_binary", 0, 0.5)
         path, argv = self._fit_argv(dataset_doc, tmp_path)
         code, msg = self._exit_and_message(caplog, argv)
         assert code == 1
@@ -793,7 +844,7 @@ def test_evaluate_survives_one_bad_dataset_entry(simdir, gradient_fitfile, fuzz_
                                                  array, shoe, cell, value):
     """One entry of a dataset array replaced: a documented exit code, sane output."""
     doc = json.loads((simdir / "dataset.json").read_text())
-    doc["shoes"][shoe][array][cell] = value
+    _set_cell(doc["shoes"][shoe], array, cell, value)
     path = fuzz_dir / "dataset.json"
     path.write_text(json.dumps(doc))
     out = fuzz_dir / "ev"
@@ -807,6 +858,44 @@ def test_evaluate_survives_one_bad_dataset_entry(simdir, gradient_fitfile, fuzz_
         assert rows
         for row in rows:
             assert row["n_accidentals"].isdigit(), row
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072009e-308]  # subnormals: least, greatest
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    contact=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.0, 1.0)),
+                     min_size=6, max_size=6),
+    gradient=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS + [_MAX_GRADIENT + 1e-6]),
+                                st.floats(0.0, _MAX_GRADIENT + 1e-6)),
+                      min_size=6, max_size=6),
+    counts=st.lists(st.integers(0, 2**40), min_size=6, max_size=6),
+)
+@example(contact=[-0.0, 5e-324, 2.2250738585072009e-308, 1.0, 0.0, 0.1],
+         gradient=[-0.0, 5e-324, 2.2250738585072009e-308, _MAX_GRADIENT + 1e-6, 0.0, 1.0],
+         counts=[0, 1, 2, 3, 0, 2**40])
+def test_dataset_round_trip_is_bit_exact(fuzz_dir, contact, gradient, counts):
+    """save_dataset then load_dataset returns every cell with its bits and
+    dtype: -0.0, subnormals and the largest accepted gradient included."""
+    grid = GridSpec.synthetic(2, 3)
+    shape = (grid.ny, grid.nx)
+    c = np.array(contact).reshape(shape)
+    rec = ShoeRecord(
+        shoe_id="s0", side="right", contact=c,
+        contact_binary=(c > 0.5).astype(np.uint8), gradient=np.array(gradient).reshape(shape),
+        counts=np.array(counts, dtype=np.int64).reshape(shape), threshold=0.5,
+    )
+    path = fuzz_dir / "round_trip.json"
+    ds.save_dataset([rec], grid, path)
+    [got], got_grid = ds.load_dataset(path)
+    assert got_grid == grid
+    assert (got.shoe_id, got.side, got.threshold) == (rec.shoe_id, rec.side, rec.threshold)
+    for key in ("contact", "contact_binary", "gradient", "counts"):
+        want, have = getattr(rec, key), getattr(got, key)
+        assert have.dtype == want.dtype and have.shape == want.shape
+        assert have.tobytes() == want.tobytes(), key
+        assert have.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,20 @@ def test_fft_equals_direct_property(ih, iw, kh, kw, seed):
     assert np.max(np.abs(got - want)) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (8, 8), (39, 91), (91, 39), (200, 77)])
+def test_kernel_stack_equals_separate_calls(shape):
+    """A stack of kernels gives, bit for bit, the convolutions one kernel at a time."""
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    stack = np.stack([SOBEL_X, SOBEL_Y])
+    for _ in range(20):
+        img = rng.uniform(size=shape)
+        got = fft_convolve2d(img, stack)
+        assert got.shape == (2, *shape)
+        for k, ker in enumerate(stack):
+            assert np.array_equal(got[k], fft_convolve2d(img, ker))
+        assert np.array_equal(sobel_magnitude(img), np.hypot(*got))
+
+
 def test_is_convolution_not_correlation():
     # an asymmetric kernel distinguishes the two: convolution flips it
     img = np.zeros((5, 5))
