@@ -10,7 +10,7 @@ predictive scoring under cross-validation.
 
 from .design import ModelSpec, builtin_specs, get_spec, index_from_string, index_to_string
 from .errors import ConfigError, CoxforgeError, InputDataError, NumericError
-from .gmrf import ConstrainedGaussian, besag_precision, log_gen_det, sample_constrained
+from .gmrf import besag_precision, log_gen_det, sample_constrained
 from .gradient import fft_convolve2d, sobel_magnitude
 from .grids import (
     GridSpec,
@@ -26,7 +26,7 @@ from .grids import (
 )
 from .inference import FitResult, GridConfig, ModeResult, find_mode, fit
 from .metrics import fold_gain, median_loss_ratio, shoe_metric, uniform_metric
-from .model import Hyperparams, PriorSpec, ShoeModel
+from .model import PriorSpec, ShoeModel, precision_names
 from .predict import (
     PredictiveField,
     factorized_log_prob,
@@ -42,13 +42,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelSpec", "builtin_specs", "get_spec", "index_from_string", "index_to_string",
     "ConfigError", "CoxforgeError", "InputDataError", "NumericError",
-    "ConstrainedGaussian", "besag_precision", "log_gen_det", "sample_constrained",
+    "besag_precision", "log_gen_det", "sample_constrained",
     "fft_convolve2d", "sobel_magnitude",
     "GridSpec", "RawImage", "ShoeRecord", "bin_accidentals", "binarize",
     "coarsen", "crop_reflect", "make_record", "otsu_threshold", "surface_record",
     "FitResult", "GridConfig", "ModeResult", "find_mode", "fit",
     "fold_gain", "median_loss_ratio", "shoe_metric", "uniform_metric",
-    "Hyperparams", "PriorSpec", "ShoeModel",
+    "PriorSpec", "ShoeModel", "precision_names",
     "PredictiveField", "factorized_log_prob", "log_multinomial", "poisson_marginal",
     "predictive_q",
     "FoldPlan", "make_folds", "run_cv",

@@ -37,7 +37,7 @@ from .crossval import make_folds, run_cv, score_shoes, write_cv_outputs
 from .design import ModelSpec, builtin_specs, get_spec, index_to_string
 from .errors import ConfigError, CoxforgeError, InputDataError, NumericError
 from .grids import GridSpec, make_record
-from .inference import FitResult, GridConfig, fit
+from .inference import STRATEGIES, FitResult, GridConfig, fit
 from .model import PriorSpec
 from .predict import predictive_q
 from .simulate import SimConfig, gen_dataset
@@ -164,8 +164,8 @@ def cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     ds.save_dataset(records, cfg.grid, outdir / "dataset.json")
     truth = {
-        "theta": [float(v) for v in theta],
-        "psi": cfg.psi.to_json_dict(cfg.spec),
+        "theta": theta.tolist(),
+        "psi": cfg.psi,
         "config": {
             "nx": nx, "ny": ny, "n_shoes": cfg.n_shoes, "model": cfg.spec.name,
             "seed": cfg.seed, "contact_kind": cfg.contact_kind,
@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-file", help="inline ModelSpec JSON instead of --model")
     p.add_argument("--prior-file", help="PriorSpec JSON overrides")
     p.add_argument("--strategy", default="empirical_bayes",
-                   choices=("empirical_bayes", "grid"))
+                   choices=STRATEGIES)
     p.add_argument("--grid-points", type=int, default=5)
     p.add_argument("--grid-spacing", type=float, default=0.75)
     p.add_argument("--out", required=True, help="output fit JSON")
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-folds", action="store_true",
                    help="keep left/right pairs in the same fold")
     p.add_argument("--strategy", default="empirical_bayes",
-                   choices=("empirical_bayes", "grid"))
+                   choices=STRATEGIES)
     p.add_argument("--prior-file")
     p.add_argument("--out", required=True, help="output directory")
     common(p, threads=True)

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputDataError
+from .errors import ConfigError, InputDataError
 from .grids import GridSpec, RawImage, ShoeRecord, Side
 
 log = logging.getLogger("coxforge.datasets")
@@ -289,6 +289,8 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
         shoes = list(doc["shoes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputDataError(f"{p}: malformed dataset: {exc!r}") from exc
+    except (ConfigError, InputDataError) as exc:
+        raise type(exc)(f"{p}: {exc}") from exc
     shape = (grid.ny, grid.nx)
     records = []
     for i, s in enumerate(shoes):

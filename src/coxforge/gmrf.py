@@ -16,7 +16,6 @@ Fields*, §2.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -101,24 +100,6 @@ def log_gen_det(grid: GridSpec) -> float:
     return float(np.log(n)) + 2.0 * float(np.log(factor[0]).sum())
 
 
-@dataclass(frozen=True)
-class ConstrainedGaussian:
-    """An intrinsic field N(0, (tau*Q)^-) restricted to sum-to-zero.
-
-    ``Q`` is the queen-adjacency Laplacian of an (nx, ny) lattice; the
-    grid dimensions are carried instead of the matrix so the sampling
-    factor can be cached.
-    """
-
-    nx: int
-    ny: int
-    tau: float
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ConfigError(f"precision must be positive, got {self.tau}")
-
-
 @lru_cache(maxsize=4)
 def _sampling_factor(nx: int, ny: int) -> np.ndarray:
     """Upper Cholesky factor of Q + (1/n) 11^T (a proper completion of Q).
@@ -137,9 +118,10 @@ def _sampling_factor(nx: int, ny: int) -> np.ndarray:
 
 
 def sample_constrained(
-    g: ConstrainedGaussian, rng: np.random.Generator | int, size: int = 1
+    nx: int, ny: int, tau: float, rng: np.random.Generator | int, size: int = 1
 ) -> np.ndarray:
-    """Draws from the intrinsic field, each summing to zero.
+    """Draws from the intrinsic field N(0, (tau Q)^-) on an (nx, ny)
+    lattice, Q its queen-adjacency Laplacian, each summing to zero.
 
     Returns shape (size, nx*ny); the ensemble covariance is pinv(Q)/tau.
     Sampling solves ``R x = z`` with ``R`` the Cholesky factor of the
@@ -147,12 +129,13 @@ def sample_constrained(
     on the constraint because the completion is flat along the constant
     vector. Deterministic given the seed / generator state.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    R = _sampling_factor(g.nx, g.ny)
+    if not tau > 0:
+        raise ConfigError(f"precision must be positive, got {tau}")
+    rng = np.random.default_rng(rng)  # a Generator is returned as it is
+    R = _sampling_factor(nx, ny)
     n = R.shape[0]
     z = rng.standard_normal((n, size))
     x = scipy.linalg.solve_triangular(R, z, lower=False)
-    x = x / np.sqrt(g.tau)
+    x = x / np.sqrt(tau)
     x -= x.mean(axis=0, keepdims=True)
     return np.ascontiguousarray(x.T)

@@ -22,13 +22,14 @@ full contact (dark ink). Flattened cell order is row-major.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputDataError
+from .util import json_int, json_number
 
 log = logging.getLogger("coxforge.grids")
 
@@ -101,25 +102,25 @@ class GridSpec:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "nx": self.nx, "ny": self.ny,
-            "src_w": self.src_w, "src_h": self.src_h,
-            "crop_x": list(self.crop_x), "crop_y": list(self.crop_y),
-            "x_range": list(self.x_range), "y_range": list(self.y_range),
-        }
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
+        """The grid a JSON object describes: counts and pixel ranges are
+        JSON integers, the physical ranges JSON numbers, each range a pair."""
+        def pair(key, parse):
+            v = d[key]
+            if not (isinstance(v, list) and len(v) == 2):
+                raise TypeError(f"{key} must be a list of two numbers, got {v!r}")
+            return parse(v[0], key), parse(v[1], key)
+
         try:
             return cls(
-                nx=int(d["nx"]), ny=int(d["ny"]),
-                src_w=int(d["src_w"]), src_h=int(d["src_h"]),
-                crop_x=(int(d["crop_x"][0]), int(d["crop_x"][1])),
-                crop_y=(int(d["crop_y"][0]), int(d["crop_y"][1])),
-                x_range=(float(d["x_range"][0]), float(d["x_range"][1])),
-                y_range=(float(d["y_range"][0]), float(d["y_range"][1])),
+                **{k: json_int(d[k], k) for k in ("nx", "ny", "src_w", "src_h")},
+                crop_x=pair("crop_x", json_int), crop_y=pair("crop_y", json_int),
+                x_range=pair("x_range", json_number), y_range=pair("y_range", json_number),
             )
-        except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"malformed grid description: {exc}") from exc
 
 

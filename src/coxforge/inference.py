@@ -66,7 +66,8 @@ a point as that vector. Any object with the
 ``n_free``, ``constraint_blocks``, ``log_y_factorial``, ``lik_parts``,
 ``prior_at``, ``prior_tangents``, ``psi_gradient``, and optionally
 ``cold_start``) can be driven by these routines; only :func:`fit` asks a
-``ShoeModel`` for more, to name the precisions in its result.
+``ShoeModel`` for more, to name the precisions in its result (the
+precision table is also the fit's record, ``FitResult.psi_map``).
 ``psi_gradient(x, theta, dtheta, cov)`` turns a mode, its derivatives in
 x and the constrained covariance into the gradient. ``prior_at(x)`` gives the
 prior precision Sigma with the log prior's terms in x alone, and the
@@ -96,8 +97,8 @@ from scipy.linalg import lapack
 from .design import ModelSpec, index_to_string
 from .errors import ConfigError, InputDataError, NumericError
 from .grids import GridSpec, ShoeRecord
-from .model import ArrowMatrix, Hyperparams, PriorSpec, ShoeModel, ThetaLayout
-from .util import check_threads, parallel_map
+from .model import ArrowMatrix, PriorSpec, ShoeModel, ThetaLayout, precision_names
+from .util import check_threads, json_number, parallel_map
 
 log = logging.getLogger("coxforge.inference")
 
@@ -136,6 +137,11 @@ MAX_HALVINGS = 30
 
 # why a hyperparameter candidate could not be scored
 REJECT_REASONS = ("unconverged", "factorization", "nonfinite")
+
+# what fit() can do once it has found the MAP precisions, and the format
+# tag of the file that records its result (a file with another is refused)
+STRATEGIES = ("empirical_bayes", "grid")
+FIT_FORMAT = "coxforge-fit-v2"
 
 
 class _Reject(NumericError):
@@ -596,8 +602,8 @@ class PsiGrid:
     def to_json_dict(self) -> dict:
         return {
             "free_names": list(self.free_names),
-            "points": [list(map(float, row)) for row in self.points],
-            "weights": [float(w) for w in self.weights],
+            "points": self.points.tolist(),
+            "weights": self.weights.tolist(),
         }
 
     @classmethod
@@ -842,19 +848,25 @@ def grid_posterior(
 
 @dataclass
 class FitResult:
-    """Posterior summary: marginal moments per coordinate plus psi summaries."""
+    """Posterior summary: marginal moments per coordinate plus psi summaries.
+
+    ``psi_map`` keys every precision at the MAP by its name in the model's
+    precision table; ``layout`` is derived, not stored."""
 
     spec: ModelSpec
     grid: GridSpec
     prior: PriorSpec
-    layout: ThetaLayout
     shoe_ids: list[str]
     strategy: str
-    psi_map: Hyperparams
+    psi_map: dict[str, float]
     psi_grid: PsiGrid
     marginal_mean: np.ndarray
     marginal_sd: np.ndarray
     diagnostics: dict
+
+    @property
+    def layout(self) -> ThetaLayout:
+        return ThetaLayout.for_model(len(self.shoe_ids), self.spec, self.grid.n_cells)
 
     def heatmap(self, which: str = "smooth") -> np.ndarray:
         """Posterior-mean field as a (ny, nx) array.
@@ -877,34 +889,39 @@ class FitResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "format": "coxforge-fit-v1",
+            "format": FIT_FORMAT,
             "model": self.spec.to_json_dict(),
             "grid": self.grid.to_json_dict(),
             "prior": self.prior.to_json_dict(),
-            "layout": self.layout.to_json_dict(),
             "shoe_ids": list(self.shoe_ids),
             "strategy": self.strategy,
-            "psi_map": self.psi_map.to_json_dict(self.spec),
+            "psi_map": dict(self.psi_map),
             "psi_grid": self.psi_grid.to_json_dict(),
-            "marginal_mean": [float(v) for v in self.marginal_mean],
-            "marginal_sd": [float(v) for v in self.marginal_sd],
+            "marginal_mean": self.marginal_mean.tolist(),
+            "marginal_sd": self.marginal_sd.tolist(),
             "diagnostics": self.diagnostics,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FitResult":
-        if d.get("format") != "coxforge-fit-v1":
-            raise InputDataError("not a fit result file (format tag mismatch)")
+        if d.get("format") != FIT_FORMAT:
+            raise InputDataError(f"format tag {d.get('format')!r}, expected {FIT_FORMAT!r}; "
+                                 f"fit the model again with this version")
         try:
             spec = ModelSpec.from_json_dict(d["model"])
+            shoe_ids, strategy = d["shoe_ids"], d["strategy"]
+            if not (isinstance(shoe_ids, list) and all(isinstance(s, str) for s in shoe_ids)
+                    and len(set(shoe_ids)) == len(shoe_ids)):
+                raise ValueError("shoe_ids must be a list of distinct strings")
+            if strategy not in STRATEGIES:
+                raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
             res = cls(
                 spec=spec,
                 grid=GridSpec.from_json_dict(d["grid"]),
                 prior=PriorSpec.from_json_dict(d["prior"]),
-                layout=ThetaLayout.from_json_dict(d["layout"]),
-                shoe_ids=list(d["shoe_ids"]),
-                strategy=str(d["strategy"]),
-                psi_map=Hyperparams.from_json_dict(d["psi_map"], spec),
+                shoe_ids=shoe_ids,
+                strategy=strategy,
+                psi_map=_read_psi_map(d["psi_map"], spec),
                 psi_grid=PsiGrid.from_json_dict(d["psi_grid"]),
                 marginal_mean=np.array(d["marginal_mean"], dtype=float),
                 marginal_sd=np.array(d["marginal_sd"], dtype=float),
@@ -912,19 +929,28 @@ class FitResult:
             )
         except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise InputDataError(f"malformed fit result: {exc!r}") from exc
-        want = ThetaLayout.for_model(len(res.shoe_ids), spec, res.grid.n_cells)
-        if res.layout != want:
-            raise InputDataError(
-                f"fit layout {res.layout} does not match its model, shoes and grid ({want})"
-            )
+        n = res.layout.n_total
         for name, v in (("marginal_mean", res.marginal_mean), ("marginal_sd", res.marginal_sd)):
-            if v.shape != (want.n_total,):
-                raise InputDataError(f"{name} has {v.size} entries, the layout needs {want.n_total}")
+            if v.shape != (n,):
+                raise InputDataError(f"{name} has {v.size} entries, the layout needs {n}")
         if not np.all(np.isfinite(res.marginal_mean)):
             raise InputDataError("marginal_mean has a non-finite entry")
         if not np.all(np.isfinite(res.marginal_sd) & (res.marginal_sd > 0)):
             raise InputDataError("marginal_sd has an entry that is not finite and positive")
         return res
+
+
+def _read_psi_map(d, spec: ModelSpec) -> dict[str, float]:
+    """A fit file's ``psi_map``: the spec's precisions by name, in their
+    order, each a finite and positive JSON number."""
+    names = precision_names(spec)
+    if not isinstance(d, dict) or list(d) != names:
+        raise ValueError(f"psi_map must name the precisions {names} in that order, got {d!r}")
+    out = {k: json_number(v, f"psi_map {k}") for k, v in d.items()}
+    for k, tau in out.items():
+        if not (np.isfinite(tau) and tau > 0):
+            raise ValueError(f"psi_map {k} must be finite and positive, got {tau}")
+    return out
 
 
 def fit(
@@ -944,7 +970,7 @@ def fit(
     constrained block sum to zero. Deterministic for fixed inputs: no
     randomness is consumed.
     """
-    if strategy not in ("empirical_bayes", "grid"):
+    if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     check_threads(threads)
     t_start = time.perf_counter()
@@ -1008,10 +1034,9 @@ def fit(
         spec=spec,
         grid=grid,
         prior=model.prior,
-        layout=model.layout,
         shoe_ids=model.shoe_ids,
         strategy=strategy,
-        psi_map=model.psi_from_free(map_vec),
+        psi_map=dict(zip(precision_names(spec), model._taus(map_vec).tolist())),
         psi_grid=psi_grid,
         marginal_mean=mean,
         marginal_sd=sd,

@@ -40,15 +40,16 @@ The model's precisions are listed once, in ``ShoeModel.precisions``:
 tau_s, then one per field in theta's order, the smooth field first, each
 with the block of theta it scales, whether it is free (a varying field's
 is pinned when its covariate multiplies two or more factors), its name
-and its hyperprior rate. Sigma, its tangents, log-determinant and
-hyperprior, the record of the precisions a fit keeps, and the
-sum-to-zero blocks all read that table.
+(:func:`precision_names`) and its hyperprior rate. Sigma, its tangents,
+log-determinant and hyperprior, the sum-to-zero blocks and every record
+of the precisions (a fit's ``psi_map``, a simulation's true ``psi``)
+all read that table.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +60,7 @@ from .design import ModelSpec, interaction_order
 from .errors import ConfigError, InputDataError, NumericError
 from .gmrf import band_matvec, band_offsets, besag_precision, log_gen_det
 from .grids import GridSpec, ShoeRecord
+from .util import json_number
 
 log = logging.getLogger("coxforge.model")
 
@@ -86,33 +88,32 @@ class PriorSpec:
     fixed_tau_high_order: float = 100.0
 
     def __post_init__(self) -> None:
-        for name in ("rate_tau_s", "rate_tau_sm", "rate_tau_i", "fixef_var",
-                     "fixed_tau_high_order"):
+        for name in self.__dataclass_fields__:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ConfigError(f"prior setting {name} must be finite and positive, "
                                   f"got {value}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "rate_tau_s": self.rate_tau_s,
-            "rate_tau_sm": self.rate_tau_sm,
-            "rate_tau_i": self.rate_tau_i,
-            "fixef_var": self.fixef_var,
-            "fixed_tau_high_order": self.fixed_tau_high_order,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PriorSpec":
-        known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
         extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ConfigError(f"unknown prior keys: {sorted(extra)}")
         try:
-            values = {k: float(v) for k, v in known.items()}
+            values = {f: json_number(d[f], f) for f in cls.__dataclass_fields__ if f in d}
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"prior settings must be numbers: {exc}") from exc
         return cls(**values)
+
+
+def precision_names(spec: ModelSpec) -> list[str]:
+    """The names of a spec's precisions in theta's order: tau_s, tau_sm
+    when it has a smooth field, then tau_v[<bits>] per varying field."""
+    return (["tau_s"] + ["tau_sm"] * spec.smooth
+            + [f"tau_v[{dz.index_to_string(i)}]" for i in spec.varying])
 
 
 class Precision(NamedTuple):
@@ -124,47 +125,6 @@ class Precision(NamedTuple):
     free: bool
     name: str
     rate: float
-
-
-@dataclass(frozen=True)
-class Hyperparams:
-    """One point in precision space: tau_s, tau_sm, and per-field tau_v.
-
-    ``tau_v`` carries every varying-coefficient precision, including the
-    policy-fixed high-order ones; which entries are actually free is a
-    property of the model spec, not of this value object. ``tau_sm`` is
-    None exactly when the model has no smooth field.
-    """
-
-    tau_s: float
-    tau_sm: float | None = None
-    tau_v: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        vals = [self.tau_s] + ([self.tau_sm] if self.tau_sm is not None else []) \
-            + list(self.tau_v)
-        if any((not np.isfinite(v)) or v <= 0 for v in vals):
-            raise ConfigError(f"precisions must be positive and finite: {self}")
-
-    def to_json_dict(self, spec: ModelSpec) -> dict:
-        return {
-            "tau_s": self.tau_s,
-            "tau_sm": self.tau_sm,
-            "tau_v": {
-                dz.index_to_string(i): v for i, v in zip(spec.varying, self.tau_v)
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict, spec: ModelSpec) -> "Hyperparams":
-        tau_v = tuple(d.get("tau_v", {}).get(dz.index_to_string(i)) for i in spec.varying)
-        if any(v is None for v in tau_v):
-            raise ConfigError("hyperparameter record missing varying-field precisions")
-        return cls(
-            tau_s=float(d["tau_s"]),
-            tau_sm=None if d.get("tau_sm") is None else float(d["tau_sm"]),
-            tau_v=tuple(float(v) for v in tau_v),
-        )
 
 
 @dataclass(frozen=True)
@@ -207,12 +167,11 @@ class ThetaLayout:
 
     @property
     def n_total(self) -> int:
-        n_fields = (1 if self.smooth else 0) + self.n_varying
-        return self.n_shoes + self.n_fixed + n_fields * self.n_cells
+        return self.n_shoes + self.n_fixed + self.n_constraints * self.n_cells
 
     @property
     def n_constraints(self) -> int:
-        return (1 if self.smooth else 0) + self.n_varying
+        return self.smooth + self.n_varying
 
     @property
     def constrained_dim(self) -> int:
@@ -226,23 +185,6 @@ class ThetaLayout:
             n_cells=n_cells,
             n_varying=len(spec.varying),
             smooth=spec.smooth,
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_shoes": self.n_shoes, "n_fixed": self.n_fixed,
-            "n_cells": self.n_cells, "n_varying": self.n_varying,
-            "smooth": self.smooth,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ThetaLayout":
-        if not isinstance(d["smooth"], bool):
-            raise ConfigError(f"layout smooth must be true or false, got {d['smooth']!r}")
-        return cls(
-            n_shoes=int(d["n_shoes"]), n_fixed=int(d["n_fixed"]),
-            n_cells=int(d["n_cells"]), n_varying=int(d["n_varying"]),
-            smooth=d["smooth"],
         )
 
 
@@ -385,12 +327,12 @@ class ShoeModel(Design):
         # the precisions, listed once; a varying field's is free when its
         # covariate has order <= 1, else pinned at fixed_tau_high_order
         p, A, start = self.prior, lay.n_cells, lay.n_shoes + lay.n_fixed
-        named = [(True, "tau_sm", p.rate_tau_sm)] * spec.smooth + [
-            (interaction_order(i) <= 1, f"tau_v[{dz.index_to_string(i)}]", p.rate_tau_i)
-            for i in spec.varying]
-        self.precisions = [Precision(np.arange(lay.n_shoes), True, "tau_s", p.rate_tau_s)] + [
-            Precision(np.arange(start + j * A, start + (j + 1) * A), *entry)
-            for j, entry in enumerate(named)]
+        blocks = [np.arange(lay.n_shoes)] + [np.arange(start + j * A, start + (j + 1) * A)
+                                             for j in range(n_fields)]
+        free = [True] * (1 + spec.smooth) + [interaction_order(i) <= 1 for i in spec.varying]
+        rates = ([p.rate_tau_s] + [p.rate_tau_sm] * spec.smooth
+                 + [p.rate_tau_i] * len(spec.varying))
+        self.precisions = [Precision(*q) for q in zip(blocks, free, precision_names(spec), rates)]
         self.n_free = sum(q.free for q in self.precisions)
         self.constraint_blocks = tuple(q.block for q in self.precisions[1:])
         # fields on one grid couple cell by cell, so interleaving them keeps
@@ -428,13 +370,6 @@ class ShoeModel(Design):
 
     def free_names(self) -> list[str]:
         return [q.name for q in self.precisions if q.free]
-
-    def psi_from_free(self, x: np.ndarray) -> Hyperparams:
-        """The precisions at free log-precisions ``x``, as the fit records them."""
-        taus = self._taus(x)
-        smooth = self.spec.smooth
-        return Hyperparams(tau_s=taus[0], tau_sm=taus[1] if smooth else None,
-                           tau_v=tuple(taus[1 + smooth:]))
 
     # -- likelihood and derivatives ------------------------------------------
 

@@ -23,7 +23,7 @@ from scipy.special import gammaln, logsumexp
 from .design import ModelSpec
 from .errors import ConfigError, NumericError
 from .grids import ShoeRecord
-from .model import Design, Hyperparams
+from .model import Design
 
 log = logging.getLogger("coxforge.predict")
 
@@ -141,7 +141,7 @@ def factorized_log_prob(
     theta,
     shoe: ShoeRecord,
     spec: ModelSpec,
-    psi: Hyperparams,
+    tau_s: float,
 ) -> tuple[float, float]:
     """The two factors of the marginalized count likelihood for one shoe.
 
@@ -154,6 +154,6 @@ def factorized_log_prob(
     y = np.asarray(counts, dtype=float).reshape(-1)
     total = int(round(float(y.sum())))
     lambda1 = float(np.exp(field.eta1).sum())
-    log_poisson = poisson_marginal(total, lambda1, psi.tau_s)
+    log_poisson = poisson_marginal(total, lambda1, tau_s)
     log_multi = 0.0 if total == 0 else log_multinomial(y, field.q)
     return log_poisson, log_multi

@@ -16,16 +16,15 @@ independent generator seeded with ``(seed, i)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
 from .design import ModelSpec, get_spec
 from .errors import ConfigError
-from .gmrf import ConstrainedGaussian, sample_constrained
+from .gmrf import sample_constrained
 from .gradient import sobel_magnitude
 from .grids import GridSpec, ShoeRecord, surface_record
-from .model import Design, Hyperparams, ThetaLayout
+from .model import Design, ThetaLayout, precision_names
 
 CONTACT_KINDS = ("blobs", "stripes", "uniform_noise")
 
@@ -67,13 +66,12 @@ class SimConfig:
         return GridSpec.synthetic(self.nx, self.ny)
 
     @property
-    def psi(self) -> Hyperparams:
-        n_varying = len(self.spec.varying)
-        return Hyperparams(
-            tau_s=self.tau_s,
-            tau_sm=self.tau_sm if self.spec.smooth else None,
-            tau_v=(self.tau_v,) * n_varying,
-        )
+    def psi(self) -> dict[str, float]:
+        """The true precisions, keyed as a fit's ``psi_map``: tau_v for
+        every varying field, pinned or free."""
+        spec = self.spec
+        taus = [self.tau_s] + [self.tau_sm] * spec.smooth + [self.tau_v] * len(spec.varying)
+        return dict(zip(precision_names(spec), taus))
 
 
 def _blobs(rng: np.random.Generator, ny: int, nx: int) -> np.ndarray:
@@ -129,12 +127,10 @@ def true_theta(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     if empty in spec.fixed:
         beta[spec.fixed.index(empty)] = config.intercept
     theta[lay.fixed] = beta
-    if lay.smooth:
-        g = ConstrainedGaussian(config.nx, config.ny, config.tau_sm)
-        theta[lay.smooth_block] = sample_constrained(g, rng)[0]
-    for j in range(lay.n_varying):
-        g = ConstrainedGaussian(config.nx, config.ny, config.tau_v)
-        theta[lay.varying_block(j)] = sample_constrained(g, rng)[0]
+    # the fields follow the fixed effects, one block each, in the order of psi
+    fields = theta[lay.fixed.stop:].reshape(-1, lay.n_cells)
+    for block, tau in zip(fields, list(config.psi.values())[1:]):
+        block[:] = sample_constrained(config.nx, config.ny, tau, rng)[0]
     return theta
 
 

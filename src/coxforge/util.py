@@ -31,3 +31,20 @@ def check_threads(threads: int) -> None:
     """A thread count below 1 is a ConfigError."""
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
+
+
+def json_number(value, name: str) -> float:
+    """A JSON number (an int or a float, not a bool) as a float; else an error naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is past the float range") from None
+
+
+def json_int(value, name: str) -> int:
+    """A JSON integer (an int, not a bool or a float); else a TypeError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    return value

@@ -89,16 +89,15 @@ def prior_to_dense(model, sigma) -> np.ndarray:
     return out
 
 
-def dense_prior(model, psi) -> np.ndarray:
-    """Sigma of a ShoeModel at Hyperparams ``psi``, from tau_j times the dense
-    queen Laplacian."""
+def dense_prior(model, taus) -> np.ndarray:
+    """Sigma of a ShoeModel at precisions ``taus``, in the order of
+    ``model.precisions``, from tau_j times the dense queen Laplacian."""
     lay = model.layout
     Q = queen_laplacian(model.grid.nx, model.grid.ny)
-    taus = ([psi.tau_sm] if lay.smooth else []) + list(psi.tau_v)
     return scipy.linalg.block_diag(
-        psi.tau_s * np.eye(lay.n_shoes),
+        taus[0] * np.eye(lay.n_shoes),
         np.eye(lay.n_fixed) / model.prior.fixef_var,
-        *[tau * Q for tau in taus],
+        *[tau * Q for tau in taus[1:]],
     )
 
 

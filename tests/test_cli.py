@@ -108,6 +108,20 @@ class TestFit:
         assert res.spec.name == "m_a"
         assert res.diagnostics["psi_evaluations"] > 0
 
+    def test_truth_psi_and_fit_psi_map_share_their_names(self, tmp_path):
+        """simulate then fit one model: the true and fitted precisions carry
+        the same names in the same order, those of the model's precision table."""
+        assert main(["simulate", "--grid", "4x5", "--shoes", "6", "--model", "m_final",
+                     "--seed", "2", "--out", str(tmp_path / "sim")]) == 0
+        assert main(["fit", "--dataset", str(tmp_path / "sim" / "dataset.json"),
+                     "--model", "m_final", "--out", str(tmp_path / "fit.json"),
+                     "--threads", "1"]) == 0
+        truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert list(truth["psi"]) == list(doc["psi_map"]) == [
+            "tau_s", "tau_sm", "tau_v[100000]", "tau_v[000001]", "tau_v[100001]"]
+        assert set(doc["psi_grid"]["free_names"]) <= set(doc["psi_map"])
+
     def test_refit_identical_modulo_timestamp(self, simdir, fitfile, tmp_path):
         out = tmp_path / "fit2.json"
         code = main([
@@ -715,11 +729,9 @@ class TestMalformedInput:
     @pytest.mark.parametrize("edit", [
         lambda d: d["marginal_mean"].append(0.5),
         lambda d: d.update(marginal_mean=d["marginal_mean"][:-3]),
-        lambda d: d["layout"].update(n_cells=d["layout"]["n_cells"] + 1),
         lambda d: d["marginal_mean"].__setitem__(4, float("nan")),
         lambda d: d["marginal_sd"].__setitem__(2, 0.0),
-    ], ids=["one_mean_too_many", "three_means_short", "layout_cells_not_grid",
-            "nan_mean", "zero_sd"])
+    ], ids=["one_mean_too_many", "three_means_short", "nan_mean", "zero_sd"])
     def test_fit_json_that_does_not_match_its_layout(self, simdir, fitfile, tmp_path,
                                                      caplog, edit):
         doc = json.loads(fitfile.read_text())
@@ -732,6 +744,147 @@ class TestMalformedInput:
         ])
         assert code == 1
         assert str(path) in msg
+
+    @pytest.mark.parametrize("psi_map", [
+        {"tau_s": 2.0},
+        {"tau_s": 2.0, "tau_sm": 3.0, "tau_v[100000]": 4.0},
+        {"tau_s": 2.0, "tau_smooth": 3.0},
+        {"tau_sm": 3.0, "tau_s": 2.0},
+        {"tau_s": 2.0, "tau_sm": {"tau_v": 3.0}},
+        [2.0, 3.0],
+    ], ids=["missing", "extra", "renamed", "reordered", "nested", "list"])
+    def test_fit_json_psi_map_names_the_model_precisions(self, simdir, fitfile, tmp_path,
+                                                         caplog, psi_map):
+        """m_a has two precisions, tau_s and tau_sm, in that order."""
+        doc = json.loads(fitfile.read_text())
+        assert list(doc["psi_map"]) == ["tau_s", "tau_sm"]
+        doc["psi_map"] = psi_map
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(path), "--dataset",
+            str(simdir / "dataset.json"), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg and "psi_map" in msg
+        assert caplog.records[-1].exc_info is None
+
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf"), True, "2.0",
+                                       None, 10 ** 400],
+                             ids=["zero", "negative", "nan", "inf", "true", "string", "null",
+                                  "past_float_range"])
+    def test_fit_json_psi_map_value_is_a_positive_number(self, simdir, fitfile, tmp_path,
+                                                         caplog, value):
+        doc = json.loads(fitfile.read_text())
+        doc["psi_map"]["tau_sm"] = value
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(path), "--dataset",
+            str(simdir / "dataset.json"), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg and "psi_map tau_sm" in msg
+        assert caplog.records[-1].exc_info is None
+
+    @pytest.mark.parametrize("key,value,word", [
+        ("shoe_ids", "abcdefgh", "shoe_ids"),
+        ("shoe_ids", ["s"] * 8, "shoe_ids"),
+        ("shoe_ids", list(range(8)), "shoe_ids"),
+        ("strategy", "banana", "strategy"),
+        ("strategy", ["grid"], "strategy"),
+    ], ids=["ids_a_string", "ids_repeated", "ids_not_strings", "strategy_unknown",
+            "strategy_a_list"])
+    def test_fit_json_shoe_ids_and_strategy(self, simdir, fitfile, tmp_path, caplog,
+                                            key, value, word):
+        """The derived layout rests on the shoe count, so the ids are checked;
+        the fit has 8 shoes, as many as the string has characters."""
+        doc = json.loads(fitfile.read_text())
+        assert len(doc["shoe_ids"]) == 8
+        doc[key] = value
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(path), "--dataset",
+            str(simdir / "dataset.json"), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg and word in msg
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("tag", ["coxforge-fit-v1", "coxforge-fit-error-v1"])
+    def test_fit_file_of_another_format_exits_1(self, simdir, fitfile, tmp_path, caplog,
+                                                command, tag):
+        """A v1 fit (its precisions nested, its layout stored) and the error
+        record a failed fit leaves are refused, not read."""
+        if tag == "coxforge-fit-v1":
+            doc = json.loads(fitfile.read_text())
+            doc["layout"] = {"n_shoes": 8, "n_fixed": 1, "n_cells": 30, "n_varying": 0,
+                             "smooth": True}
+            doc["psi_map"] = {"tau_s": 2.0, "tau_sm": 3.0, "tau_v": {}}
+        else:
+            doc = {"error": "no evaluable point", "model": "m_a", "n_shoes": 8}
+        doc["format"] = tag
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
+        code, msg = self._exit_and_message(caplog, [
+            command, "--fit", str(path), "--dataset",
+            str(simdir / "dataset.json"), "--out", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert str(path) in msg and repr(tag) in msg and "'coxforge-fit-v2'" in msg
+        assert caplog.records[-1].exc_info is None
+
+    @pytest.mark.parametrize("edit,key", [
+        ({"nx": 39.7}, "nx"),
+        ({"ny": True}, "ny"),
+        ({"src_w": "6"}, "src_w"),
+        ({"nx": 6.0}, "nx"),
+        ({"crop_x": [0.9, 5.2]}, "crop_x"),
+        ({"crop_y": [0, 7, 9]}, "crop_y"),
+        ({"x_range": [0.0, "6"]}, "x_range"),
+        ({"y_range": [False, 8.0]}, "y_range"),
+    ], ids=["nx_fraction", "ny_bool", "src_w_string", "nx_float", "crop_x_fractions",
+            "crop_y_three", "x_range_string", "y_range_bool"])
+    @pytest.mark.parametrize("command", ["prep", "gradient"])
+    def test_grid_file_numbers_are_json_numbers(self, tmp_path, caplog, edit, key, command):
+        """Counts and pixel ranges are JSON integers, physical ranges JSON
+        numbers; the grid is read first, so nothing else need exist."""
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**GridSpec.synthetic(6, 8).to_json_dict(), **edit}))
+        if command == "prep":
+            argv = ["prep", "--images", str(tmp_path), "--accidentals",
+                    str(tmp_path / "acc.csv"), "--out", str(tmp_path / "data.json")]
+        else:
+            (tmp_path / "s.csv").write_text("\n".join(["0.2,0.2,0.2"] * 3) + "\n")
+            argv = ["gradient", "--image", str(tmp_path / "s.csv"),
+                    "--out", str(tmp_path / "edges")]
+        code, msg = self._exit_and_message(caplog, argv + ["--grid-file", str(path)])
+        assert code == 1
+        assert str(path) in msg and key in msg
+        assert caplog.records[-1].exc_info is None
+
+    @pytest.mark.parametrize("setting", [{"rate_tau_s": "1e-3"}, {"fixef_var": True},
+                                         {"rate_tau_i": None}, {"rate_tau_sm": [1.0]}],
+                             ids=["string", "bool", "null", "list"])
+    def test_prior_file_setting_must_be_a_json_number(self, simdir, tmp_path, caplog,
+                                                      setting):
+        path = tmp_path / "prior.json"
+        path.write_text(json.dumps(setting))
+        code, msg = self._exit_and_message(caplog, [
+            "fit", "--dataset", str(simdir / "dataset.json"), "--prior-file", str(path),
+            "--out", str(tmp_path / "f.json"), "--threads", "1",
+        ])
+        assert code == 2
+        assert str(path) in msg and next(iter(setting)) in msg
+        assert not (tmp_path / "f.json").exists()
+
+    def test_dataset_grid_error_names_the_file(self, dataset_doc, tmp_path, caplog):
+        dataset_doc["grid"]["nx"] = "5"
+        path, argv = self._fit_argv(dataset_doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and "nx" in msg
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_fit_on_another_grid_exits_2(self, fitfile, tmp_path, caplog, command):
@@ -786,19 +939,6 @@ class TestMalformedInput:
         ])
         assert code == 2
         assert str(path) in msg and next(iter(setting)) in msg
-
-    def test_fit_json_layout_smooth_must_be_boolean(self, simdir, fitfile, tmp_path,
-                                                    caplog):
-        doc = json.loads(fitfile.read_text())
-        doc["layout"]["smooth"] = float("nan")
-        path = tmp_path / "fit.json"
-        path.write_text(json.dumps(doc))
-        code, msg = self._exit_and_message(caplog, [
-            "evaluate", "--fit", str(path), "--dataset",
-            str(simdir / "dataset.json"), "--out", str(tmp_path / "ev"),
-        ])
-        assert code == 1
-        assert str(path) in msg and "smooth" in msg
 
     def test_fit_json_with_keys_missing(self, simdir, fitfile, tmp_path, caplog):
         doc = json.loads(fitfile.read_text())
@@ -966,17 +1106,17 @@ def test_prep_survives_one_bad_accidentals_field(scan_dir, row, col, value):
 
 
 @settings(max_examples=50, deadline=None)
-@given(key=st.sampled_from(["marginal_mean", "marginal_sd", "layout"]),
+@given(key=st.sampled_from(["marginal_mean", "marginal_sd", "psi_map"]),
        where=st.floats(0.0, 1.0, exclude_max=True),
        value=st.one_of(
            st.sampled_from([float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e308]),
            st.floats(),
        ))
-@example(key="layout", where=0.0, value=float("inf"))  # int(inf) in n_cells
+@example(key="psi_map", where=0.0, value=float("inf"))  # an infinite tau_s
 def test_evaluate_survives_one_bad_fit_entry(simdir, fitfile, fuzz_dir, key, where, value):
     doc = json.loads(fitfile.read_text())
     entries = doc[key]
-    names = sorted(entries) if key == "layout" else range(len(entries))
+    names = list(entries) if key == "psi_map" else range(len(entries))
     entries[names[int(where * len(names))]] = value
     path = fuzz_dir / "fit.json"
     path.write_text(json.dumps(doc))

@@ -30,11 +30,11 @@ LOG_DET_RTOL = 1e-9
 SD_RTOL = 1e-8
 
 
-def _dense_neg_hessian(model, psi, theta):
-    """Sigma + B' diag(lambda) B at Hyperparams ``psi``, from the dense design and tau_j Q."""
+def _dense_neg_hessian(model, taus, theta):
+    """Sigma + B' diag(lambda) B at precisions ``taus``, from the dense design and tau_j Q."""
     B = dense_design(model)
     lam = np.exp(B @ theta)
-    return dense_prior(model, psi) + B.T @ (lam[:, None] * B)
+    return dense_prior(model, taus) + B.T @ (lam[:, None] * B)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def mode_and_oracle():
     mode = find_mode(model.prior_at(x)[0], model)
 
     n = model.n_total
-    H = _dense_neg_hessian(model, model.psi_from_free(x), mode.theta_star)
+    H = _dense_neg_hessian(model, model._taus(x), mode.theta_star)
     A = np.zeros((len(model.constraint_blocks), n))
     for i, blk in enumerate(model.constraint_blocks):
         A[i, blk] = 1.0
@@ -84,7 +84,7 @@ def test_covariance_matches_dense_constrained_inverse(mode_and_oracle):
     largest entry; entries of the field block beyond the band are not kept."""
     model, mode, _, _ = mode_and_oracle
     x = np.linspace(-0.5, 1.0, model.n_free)
-    H = _dense_neg_hessian(model, model.psi_from_free(x), mode.theta_star)
+    H = _dense_neg_hessian(model, model._taus(x), mode.theta_star)
     A = np.zeros((len(model.constraint_blocks), model.n_total))
     for i, blk in enumerate(model.constraint_blocks):
         A[i, blk] = 1.0

@@ -13,7 +13,6 @@ from _toys import queen_laplacian
 from coxforge import gmrf
 from coxforge.errors import ConfigError
 from coxforge.gmrf import (
-    ConstrainedGaussian,
     band_matvec,
     band_offsets,
     band_to_dense,
@@ -117,36 +116,34 @@ def test_package_does_not_load_scipy_sparse():
 
 class TestSampling:
     def test_draws_sum_to_zero(self):
-        g = ConstrainedGaussian(4, 5, tau=2.0)
-        x = sample_constrained(g, rng=0, size=50)
+        x = sample_constrained(4, 5, 2.0, rng=0, size=50)
         assert x.shape == (50, 20)
         assert np.allclose(x.sum(axis=1), 0.0, atol=1e-10)
 
     def test_deterministic_given_seed(self):
-        g = ConstrainedGaussian(3, 3, tau=1.0)
-        a = sample_constrained(g, rng=42, size=5)
-        b = sample_constrained(g, rng=42, size=5)
+        a = sample_constrained(3, 3, 1.0, rng=42, size=5)
+        b = sample_constrained(3, 3, 1.0, rng=42, size=5)
         assert np.array_equal(a, b)
 
     def test_precision_scaling(self):
         # doubling tau shrinks draws by sqrt(2) exactly (same normal deviates)
-        a = sample_constrained(ConstrainedGaussian(3, 4, tau=1.0), rng=7, size=4)
-        b = sample_constrained(ConstrainedGaussian(3, 4, tau=2.0), rng=7, size=4)
+        a = sample_constrained(3, 4, 1.0, rng=7, size=4)
+        b = sample_constrained(3, 4, 2.0, rng=7, size=4)
         assert np.allclose(a / np.sqrt(2.0), b, atol=1e-12)
 
     @pytest.mark.parametrize("nx,ny", [(2, 2), (3, 2), (4, 4)])
     def test_empirical_covariance_matches_pinv(self, nx, ny):
         tau = 3.0
-        g = ConstrainedGaussian(nx, ny, tau=tau)
-        x = sample_constrained(g, rng=11, size=100_000)
+        x = sample_constrained(nx, ny, tau, rng=11, size=100_000)
         emp = x.T @ x / x.shape[0]
         want = np.linalg.pinv(queen_laplacian(nx, ny)) / tau
         scale = np.abs(want).max()
         assert np.abs(emp - want).max() < 0.05 * scale
 
     def test_bad_tau_rejected(self):
-        with pytest.raises(ConfigError):
-            ConstrainedGaussian(3, 3, tau=0.0)
+        for tau in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                sample_constrained(3, 3, tau, rng=0)
 
     def test_draws_equal_the_dense_formula(self):
         # the factor of Q + 11'/n built densely, as the formula reads
@@ -157,7 +154,7 @@ class TestSampling:
         z = np.random.default_rng(9).standard_normal((n, size))
         x = scipy.linalg.solve_triangular(R, z, lower=False) / np.sqrt(tau)
         x -= x.mean(axis=0, keepdims=True)
-        got = sample_constrained(ConstrainedGaussian(nx, ny, tau=tau), rng=9, size=size)
+        got = sample_constrained(nx, ny, tau, rng=9, size=size)
         assert np.array_equal(got, x.T)
 
     def test_factor_build_holds_under_two_dense_copies(self):

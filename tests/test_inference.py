@@ -382,7 +382,7 @@ def test_engine_uses_only_the_model_interface():
     toy = _gaussian_toy(seed=14, n=7, m=14, blocks=(np.arange(0, 3),))
     proxy = InterfaceOnly(toy)
     with pytest.raises(AttributeError):
-        proxy.psi_from_free
+        proxy.precisions
     x, search = empirical_bayes(proxy)
     assert np.array_equal(x, empirical_bayes(toy)[0])
     assert search.rejected == 0
@@ -467,6 +467,18 @@ class TestFit:
         assert back.spec == res.spec
         assert back.shoe_ids == res.shoe_ids
         assert back.psi_map == res.psi_map
+
+    def test_json_round_trip_keeps_the_precision_names(self, small_dataset):
+        """psi_map is keyed by the model's precision table, pinned ones included."""
+        cfg, records = small_dataset
+        spec = get_spec("m_final")
+        res = fit(records, spec, cfg.grid)
+        back = FitResult.from_json_dict(json.loads(json.dumps(res.to_json_dict())))
+        names = [q.name for q in ShoeModel(records, spec, cfg.grid).precisions]
+        assert list(back.psi_map) == list(res.psi_map) == names
+        assert back.psi_map == res.psi_map
+        assert back.psi_map["tau_v[100001]"] == res.prior.fixed_tau_high_order
+        assert back.layout == res.layout
 
     def test_all_zero_counts_rejected(self, small_dataset):
         cfg, records = small_dataset

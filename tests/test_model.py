@@ -7,13 +7,7 @@ from coxforge import inference
 from coxforge.design import ModelSpec, builtin_specs, get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec, ShoeRecord
-from coxforge.model import (
-    Design,
-    Hyperparams,
-    PriorSpec,
-    ShoeModel,
-    ThetaLayout,
-)
+from coxforge.model import Design, PriorSpec, ShoeModel, ThetaLayout, precision_names
 from coxforge.simulate import SimConfig, gen_dataset
 
 SMALL_SPEC = ModelSpec(
@@ -78,10 +72,6 @@ class TestLayout:
         with pytest.raises(ConfigError):
             lay.varying_block(2)
 
-    def test_json_round_trip(self):
-        lay = ThetaLayout.for_model(5, SMALL_SPEC, 12)
-        assert ThetaLayout.from_json_dict(lay.to_json_dict()) == lay
-
 
 class TestPriorSpec:
     def test_defaults_positive(self):
@@ -101,16 +91,12 @@ class TestPriorSpec:
 
 
 class TestHyperparams:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            Hyperparams(tau_s=-1.0)
-        with pytest.raises(ConfigError):
-            Hyperparams(tau_s=1.0, tau_v=(0.0,))
-
-    def test_json_round_trip(self):
-        psi = Hyperparams(tau_s=2.0, tau_sm=3.0, tau_v=(1.5, 100.0))
-        got = Hyperparams.from_json_dict(psi.to_json_dict(SMALL_SPEC), SMALL_SPEC)
-        assert got == psi
+    def test_precision_names_follow_theta(self):
+        model, _, _ = _small_model()
+        names = ["tau_s", "tau_sm", "tau_v[100000]", "tau_v[100001]"]
+        assert precision_names(SMALL_SPEC) == names
+        assert [q.name for q in model.precisions] == names
+        assert precision_names(get_spec("uniform")) == ["tau_s"]
 
     def test_free_mask_keeps_single_factor_fields(self):
         # tau_s, then the smooth field's, then one per varying field
@@ -126,16 +112,14 @@ class TestHyperparams:
 class TestFreeVectorPlumbing:
     def test_round_trip(self):
         model, x, _ = _small_model()
-        psi = model.psi_from_free(x)
-        vec = np.log([psi.tau_s, psi.tau_sm, psi.tau_v[0]])
-        assert model.psi_from_free(vec) == psi
-        assert np.allclose(vec, x)
+        taus = model._taus(x)
+        assert np.allclose(np.log([t for q, t in zip(model.precisions, taus) if q.free]), x)
 
     def test_pinned_high_order_precision(self):
         model, _, _ = _small_model()
-        psi = model.psi_from_free(np.zeros(model.n_free))
-        assert psi.tau_v[0] == 1.0
-        assert psi.tau_v[1] == model.prior.fixed_tau_high_order
+        taus = model._taus(np.zeros(model.n_free))
+        assert taus[2] == 1.0
+        assert taus[3] == model.prior.fixed_tau_high_order
 
     def test_free_names(self):
         model, _, _ = _small_model()
@@ -144,7 +128,7 @@ class TestFreeVectorPlumbing:
     def test_wrong_length_rejected(self):
         model, _, _ = _small_model()
         with pytest.raises(ConfigError):
-            model.psi_from_free(np.zeros(5))
+            model._taus(np.zeros(5))
         with pytest.raises(ConfigError):
             model.prior_at(np.zeros(5))
         with pytest.raises(ConfigError):
@@ -153,16 +137,16 @@ class TestFreeVectorPlumbing:
     def test_hyperprior_is_sum_of_exponential_logdensities(self):
         """prior_at's log terms, less ½ log |Sigma|_* in closed form."""
         model, x, _ = _small_model()
-        psi = model.psi_from_free(x)
+        tau_s, tau_sm, *tau_v = model._taus(x)
         p, lay = model.prior, model.layout
         half_log_det = 0.5 * (
-            lay.n_shoes * np.log(psi.tau_s) - lay.n_fixed * np.log(p.fixef_var)
+            lay.n_shoes * np.log(tau_s) - lay.n_fixed * np.log(p.fixef_var)
             + sum((lay.n_cells - 1) * np.log(tau) + model.log_gendet_q
-                  for tau in (psi.tau_sm, *psi.tau_v)))
+                  for tau in (tau_sm, *tau_v)))
         want = (
-            np.log(p.rate_tau_s) - p.rate_tau_s * psi.tau_s
-            + np.log(p.rate_tau_sm) - p.rate_tau_sm * psi.tau_sm
-            + np.log(p.rate_tau_i) - p.rate_tau_i * psi.tau_v[0]
+            np.log(p.rate_tau_s) - p.rate_tau_s * tau_s
+            + np.log(p.rate_tau_sm) - p.rate_tau_sm * tau_sm
+            + np.log(p.rate_tau_i) - p.rate_tau_i * tau_v[0]
         )  # the pinned tau_v[1] contributes nothing
         assert model.prior_at(x)[1] - half_log_det == pytest.approx(want, rel=1e-14)
 
@@ -216,7 +200,7 @@ class TestLikelihood:
         small, _, small_theta = _small_model()
         for model, theta in ((small, small_theta), _sim_model()):
             x = np.linspace(-0.5, 1.0, model.n_free)
-            sigma = dense_prior(model, model.psi_from_free(x))
+            sigma = dense_prior(model, model._taus(x))
             value, grad, H = model.lik_parts(theta, model.prior_at(x)[0])
             assert value == pytest.approx(model.loglik(theta) - 0.5 * theta @ sigma @ theta,
                                           rel=1e-14)
@@ -236,7 +220,7 @@ class TestLikelihood:
         model = ShoeModel(_records(3, 4, 3, seed=7), spec, GridSpec.synthetic(4, 3))
         theta = 0.3 * np.random.default_rng(8).normal(size=model.n_total)
         x = np.zeros(model.n_free)
-        sigma = dense_prior(model, model.psi_from_free(x))
+        sigma = dense_prior(model, model._taus(x))
         B = dense_design(model)
         y = np.concatenate([r.counts.ravel() for r in model.records])
         eta = B @ theta
@@ -307,15 +291,15 @@ class TestPrior:
 
     def test_prior_precision_block_structure(self):
         model, x, _ = _small_model()
-        psi = model.psi_from_free(x)
+        tau_s, tau_sm = model._taus(x)[:2]
         lay = model.layout
         sigma = prior_to_dense(model, model.prior_at(x)[0])
-        assert np.allclose(np.diag(sigma)[lay.shoe], psi.tau_s)
+        assert np.allclose(np.diag(sigma)[lay.shoe], tau_s)
         assert np.allclose(np.diag(sigma)[lay.fixed], 1.0 / model.prior.fixef_var)
         blk = lay.smooth_block
         assert np.allclose(
             sigma[blk, blk],
-            psi.tau_sm * queen_laplacian(model.grid.nx, model.grid.ny),
+            tau_sm * queen_laplacian(model.grid.nx, model.grid.ny),
         )
 
     def test_multi_field_prior_is_tau_q_per_field(self):
@@ -324,19 +308,19 @@ class TestPrior:
         ½ log |Sigma|_* and the hyperprior of the other four precisions."""
         model, _ = _sim_model()
         x = np.linspace(-0.5, 1.0, model.n_free)
-        psi = model.psi_from_free(x)
-        assert len(psi.tau_v) == 3
-        assert psi.tau_v[2] == model.prior.fixed_tau_high_order
+        taus = model._taus(x)
+        assert len(taus) == 5
+        assert taus[4] == model.prior.fixed_tau_high_order
         sigma, log_prior = model.prior_at(x)
         dense = prior_to_dense(model, sigma)
-        assert np.array_equal(dense, dense_prior(model, psi))
+        assert np.array_equal(dense, dense_prior(model, taus))
         w = np.linalg.eigvalsh(dense)
         nonzero = w[np.abs(w) > 1e-9]
         assert len(nonzero) == model.layout.constrained_dim
         p = model.prior
         hyper = sum(np.log(rate) - rate * tau for rate, tau in (
-            (p.rate_tau_s, psi.tau_s), (p.rate_tau_sm, psi.tau_sm),
-            (p.rate_tau_i, psi.tau_v[0]), (p.rate_tau_i, psi.tau_v[1])))
+            (p.rate_tau_s, taus[0]), (p.rate_tau_sm, taus[1]),
+            (p.rate_tau_i, taus[2]), (p.rate_tau_i, taus[3])))
         want = 0.5 * float(np.sum(np.log(nonzero))) + hyper
         assert log_prior == pytest.approx(want, rel=1e-9)
 

@@ -11,7 +11,6 @@ from _toys import covariate_value
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError, NumericError
 from coxforge.grids import ShoeRecord
-from coxforge.model import Hyperparams
 from coxforge.predict import (
     PredictiveField,
     factorized_log_prob,
@@ -285,9 +284,8 @@ class TestFactorization:
     def test_factorized_log_prob_parts(self):
         shoe = _shoe(4, 4, seed=20, max_count=2)
         theta = 0.2 * np.random.default_rng(21).normal(size=1 + 16)
-        psi = Hyperparams(tau_s=2.0, tau_sm=1.0)
         log_pois, log_multi = factorized_log_prob(
-            shoe.counts, theta, shoe, M_A, psi)
+            shoe.counts, theta, shoe, M_A, tau_s=2.0)
         field = predictive_q(theta, shoe, M_A)
         lam1 = float(np.exp(field.eta1).sum())
         total = int(shoe.counts.sum())
@@ -299,8 +297,7 @@ class TestFactorization:
     def test_zero_count_shoe_multinomial_part_vanishes(self):
         shoe = _shoe(3, 3, seed=22, max_count=0)
         theta = np.zeros(1 + 9)
-        psi = Hyperparams(tau_s=1.0, tau_sm=1.0)
         log_pois, log_multi = factorized_log_prob(
-            shoe.counts, theta, shoe, M_A, psi)
+            shoe.counts, theta, shoe, M_A, tau_s=1.0)
         assert log_multi == 0.0
         assert np.isfinite(log_pois)

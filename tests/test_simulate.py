@@ -42,11 +42,9 @@ class TestConfig:
 
     def test_psi_expands_varying_precisions(self):
         cfg = SimConfig(spec=get_spec("m_final"), tau_v=5.0)
-        assert cfg.psi.tau_v == (5.0, 5.0, 5.0)
-        assert cfg.psi.tau_sm == cfg.tau_sm
-        cfg_u = SimConfig(spec=get_spec("uniform"))
-        assert cfg_u.psi.tau_sm is None
-        assert cfg_u.psi.tau_v == ()
+        assert cfg.psi == {"tau_s": cfg.tau_s, "tau_sm": cfg.tau_sm, "tau_v[100000]": 5.0,
+                           "tau_v[000001]": 5.0, "tau_v[100001]": 5.0}
+        assert SimConfig(spec=get_spec("uniform")).psi == {"tau_s": 4.0}
 
 
 class TestContactSurfaces:
