@@ -56,14 +56,6 @@ class FoldPlan:
     def to_json_dict(self) -> dict:
         return {"k": self.k, "seed": self.seed, "assignments": dict(self.assignments)}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "FoldPlan":
-        return cls(
-            k=int(d["k"]),
-            assignments={str(k): int(v) for k, v in d["assignments"].items()},
-            seed=int(d["seed"]),
-        )
-
 
 def make_folds(
     shoe_ids: Sequence[str], k: int, seed: int, pair_folds: bool = False

@@ -6,15 +6,15 @@ round-trip through JSON; heatmaps leave as CSV plus 8-bit PGM with the
 scaling recorded in a sidecar JSON. Timestamps live in a single metadata
 field so that outputs are otherwise byte-reproducible.
 
-A dataset file (format ``coxforge-dataset-v2``) is one JSON object: the
-format tag, the grid, and one object per shoe. A shoe's ``contact`` and
-``gradient`` cells are stored as the base64 of their row-major,
-little-endian float64 bytes, which round-trip exactly and cost no
-float-to-text conversion; ``contact_binary`` and ``counts`` stay JSON
-integer lists, so their checks (0/1, whole, non-negative) still read in a
-hand-edited file. A v1 file, which held every array as a JSON number
-list, is refused with the file named: rewrite it with this version's
-``prep`` or ``simulate``.
+A dataset file (format ``coxforge-dataset-v3``) is one JSON object: the
+format tag, the grid, and what was measured of each shoe: its ``shoe_id``,
+``side``, ``threshold``, ``counts`` (a JSON integer list, so their checks
+still read in a hand-edited file) and ``contact`` (the base64 of its
+row-major, little-endian float64 bytes, which round-trip exactly). The
+loader derives the binary contact and the gradient from these as ``prep``
+and ``simulate`` do, and the writer refuses a record whose own differ. A
+file of an earlier format is refused with the file named: rewrite it with
+this version's ``prep`` or ``simulate``.
 """
 
 from __future__ import annotations
@@ -32,11 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputDataError
-from .grids import GridSpec, RawImage, ShoeRecord, Side
+from .gradient import sobel_magnitude
+from .grids import GridSpec, RawImage, ShoeRecord, Side, binarize, surface_record
+from .util import json_number
 
 log = logging.getLogger("coxforge.datasets")
 
-DATASET_FORMAT = "coxforge-dataset-v2"
+DATASET_FORMAT = "coxforge-dataset-v3"
 
 
 def _utc_now() -> str:
@@ -213,12 +215,6 @@ def read_json(path, what: str, object_hook=None) -> dict:
     return doc
 
 
-#: Float cells, stored as base64 of row-major little-endian float64 bytes.
-_FLOAT_KEYS = ("contact", "gradient")
-#: Integer cells, stored as JSON lists.
-_INT_KEYS = ("contact_binary", "counts")
-
-
 def _encode_floats(arr: np.ndarray) -> str:
     return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
 
@@ -238,15 +234,25 @@ def _decode_floats(key: str, value, n_cells: int) -> np.ndarray:
 
 
 def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
+    """Write what was measured of each shoe; a record whose binary contact
+    or gradient is not what its contact and threshold give is refused."""
     shoes = []
     for r in records:
+        try:
+            derived = {"contact_binary": binarize(r.contact, r.threshold),
+                       "gradient": sobel_magnitude(r.contact)}
+        except ConfigError as exc:
+            raise ConfigError(f"shoe {r.shoe_id}: {exc}") from exc
+        for name, want in derived.items():
+            have = np.asarray(getattr(r, name))
+            if have.dtype != want.dtype or have.tobytes() != want.tobytes():
+                raise ConfigError(f"shoe {r.shoe_id}: {name} is not the one its contact and "
+                                  f"threshold give, and a dataset file stores only those")
         shoes.append({
             "shoe_id": r.shoe_id,
             "side": r.side,
             "threshold": float(r.threshold),
             "contact": _encode_floats(r.contact),
-            "contact_binary": np.asarray(r.contact_binary, dtype=np.int64).ravel().tolist(),
-            "gradient": _encode_floats(r.gradient),
             "counts": np.asarray(r.counts, dtype=np.int64).ravel().tolist(),
         })
     doc = {
@@ -258,27 +264,27 @@ def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
     Path(path).write_text(json.dumps(doc) + "\n")
 
 
-def _cells_to_arrays(obj: dict) -> dict:
-    """A JSON object hook: a shoe's integer cell lists become float arrays
-    as it closes.
+def _counts_to_array(obj: dict) -> dict:
+    """A JSON object hook: a shoe's counts list becomes a float array as
+    it closes.
 
-    So the parser never holds more than one shoe's cells as Python lists.
-    It never raises: a list it cannot convert stays a list, for
+    So the parser never holds more than one shoe's counts as a Python
+    list. It never raises: a list it cannot convert stays a list, for
     :func:`load_dataset` to report with the file and the shoe.
     """
-    for key in _INT_KEYS:
-        value = obj.get(key)
-        if isinstance(value, list):
-            try:
-                obj[key] = np.array(value, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                pass
+    value = obj.get("counts")
+    if isinstance(value, list):
+        try:
+            obj["counts"] = np.array(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            pass
     return obj
 
 
 def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
+    """Each shoe's record, rebuilt by :func:`grids.surface_record`, and the grid."""
     p = Path(path)
-    doc = read_json(p, "dataset", object_hook=_cells_to_arrays)
+    doc = read_json(p, "dataset", object_hook=_counts_to_array)
     if doc.get("format") != DATASET_FORMAT:
         raise InputDataError(
             f"{p}: format tag {doc.get('format')!r}, expected {DATASET_FORMAT!r}; "
@@ -296,24 +302,21 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
     for i, s in enumerate(shoes):
         sid = s.get("shoe_id", f"#{i}") if isinstance(s, dict) else f"#{i}"
         try:
-            cells = {key: _decode_floats(key, s[key], grid.n_cells).reshape(shape)
-                     for key in _FLOAT_KEYS}
-            cells.update({key: np.asarray(s[key], dtype=float).reshape(shape)
-                          for key in _INT_KEYS})
-            rec = ShoeRecord(
-                shoe_id=str(s["shoe_id"]),
-                side=s["side"],
-                threshold=float(s.get("threshold", float("nan"))),
-                **cells,
-            )
-            # binary contact (0/1) and counts (whole, within int64) are
-            # checked before the casts below can hide a bad value
+            contact = _decode_floats("contact", s["contact"], grid.n_cells).reshape(shape)
+            # validate reports a contact outside [0, 1], not its Sobel transform
+            with np.errstate(invalid="ignore", over="ignore"):
+                gradient = sobel_magnitude(contact)
+            # the threshold is a JSON number that binarize checks lies in [0, 1)
+            rec = surface_record(str(s["shoe_id"]), s["side"], contact, gradient,
+                                 np.asarray(s["counts"], dtype=float).reshape(shape),
+                                 json_number(s["threshold"], "threshold"))
+            # counts (whole, within int64) are checked before the cast below
+            # can hide a bad value
             rec.validate(grid)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
             raise InputDataError(f"{p}: shoe {sid}: malformed record: {exc!r}") from exc
         except InputDataError as exc:
             raise InputDataError(f"{p}: {exc}") from exc
-        rec.contact_binary = rec.contact_binary.astype(np.uint8)
         rec.counts = rec.counts.astype(np.int64)
         records.append(rec)
     return records, grid

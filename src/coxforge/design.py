@@ -110,12 +110,27 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
+        """The spec a JSON object describes: ``name`` and ``contact`` are
+        JSON strings, ``fixed`` and ``varying`` JSON lists of bit strings."""
+        def string(key, value) -> str:
+            if not isinstance(value, str):
+                raise TypeError(f"{key} must be a JSON string, got {value!r}")
+            return value
+
+        def indices(key, value) -> tuple[InteractionIndex, ...]:
+            if not (isinstance(value, list) and all(isinstance(s, str) for s in value)):
+                raise TypeError(f"{key} must be a JSON list of bit strings, got {value!r}")
+            try:
+                return tuple(index_from_string(s) for s in value)
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+
         try:
             return cls(
-                name=str(d["name"]),
-                fixed=tuple(index_from_string(s) for s in d["fixed"]),
-                varying=tuple(index_from_string(s) for s in d.get("varying", [])),
-                contact=d.get("contact", "continuous"),
+                name=string("name", d["name"]),
+                fixed=indices("fixed", d["fixed"]),
+                varying=indices("varying", d.get("varying", [])),
+                contact=string("contact", d.get("contact", "continuous")),
                 smooth=d.get("smooth", True),
             )
         except KeyError as exc:

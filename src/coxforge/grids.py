@@ -1,7 +1,8 @@
 """Grid geometry and shoeprint preprocessing.
 
 Everything downstream works on a fixed rectangular cell grid laid over a
-cropped scan. This module owns that geometry (:class:`GridSpec`) and the
+cropped scan. This module owns that geometry (:class:`GridSpec`: the cell
+counts and the crop window, whose size in pixels is derived) and the
 pipeline that turns raw material into per-cell arrays:
 
 * ``crop_reflect`` — cut the informative window out of a scan and mirror
@@ -11,7 +12,8 @@ pipeline that turns raw material into per-cell arrays:
   edge are split proportionally),
 * ``binarize``    — threshold a contact surface at a cut,
 * ``surface_record`` — a coarsened surface, its gradient and its counts as
-  one record, cut at a fixed threshold or Otsu's histogram criterion,
+  one record, cut at a fixed threshold or Otsu's histogram criterion; the
+  one record builder of ``prep``, ``simulate`` and the dataset loader,
 * ``bin_accidentals`` — count marked accidental locations per grid cell.
 
 Array convention: 2-D arrays are indexed ``[row, col] == [y, x]`` with row 0
@@ -22,14 +24,14 @@ full contact (dark ink). Flattened cell order is row-major.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InputDataError
-from .util import json_int, json_number
+from .util import json_int
 
 log = logging.getLogger("coxforge.grids")
 
@@ -51,37 +53,29 @@ class GridSpec:
     ----------
     nx, ny : int
         Number of grid cells horizontally / vertically.
-    src_w, src_h : int
-        Width / height in pixels of the cropped window.
     crop_x, crop_y : (int, int)
-        Inclusive source pixel ranges of the crop window.
-    x_range, y_range : (float, float)
-        Physical coordinate ranges the grid axes correspond to; carried as
-        metadata for plotting and untouched by the numerics.
+        Inclusive source pixel ranges of the crop window; its width and
+        height in pixels are :attr:`src_w` and :attr:`src_h`.
     """
 
     nx: int = 39
     ny: int = 91
-    src_w: int = 336
-    src_h: int = 783
     crop_x: tuple[int, int] = (262, 597)
     crop_y: tuple[int, int] = (44, 826)
-    x_range: tuple[float, float] = (30.0, 68.0)
-    y_range: tuple[float, float] = (5.0, 95.0)
 
     def __post_init__(self) -> None:
         if self.nx <= 0 or self.ny <= 0 or self.src_w <= 0 or self.src_h <= 0:
             raise ConfigError("grid and source dimensions must be positive")
-        if self.crop_x[1] - self.crop_x[0] + 1 != self.src_w:
-            raise ConfigError(
-                f"crop_x {self.crop_x} spans {self.crop_x[1] - self.crop_x[0] + 1} "
-                f"columns, expected src_w={self.src_w}"
-            )
-        if self.crop_y[1] - self.crop_y[0] + 1 != self.src_h:
-            raise ConfigError(
-                f"crop_y {self.crop_y} spans {self.crop_y[1] - self.crop_y[0] + 1} "
-                f"rows, expected src_h={self.src_h}"
-            )
+
+    @property
+    def src_w(self) -> int:
+        """Width in pixels of the crop window."""
+        return self.crop_x[1] - self.crop_x[0] + 1
+
+    @property
+    def src_h(self) -> int:
+        """Height in pixels of the crop window."""
+        return self.crop_y[1] - self.crop_y[0] + 1
 
     @property
     def n_cells(self) -> int:
@@ -95,31 +89,25 @@ class GridSpec:
     @classmethod
     def synthetic(cls, nx: int, ny: int) -> "GridSpec":
         """A grid with no real scan behind it (one pixel per cell, unit area)."""
-        return cls(
-            nx=nx, ny=ny, src_w=nx, src_h=ny,
-            crop_x=(0, nx - 1), crop_y=(0, ny - 1),
-            x_range=(0.0, float(nx)), y_range=(0.0, float(ny)),
-        )
+        return cls(nx=nx, ny=ny, crop_x=(0, nx - 1), crop_y=(0, ny - 1))
 
     def to_json_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
+        return {"nx": self.nx, "ny": self.ny,
+                "crop_x": list(self.crop_x), "crop_y": list(self.crop_y)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
-        """The grid a JSON object describes: counts and pixel ranges are
-        JSON integers, the physical ranges JSON numbers, each range a pair."""
-        def pair(key, parse):
+        """The grid a JSON object describes: cell counts and pixel ranges are
+        JSON integers, each range a pair. Other keys are not read."""
+        def pair(key):
             v = d[key]
             if not (isinstance(v, list) and len(v) == 2):
-                raise TypeError(f"{key} must be a list of two numbers, got {v!r}")
-            return parse(v[0], key), parse(v[1], key)
+                raise TypeError(f"{key} must be a list of two integers, got {v!r}")
+            return json_int(v[0], key), json_int(v[1], key)
 
         try:
-            return cls(
-                **{k: json_int(d[k], k) for k in ("nx", "ny", "src_w", "src_h")},
-                crop_x=pair("crop_x", json_int), crop_y=pair("crop_y", json_int),
-                x_range=pair("x_range", json_number), y_range=pair("y_range", json_number),
-            )
+            return cls(nx=json_int(d["nx"], "nx"), ny=json_int(d["ny"], "ny"),
+                       crop_x=pair("crop_x"), crop_y=pair("crop_y"))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputDataError(f"malformed grid description: {exc}") from exc
 

@@ -97,8 +97,9 @@ from scipy.linalg import lapack
 from .design import ModelSpec, index_to_string
 from .errors import ConfigError, InputDataError, NumericError
 from .grids import GridSpec, ShoeRecord
-from .model import ArrowMatrix, PriorSpec, ShoeModel, ThetaLayout, precision_names
-from .util import check_threads, json_number, parallel_map
+from .model import (ArrowMatrix, PriorSpec, ShoeModel, ThetaLayout, precision_free,
+                    precision_names)
+from .util import check_threads, json_number, json_numbers, parallel_map
 
 log = logging.getLogger("coxforge.inference")
 
@@ -607,12 +608,22 @@ class PsiGrid:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "PsiGrid":
-        return cls(
-            points=np.array(d["points"], dtype=float).reshape(len(d["weights"]), -1),
-            weights=np.array(d["weights"], dtype=float),
-            free_names=list(d["free_names"]),
-        )
+    def from_json_dict(cls, d: dict, spec: ModelSpec) -> "PsiGrid":
+        """A fit file's ``psi_grid``: the spec's free precisions by name, in
+        their order; m finite, non-negative weights summing to 1 within
+        1e-9; and a finite (m, n_free) array of points."""
+        names = [n for n, free in zip(precision_names(spec), precision_free(spec)) if free]
+        if d["free_names"] != names:
+            raise ValueError(f"psi_grid free_names must be {names}, got {d['free_names']!r}")
+        weights = json_numbers(d["weights"], "psi_grid weights")
+        if not (np.all(np.isfinite(weights) & (weights >= 0))
+                and abs(weights.sum() - 1.0) <= 1e-9):
+            raise ValueError("psi_grid weights must be finite, non-negative and sum to 1")
+        points = np.array([json_numbers(r, "psi_grid points") for r in d["points"]])
+        if points.shape != (len(weights), len(names)) or not np.all(np.isfinite(points)):
+            raise ValueError(f"psi_grid points must be {len(weights)} finite points "
+                             f"of {len(names)} coordinates")
+        return cls(points=points, weights=weights, free_names=names)
 
 
 class _Search:
@@ -922,9 +933,9 @@ class FitResult:
                 shoe_ids=shoe_ids,
                 strategy=strategy,
                 psi_map=_read_psi_map(d["psi_map"], spec),
-                psi_grid=PsiGrid.from_json_dict(d["psi_grid"]),
-                marginal_mean=np.array(d["marginal_mean"], dtype=float),
-                marginal_sd=np.array(d["marginal_sd"], dtype=float),
+                psi_grid=PsiGrid.from_json_dict(d["psi_grid"], spec),
+                marginal_mean=json_numbers(d["marginal_mean"], "marginal_mean"),
+                marginal_sd=json_numbers(d["marginal_sd"], "marginal_sd"),
                 diagnostics=dict(d.get("diagnostics", {})),
             )
         except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:

@@ -116,6 +116,13 @@ def precision_names(spec: ModelSpec) -> list[str]:
             + [f"tau_v[{dz.index_to_string(i)}]" for i in spec.varying])
 
 
+def precision_free(spec: ModelSpec) -> list[bool]:
+    """Whether the search infers each precision of :func:`precision_names`:
+    a varying field's is free when its covariate has order <= 1, else
+    pinned at ``fixed_tau_high_order``; tau_s and tau_sm are always free."""
+    return [True] * (1 + spec.smooth) + [interaction_order(i) <= 1 for i in spec.varying]
+
+
 class Precision(NamedTuple):
     """One entry of ``ShoeModel.precisions``: the coordinates of theta the
     precision scales, whether the hyperparameter search infers it, its name
@@ -324,15 +331,14 @@ class ShoeModel(Design):
             self._band_rows = 1
             self._prior_rows = np.zeros(1, dtype=np.intp)
 
-        # the precisions, listed once; a varying field's is free when its
-        # covariate has order <= 1, else pinned at fixed_tau_high_order
+        # the precisions, listed once
         p, A, start = self.prior, lay.n_cells, lay.n_shoes + lay.n_fixed
         blocks = [np.arange(lay.n_shoes)] + [np.arange(start + j * A, start + (j + 1) * A)
                                              for j in range(n_fields)]
-        free = [True] * (1 + spec.smooth) + [interaction_order(i) <= 1 for i in spec.varying]
         rates = ([p.rate_tau_s] + [p.rate_tau_sm] * spec.smooth
                  + [p.rate_tau_i] * len(spec.varying))
-        self.precisions = [Precision(*q) for q in zip(blocks, free, precision_names(spec), rates)]
+        self.precisions = [Precision(*q) for q in zip(blocks, precision_free(spec),
+                                                      precision_names(spec), rates)]
         self.n_free = sum(q.free for q in self.precisions)
         self.constraint_blocks = tuple(q.block for q in self.precisions[1:])
         # fields on one grid couple cell by cell, so interleaving them keeps

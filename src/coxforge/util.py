@@ -5,6 +5,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
+import numpy as np
+
 from .errors import ConfigError
 
 T = TypeVar("T")
@@ -48,3 +50,10 @@ def json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name} must be a JSON integer, got {value!r}")
     return value
+
+
+def json_numbers(value, name: str) -> np.ndarray:
+    """A JSON list of numbers as a float array; else an error naming ``name``."""
+    if not isinstance(value, list):
+        raise TypeError(f"{name} must be a JSON list of numbers, got {type(value).__name__}")
+    return np.array([json_number(v, name) for v in value], dtype=float)

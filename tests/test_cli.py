@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 from coxforge import datasets as ds
 from coxforge import inference
 from coxforge.cli import main
-from coxforge.grids import _MAX_GRADIENT, GridSpec, ShoeRecord
+from coxforge.errors import ConfigError
+from coxforge.gradient import sobel_magnitude
+from coxforge.grids import GridSpec, surface_record
 from coxforge.metrics import uniform_metric
 
 
@@ -31,8 +33,8 @@ def _strip_metadata(doc):
 def _set_cell(shoe, key, cell, value):
     """Set one cell of a shoe's array in a dataset document.
 
-    ``contact`` and ``gradient`` are decoded from their base64 float64
-    bytes, edited and encoded again; the integer arrays are JSON lists.
+    ``contact`` is decoded from its base64 float64 bytes, edited and
+    encoded again; ``counts`` is a JSON list.
     """
     if isinstance(shoe[key], list):
         shoe[key][cell] = value
@@ -542,7 +544,7 @@ class TestGradient:
         scan[6, 0] = float(sample)
         path = tmp_path / "s.csv"
         ds.write_csv_grid(path, scan)
-        grid = GridSpec(nx=4, ny=3, src_w=16, src_h=12, crop_x=(0, 15), crop_y=(0, 11))
+        grid = GridSpec(nx=4, ny=3, crop_x=(0, 15), crop_y=(0, 11))
         (tmp_path / "g.json").write_text(json.dumps(grid.to_json_dict()))
         argv = ["gradient", "--image", str(path), "--out", str(tmp_path / "edges")]
         argv += ["--raw"] if raw else ["--grid-file", str(tmp_path / "g.json")]
@@ -558,7 +560,7 @@ class TestGradient:
         scan[4:8, 5:11] = 0.9
         ds.write_csv_grid(tmp_path / "plain.csv", scan)
         (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
-        grid = GridSpec(nx=4, ny=3, src_w=16, src_h=12, crop_x=(0, 15), crop_y=(0, 11))
+        grid = GridSpec(nx=4, ny=3, crop_x=(0, 15), crop_y=(0, 11))
         (tmp_path / "g.json").write_text(json.dumps(grid.to_json_dict()))
         for name in ("plain", "bom"):
             assert main(["gradient", "--image", str(tmp_path / f"{name}.csv"), "--grid-file",
@@ -600,14 +602,14 @@ class TestMalformedInput:
     def test_dataset_array_of_wrong_length(self, dataset_doc, tmp_path, caplog):
         """One cell short: 8 bytes fewer than the grid's cells take."""
         shoe = dataset_doc["shoes"][2]
-        cells = base64.b64decode(shoe["gradient"])
-        shoe["gradient"] = base64.b64encode(cells[:-8]).decode("ascii")
+        cells = base64.b64decode(shoe["contact"])
+        shoe["contact"] = base64.b64encode(cells[:-8]).decode("ascii")
         path, argv = self._fit_argv(dataset_doc, tmp_path)
         code, msg = self._exit_and_message(caplog, argv)
         assert code == 1
         assert str(path) in msg and shoe["shoe_id"] in msg
 
-    @pytest.mark.parametrize("key", ["contact", "gradient"])
+    @pytest.mark.parametrize("key", ["contact"])
     @pytest.mark.parametrize("value", [
         0.5,
         [0.5] * 30,
@@ -639,6 +641,39 @@ class TestMalformedInput:
         assert code == 1
         assert str(path) in msg and "'coxforge-dataset-v1'" in msg
         assert "prep" in msg and "simulate" in msg
+        assert caplog.records[-1].exc_info is None
+
+    def test_v2_dataset_exits_1(self, simdir, tmp_path, caplog):
+        """A file of the format that also stored the derived cells, the binary
+        contact and the gradient, is refused, not read."""
+        records, _ = ds.load_dataset(simdir / "dataset.json")
+        doc = json.loads((simdir / "dataset.json").read_text())
+        doc["format"] = "coxforge-dataset-v2"
+        for rec, shoe in zip(records, doc["shoes"]):
+            shoe["contact_binary"] = rec.contact_binary.ravel().tolist()
+            shoe["gradient"] = base64.b64encode(rec.gradient.tobytes()).decode("ascii")
+        path, argv = self._fit_argv(doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and "'coxforge-dataset-v2'" in msg
+        assert "prep" in msg and "simulate" in msg
+        assert caplog.records[-1].exc_info is None
+
+    @pytest.mark.parametrize("value", [None, float("nan"), 1.0, -0.1, "0.5", True],
+                             ids=["missing", "nan", "one", "negative", "string", "true"])
+    def test_dataset_threshold_is_a_number_in_unit_interval(self, dataset_doc, tmp_path,
+                                                            caplog, value):
+        """The binary contact is derived from the threshold, which must be a
+        JSON number in [0, 1)."""
+        shoe = dataset_doc["shoes"][3]
+        if value is None:
+            del shoe["threshold"]
+        else:
+            shoe["threshold"] = value
+        path, argv = self._fit_argv(dataset_doc, tmp_path)
+        code, msg = self._exit_and_message(caplog, argv)
+        assert code == 1
+        assert str(path) in msg and shoe["shoe_id"] in msg and "threshold" in msg
         assert caplog.records[-1].exc_info is None
 
     @pytest.mark.parametrize("content", [b"[1, 2]", b'"x"', b'\xff{"format": 1}'],
@@ -705,26 +740,24 @@ class TestMalformedInput:
         assert str(path) in msg and shoe["shoe_id"] in msg and "counts" in msg
 
     @pytest.mark.parametrize("value", [-1.0, 1e308])
-    def test_gradient_outside_sobel_range(self, dataset_doc, fitfile, tmp_path,
-                                          caplog, value):
-        shoe = dataset_doc["shoes"][5]
-        _set_cell(shoe, "gradient", 2, value)
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(dataset_doc))
-        code, msg = self._exit_and_message(caplog, [
-            "evaluate", "--fit", str(fitfile), "--dataset", str(path),
-            "--out", str(tmp_path / "ev"),
-        ])
-        assert code == 1
-        assert str(path) in msg and shoe["shoe_id"] in msg and "gradient" in msg
+    def test_gradient_outside_sobel_range(self, simdir, tmp_path, value):
+        """A file stores no gradient; a record whose gradient is not its
+        contact's Sobel magnitude is refused on the way in."""
+        records, grid = ds.load_dataset(simdir / "dataset.json")
+        records[5].gradient[0, 2] = value
+        with pytest.raises(ConfigError, match=f"shoe {records[5].shoe_id}: gradient"):
+            ds.save_dataset(records, grid, tmp_path / "data.json")
+        assert not (tmp_path / "data.json").exists()
 
-    def test_binary_contact_not_zero_one(self, dataset_doc, tmp_path, caplog):
-        shoe = dataset_doc["shoes"][0]
-        _set_cell(shoe, "contact_binary", 0, 0.5)
-        path, argv = self._fit_argv(dataset_doc, tmp_path)
-        code, msg = self._exit_and_message(caplog, argv)
-        assert code == 1
-        assert str(path) in msg and "binary contact" in msg
+    def test_binary_contact_not_zero_one(self, simdir, tmp_path):
+        """Nor is a record whose binary contact is not its contact cut at its
+        threshold."""
+        records, grid = ds.load_dataset(simdir / "dataset.json")
+        records[0].contact_binary = records[0].contact_binary.astype(float)
+        records[0].contact_binary[0, 0] = 0.5
+        with pytest.raises(ConfigError, match=f"shoe {records[0].shoe_id}: contact_binary"):
+            ds.save_dataset(records, grid, tmp_path / "data.json")
+        assert not (tmp_path / "data.json").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["marginal_mean"].append(0.5),
@@ -744,6 +777,41 @@ class TestMalformedInput:
         ])
         assert code == 1
         assert str(path) in msg
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(marginal_mean=[str(v) for v in d["marginal_mean"]]),
+        lambda d: d["marginal_sd"].__setitem__(0, True),
+        lambda d: d.update(marginal_sd=None),
+        lambda d: d["psi_grid"].update(free_names="ab"),
+        lambda d: d["psi_grid"].update(free_names=["tau_sm", "tau_s"]),
+        lambda d: d["psi_grid"].update(weights=[float("nan")]),
+        lambda d: d["psi_grid"].update(weights=[0.5]),
+        lambda d: d["psi_grid"].update(weights=[1.5, -0.5], points=[[0.0, 0.0]] * 2),
+        lambda d: d["psi_grid"].update(weights=["1.0"]),
+        lambda d: d["psi_grid"]["points"][0].__setitem__(1, float("inf")),
+        lambda d: d["psi_grid"]["points"][0].append(0.0),
+        lambda d: d["psi_grid"].update(points=[[0.0, 0.0]] * 2),
+        lambda d: d["psi_grid"].update(points=[[0.0, False]]),
+    ], ids=["means_strings", "sd_true", "sd_null", "free_names_a_string",
+            "free_names_reordered", "weight_nan", "weights_sum_half", "weight_negative",
+            "weight_a_string", "point_infinite", "point_too_long", "points_too_many",
+            "point_bool"])
+    def test_fit_json_numbers_and_psi_grid(self, simdir, fitfile, tmp_path, caplog, edit):
+        """Every number is a JSON number, and the psi grid names m_a's free
+        precisions, tau_s and tau_sm, with one finite point per weight."""
+        doc = json.loads(fitfile.read_text())
+        assert doc["psi_grid"]["free_names"] == ["tau_s", "tau_sm"]
+        assert doc["psi_grid"]["weights"] == [1.0]
+        edit(doc)
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(path), "--dataset",
+            str(simdir / "dataset.json"), "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg
+        assert caplog.records[-1].exc_info is None
 
     @pytest.mark.parametrize("psi_map", [
         {"tau_s": 2.0},
@@ -838,18 +906,18 @@ class TestMalformedInput:
     @pytest.mark.parametrize("edit,key", [
         ({"nx": 39.7}, "nx"),
         ({"ny": True}, "ny"),
-        ({"src_w": "6"}, "src_w"),
+        ({"ny": "8"}, "ny"),
         ({"nx": 6.0}, "nx"),
         ({"crop_x": [0.9, 5.2]}, "crop_x"),
         ({"crop_y": [0, 7, 9]}, "crop_y"),
-        ({"x_range": [0.0, "6"]}, "x_range"),
-        ({"y_range": [False, 8.0]}, "y_range"),
-    ], ids=["nx_fraction", "ny_bool", "src_w_string", "nx_float", "crop_x_fractions",
-            "crop_y_three", "x_range_string", "y_range_bool"])
+        ({"crop_x": [0, "5"]}, "crop_x"),
+        ({"crop_y": [False, 7]}, "crop_y"),
+    ], ids=["nx_fraction", "ny_bool", "ny_string", "nx_float", "crop_x_fractions",
+            "crop_y_three", "crop_x_string", "crop_y_bool"])
     @pytest.mark.parametrize("command", ["prep", "gradient"])
     def test_grid_file_numbers_are_json_numbers(self, tmp_path, caplog, edit, key, command):
-        """Counts and pixel ranges are JSON integers, physical ranges JSON
-        numbers; the grid is read first, so nothing else need exist."""
+        """Cell counts and pixel ranges are JSON integers; the grid is read
+        first, so nothing else need exist."""
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({**GridSpec.synthetic(6, 8).to_json_dict(), **edit}))
         if command == "prep":
@@ -915,7 +983,15 @@ class TestMalformedInput:
     @pytest.mark.parametrize("spec,word", [
         ({"name": "flat", "fixed": ["000000"], "smooth": "false"}, "smooth"),
         ({"name": "flat", "fixed": 5}, "wrong type"),
-    ], ids=["smooth_not_boolean", "fixed_not_a_list"])
+        ({"name": 5, "fixed": ["000000"]}, "name"),
+        ({"name": "flat", "fixed": ["000000"], "contact": 1}, "contact"),
+        ({"name": "flat", "fixed": "000000"}, "fixed"),
+        ({"name": "flat", "fixed": [0]}, "fixed"),
+        ({"name": "flat", "fixed": ["000000"], "varying": {"100000": 1}}, "varying"),
+        ({"name": "flat", "fixed": ["000000"], "varying": ["10000"]}, "varying"),
+    ], ids=["smooth_not_boolean", "fixed_not_a_list", "name_a_number", "contact_a_number",
+            "fixed_a_string", "fixed_index_a_number", "varying_an_object",
+            "varying_index_five_bits"])
     def test_model_file_with_bad_value_exits_2(self, simdir, tmp_path, caplog, spec, word):
         path = tmp_path / "model.json"
         path.write_text(json.dumps(spec))
@@ -972,7 +1048,7 @@ def fuzz_dir(tmp_path_factory):
 
 @settings(max_examples=50, deadline=None)
 @given(
-    array=st.sampled_from(["contact", "contact_binary", "gradient", "counts"]),
+    array=st.sampled_from(["contact", "counts"]),
     shoe=st.integers(0, 7),
     cell=st.integers(0, 29),
     value=st.one_of(
@@ -1000,42 +1076,61 @@ def test_evaluate_survives_one_bad_dataset_entry(simdir, gradient_fitfile, fuzz_
             assert row["n_accidentals"].isdigit(), row
 
 
-_EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072009e-308]  # subnormals: least, greatest
+_EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072009e-308, 1.0]  # subnormals: least, greatest
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     contact=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.0, 1.0)),
-                     min_size=6, max_size=6),
-    gradient=st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS + [_MAX_GRADIENT + 1e-6]),
-                                st.floats(0.0, _MAX_GRADIENT + 1e-6)),
-                      min_size=6, max_size=6),
-    counts=st.lists(st.integers(0, 2**40), min_size=6, max_size=6),
+                     min_size=12, max_size=12),
+    counts=st.lists(st.integers(0, 2**40), min_size=12, max_size=12),
+    threshold=st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, np.nextafter(1.0, 0.0)]),
+                        st.floats(0.0, 1.0, exclude_max=True)),
 )
-@example(contact=[-0.0, 5e-324, 2.2250738585072009e-308, 1.0, 0.0, 0.1],
-         gradient=[-0.0, 5e-324, 2.2250738585072009e-308, _MAX_GRADIENT + 1e-6, 0.0, 1.0],
-         counts=[0, 1, 2, 3, 0, 2**40])
-def test_dataset_round_trip_is_bit_exact(fuzz_dir, contact, gradient, counts):
-    """save_dataset then load_dataset returns every cell with its bits and
-    dtype: -0.0, subnormals and the largest accepted gradient included."""
-    grid = GridSpec.synthetic(2, 3)
+@example(contact=[-0.0, 5e-324, 2.2250738585072009e-308, 1.0, 0.0, 0.1] * 2,
+         counts=[0, 1, 2, 3, 0, 2**40] * 2, threshold=0.1)
+def test_dataset_round_trip_is_bit_exact(fuzz_dir, contact, counts, threshold):
+    """save_dataset then load_dataset returns every cell of a record built
+    as prep and simulate build theirs, with its bits and dtype: the stored
+    contact and counts, and the binary contact and gradient derived again."""
+    grid = GridSpec.synthetic(3, 4)
     shape = (grid.ny, grid.nx)
     c = np.array(contact).reshape(shape)
-    rec = ShoeRecord(
-        shoe_id="s0", side="right", contact=c,
-        contact_binary=(c > 0.5).astype(np.uint8), gradient=np.array(gradient).reshape(shape),
-        counts=np.array(counts, dtype=np.int64).reshape(shape), threshold=0.5,
-    )
+    rec = surface_record("s0", "right", c, sobel_magnitude(c),
+                         np.array(counts, dtype=np.int64).reshape(shape), threshold)
     path = fuzz_dir / "round_trip.json"
     ds.save_dataset([rec], grid, path)
     [got], got_grid = ds.load_dataset(path)
     assert got_grid == grid
-    assert (got.shoe_id, got.side, got.threshold) == (rec.shoe_id, rec.side, rec.threshold)
+    assert (got.shoe_id, got.side) == (rec.shoe_id, rec.side)
+    assert np.float64(got.threshold).tobytes() == np.float64(rec.threshold).tobytes()
     for key in ("contact", "contact_binary", "gradient", "counts"):
         want, have = getattr(rec, key), getattr(got, key)
         assert have.dtype == want.dtype and have.shape == want.shape
         assert have.tobytes() == want.tobytes(), key
         assert have.flags.writeable
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.gradient.__setitem__((1, 1), np.nextafter(r.gradient[1, 1], 9.0)),
+    lambda r: r.contact_binary.__setitem__((0, 0), 1 - r.contact_binary[0, 0]),
+    lambda r: setattr(r, "contact_binary", r.contact_binary.astype(np.int64)),
+    lambda r: setattr(r, "threshold", float("nan")),
+    lambda r: setattr(r, "threshold", 1.0),
+], ids=["gradient_one_ulp", "binary_cell_flipped", "binary_as_int64", "threshold_nan",
+        "threshold_one"])
+def test_save_refuses_a_record_its_contact_does_not_give(tmp_path, edit):
+    """The file stores the contact and threshold only, so a hand-set derived
+    cell would come back changed: the record is refused, naming the shoe."""
+    grid = GridSpec.synthetic(3, 4)
+    c = np.linspace(0.0, 1.0, grid.n_cells).reshape(grid.ny, grid.nx)
+    rec = surface_record("hand7", "left", c, sobel_magnitude(c),
+                         np.zeros((grid.ny, grid.nx), dtype=np.int64), 0.4)
+    ds.save_dataset([rec], grid, tmp_path / "ok.json")
+    edit(rec)
+    with pytest.raises(ConfigError, match="shoe hand7"):
+        ds.save_dataset([rec], grid, tmp_path / "data.json")
+    assert not (tmp_path / "data.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1049,7 +1144,7 @@ def scan_dir(tmp_path_factory):
     """A directory for one 10x10 scan, its annotations and a 5x5 grid on an 8x8 crop."""
     d = tmp_path_factory.mktemp("scan")
     (d / "img").mkdir()
-    grid = GridSpec(nx=5, ny=5, src_w=8, src_h=8, crop_x=(1, 8), crop_y=(1, 8))
+    grid = GridSpec(nx=5, ny=5, crop_x=(1, 8), crop_y=(1, 8))
     (d / "grid.json").write_text(json.dumps(grid.to_json_dict()))
     return d
 

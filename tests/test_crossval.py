@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from coxforge.cli import main
 from coxforge.crossval import (
     CvResult,
     FoldPlan,
@@ -12,6 +13,7 @@ from coxforge.crossval import (
     run_cv,
     write_cv_outputs,
 )
+from coxforge.datasets import save_dataset
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError
 from coxforge.grids import GridSpec
@@ -91,10 +93,15 @@ class TestMakeFolds:
         with pytest.raises(ConfigError):
             make_folds(ids, 3, seed=0, pair_folds=True)
 
-    def test_plan_json_round_trip(self):
-        plan = make_folds([f"s{i}" for i in range(9)], 3, seed=4)
-        back = FoldPlan.from_json_dict(json.loads(json.dumps(plan.to_json_dict())))
-        assert back == plan
+    def test_plan_json_round_trip(self, cv_dataset, tmp_path):
+        """The plan.json that cv writes holds the plan's k, seed and assignments."""
+        cfg, records = cv_dataset
+        save_dataset(records, cfg.grid, tmp_path / "data.json")
+        assert main(["cv", "--dataset", str(tmp_path / "data.json"), "--models", "uniform",
+                     "--folds", "3", "--seed", "4", "--out", str(tmp_path / "cv")]) == 0
+        plan = make_folds([r.shoe_id for r in records], 3, seed=4)
+        written = json.loads((tmp_path / "cv" / "plan.json").read_text())
+        assert written == {"k": 3, "seed": 4, "assignments": plan.assignments}
 
     def test_plan_rejects_out_of_range_fold(self):
         with pytest.raises(ConfigError):
@@ -107,7 +114,7 @@ class TestRunCv:
         cells cover 3x4 scan pixels."""
         cfg, records = cv_dataset
         plan = make_folds([r.shoe_id for r in records], 2, seed=0)
-        scan = GridSpec(nx=cfg.nx, ny=cfg.ny, src_w=3 * cfg.nx, src_h=4 * cfg.ny,
+        scan = GridSpec(nx=cfg.nx, ny=cfg.ny,
                         crop_x=(0, 3 * cfg.nx - 1), crop_y=(0, 4 * cfg.ny - 1))
         assert scan.cell_area == 12.0
         for grid in (cfg.grid, scan):

@@ -26,13 +26,27 @@ def test_default_grid_geometry():
 
 
 def test_gridspec_rejects_inconsistent_crop():
+    """A crop window whose far edge comes before its near one spans no pixels."""
     with pytest.raises(ConfigError):
-        GridSpec(crop_x=(262, 598))  # spans 337 != src_w
+        GridSpec(crop_x=(597, 262))
+    with pytest.raises(ConfigError):
+        GridSpec(crop_y=(44, 43))
 
 
 def test_gridspec_json_round_trip():
     g = GridSpec.synthetic(5, 7)
+    assert g.to_json_dict() == {"nx": 5, "ny": 7, "crop_x": [0, 4], "crop_y": [0, 6]}
     assert GridSpec.from_json_dict(g.to_json_dict()) == g
+
+
+def test_gridspec_json_ignores_keys_it_does_not_read():
+    """Grid files written with the window's size and physical ranges still
+    load: the size is derived from the crop window, whatever the file says."""
+    d = {"nx": 3, "ny": 4, "src_w": 99, "src_h": "16", "crop_x": [0, 11], "crop_y": [0, 15],
+         "x_range": [0.0, 12.0], "y_range": [False, 16.0]}
+    g = GridSpec.from_json_dict(d)
+    assert g == GridSpec(nx=3, ny=4, crop_x=(0, 11), crop_y=(0, 15))
+    assert (g.src_w, g.src_h) == (12, 16)
 
 
 class TestCropReflect:
@@ -86,20 +100,19 @@ class TestCropReflect:
 
 class TestCoarsen:
     def test_constant_surface(self):
-        g = GridSpec(nx=3, ny=5, src_w=9, src_h=20,
-                     crop_x=(0, 8), crop_y=(0, 19))
+        g = GridSpec(nx=3, ny=5, crop_x=(0, 8), crop_y=(0, 19))
         out = coarsen(np.full((20, 9), 0.3), g)
         assert np.allclose(out, 0.3)
 
     def test_2x2_to_single_cell_mean(self):
-        g = GridSpec(nx=1, ny=1, src_w=2, src_h=2, crop_x=(0, 1), crop_y=(0, 1))
+        g = GridSpec(nx=1, ny=1, crop_x=(0, 1), crop_y=(0, 1))
         img = np.array([[0.2, 0.4], [0.6, 0.8]])
         assert coarsen(img, g)[0, 0] == pytest.approx(0.5)
 
     def test_fractional_patch_area_weighting(self):
         # 3 source pixels {1,0,0} into 2 cells of width 1.5:
         # cell 1 = (1*1 + 0*0.5)/1.5 = 2/3, cell 2 = 0
-        g = GridSpec(nx=2, ny=1, src_w=3, src_h=1, crop_x=(0, 2), crop_y=(0, 0))
+        g = GridSpec(nx=2, ny=1, crop_x=(0, 2), crop_y=(0, 0))
         out = coarsen(np.array([[1.0, 0.0, 0.0]]), g)
         assert out[0] == pytest.approx([2 / 3, 0.0])
 
@@ -110,8 +123,7 @@ class TestCoarsen:
     )
     @settings(max_examples=60, deadline=None)
     def test_total_mass_preserved(self, nx, ny, sw, sh, seed):
-        g = GridSpec(nx=nx, ny=ny, src_w=sw, src_h=sh,
-                     crop_x=(0, sw - 1), crop_y=(0, sh - 1))
+        g = GridSpec(nx=nx, ny=ny, crop_x=(0, sw - 1), crop_y=(0, sh - 1))
         img = np.random.default_rng(seed).uniform(size=(sh, sw))
         out = coarsen(img, g)
         assert out.sum() * g.cell_area == pytest.approx(img.sum(), abs=1e-9)

@@ -355,7 +355,7 @@ class TestHyperparameterSearch:
             free_names=["tau_s", "tau_sm"],
         )
         got = PsiGrid.from_json_dict(
-            json.loads(json.dumps(grid.to_json_dict()))
+            json.loads(json.dumps(grid.to_json_dict())), get_spec("m_a")
         )
         assert np.allclose(got.points, grid.points)
         assert np.allclose(got.weights, grid.weights)
