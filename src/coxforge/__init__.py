@@ -22,7 +22,6 @@ from .grids import (
     crop_reflect,
     make_record,
     otsu_threshold,
-    surface_record,
 )
 from .inference import FitResult, GridConfig, ModeResult, find_mode, fit
 from .metrics import fold_gain, median_loss_ratio, shoe_metric, uniform_metric
@@ -45,7 +44,7 @@ __all__ = [
     "besag_precision", "log_gen_det", "sample_constrained",
     "fft_convolve2d", "sobel_magnitude",
     "GridSpec", "RawImage", "ShoeRecord", "bin_accidentals", "binarize",
-    "coarsen", "crop_reflect", "make_record", "otsu_threshold", "surface_record",
+    "coarsen", "crop_reflect", "make_record", "otsu_threshold",
     "FitResult", "GridConfig", "ModeResult", "find_mode", "fit",
     "fold_gain", "median_loss_ratio", "shoe_metric", "uniform_metric",
     "PriorSpec", "ShoeModel", "precision_names",

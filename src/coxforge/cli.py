@@ -224,9 +224,21 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def _load_fit_and_dataset(args) -> tuple[FitResult, list, GridSpec]:
+    """The fit and the dataset it is applied to, which must share one grid:
+    on another crop window every metric would shift by the cell area."""
     res = ds.load_fit(args.fit)
     records, grid = ds.load_dataset(args.dataset)
+    if res.grid != grid:
+        def where(g):
+            return f"a {g.nx}x{g.ny} grid over pixels x {list(g.crop_x)}, y {list(g.crop_y)}"
+        raise ConfigError(f"{args.fit} was fitted on {where(res.grid)}, "
+                          f"but {args.dataset} is on {where(grid)}")
+    return res, records, grid
+
+
+def cmd_predict(args) -> int:
+    res, records, _ = _load_fit_and_dataset(args)
     if args.shoe:
         records = [r for r in records if r.shoe_id == args.shoe]
         if not records:
@@ -241,8 +253,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    res = ds.load_fit(args.fit)
-    records, grid = ds.load_dataset(args.dataset)
+    res, records, grid = _load_fit_and_dataset(args)
     rows = [(rec.shoe_id, m, int(rec.counts.sum()))
             for rec, m in score_shoes(res, records, grid)]
     excluded = len(records) - len(rows)

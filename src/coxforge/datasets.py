@@ -11,10 +11,10 @@ format tag, the grid, and what was measured of each shoe: its ``shoe_id``,
 ``side``, ``threshold``, ``counts`` (a JSON integer list, so their checks
 still read in a hand-edited file) and ``contact`` (the base64 of its
 row-major, little-endian float64 bytes, which round-trip exactly). The
-loader derives the binary contact and the gradient from these as ``prep``
-and ``simulate`` do, and the writer refuses a record whose own differ. A
-file of an earlier format is refused with the file named: rewrite it with
-this version's ``prep`` or ``simulate``.
+record derives its binary contact and gradient from these, so neither is
+stored. Shoe ids are JSON strings, distinct within a file. A file of an
+earlier format is refused with the file named: rewrite it with this
+version's ``prep`` or ``simulate``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import io
 import json
 import logging
 import re
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -32,8 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, InputDataError
-from .gradient import sobel_magnitude
-from .grids import GridSpec, RawImage, ShoeRecord, Side, binarize, surface_record
+from .grids import GridSpec, RawImage, ShoeRecord, Side
 from .util import json_number
 
 log = logging.getLogger("coxforge.datasets")
@@ -234,27 +234,14 @@ def _decode_floats(key: str, value, n_cells: int) -> np.ndarray:
 
 
 def save_dataset(records: Sequence[ShoeRecord], grid: GridSpec, path) -> None:
-    """Write what was measured of each shoe; a record whose binary contact
-    or gradient is not what its contact and threshold give is refused."""
-    shoes = []
-    for r in records:
-        try:
-            derived = {"contact_binary": binarize(r.contact, r.threshold),
-                       "gradient": sobel_magnitude(r.contact)}
-        except ConfigError as exc:
-            raise ConfigError(f"shoe {r.shoe_id}: {exc}") from exc
-        for name, want in derived.items():
-            have = np.asarray(getattr(r, name))
-            if have.dtype != want.dtype or have.tobytes() != want.tobytes():
-                raise ConfigError(f"shoe {r.shoe_id}: {name} is not the one its contact and "
-                                  f"threshold give, and a dataset file stores only those")
-        shoes.append({
-            "shoe_id": r.shoe_id,
-            "side": r.side,
-            "threshold": float(r.threshold),
-            "contact": _encode_floats(r.contact),
-            "counts": np.asarray(r.counts, dtype=np.int64).ravel().tolist(),
-        })
+    """Write what was measured of each shoe."""
+    shoes = [{
+        "shoe_id": r.shoe_id,
+        "side": r.side,
+        "threshold": float(r.threshold),
+        "contact": _encode_floats(r.contact),
+        "counts": np.asarray(r.counts, dtype=np.int64).ravel().tolist(),
+    } for r in records]
     doc = {
         "format": DATASET_FORMAT,
         "metadata": {"created_utc": _utc_now()},
@@ -282,7 +269,7 @@ def _counts_to_array(obj: dict) -> dict:
 
 
 def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
-    """Each shoe's record, rebuilt by :func:`grids.surface_record`, and the grid."""
+    """Each shoe's record, in file order, and the grid."""
     p = Path(path)
     doc = read_json(p, "dataset", object_hook=_counts_to_array)
     if doc.get("format") != DATASET_FORMAT:
@@ -298,18 +285,17 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
     except (ConfigError, InputDataError) as exc:
         raise type(exc)(f"{p}: {exc}") from exc
     shape = (grid.ny, grid.nx)
-    records = []
+    records, seen = [], set()
     for i, s in enumerate(shoes):
         sid = s.get("shoe_id", f"#{i}") if isinstance(s, dict) else f"#{i}"
         try:
+            if not isinstance(s["shoe_id"], str):
+                raise TypeError(f"shoe_id must be a JSON string, found {s['shoe_id']!r}")
             contact = _decode_floats("contact", s["contact"], grid.n_cells).reshape(shape)
-            # validate reports a contact outside [0, 1], not its Sobel transform
-            with np.errstate(invalid="ignore", over="ignore"):
-                gradient = sobel_magnitude(contact)
-            # the threshold is a JSON number that binarize checks lies in [0, 1)
-            rec = surface_record(str(s["shoe_id"]), s["side"], contact, gradient,
-                                 np.asarray(s["counts"], dtype=float).reshape(shape),
-                                 json_number(s["threshold"], "threshold"))
+            # the record checks the side, and that the threshold lies in [0, 1)
+            rec = ShoeRecord(s["shoe_id"], s["side"], contact,
+                             np.asarray(s["counts"], dtype=float).reshape(shape),
+                             json_number(s["threshold"], "threshold"))
             # counts (whole, within int64) are checked before the cast below
             # can hide a bad value
             rec.validate(grid)
@@ -317,8 +303,10 @@ def load_dataset(path) -> tuple[list[ShoeRecord], GridSpec]:
             raise InputDataError(f"{p}: shoe {sid}: malformed record: {exc!r}") from exc
         except InputDataError as exc:
             raise InputDataError(f"{p}: {exc}") from exc
-        rec.counts = rec.counts.astype(np.int64)
-        records.append(rec)
+        if sid in seen:
+            raise InputDataError(f"{p}: shoe {sid}: an earlier shoe has the same id")
+        seen.add(sid)
+        records.append(replace(rec, counts=rec.counts.astype(np.int64)))
     return records, grid
 
 

@@ -233,7 +233,8 @@ def build_tensor(
     indices give the covariates and an index with 2s gives the product of
     two covariates. Cells are flattened row-major. The contact surface
     used is either ``record.contact`` or ``record.contact_binary``
-    depending on ``spec.contact``.
+    depending on ``spec.contact``; the binary contact and the gradient
+    are those the record derives from its contact.
     """
     contact = record.contact if spec.contact == "continuous" else record.contact_binary
     flat = _factor_stack(contact, record.gradient).reshape(N_BITS, -1)

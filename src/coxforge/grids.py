@@ -11,10 +11,11 @@ pipeline that turns raw material into per-cell arrays:
   (cell edges fall at fractional pixel positions, so pixels straddling an
   edge are split proportionally),
 * ``binarize``    — threshold a contact surface at a cut,
-* ``surface_record`` — a coarsened surface, its gradient and its counts as
-  one record, cut at a fixed threshold or Otsu's histogram criterion; the
-  one record builder of ``prep``, ``simulate`` and the dataset loader,
 * ``bin_accidentals`` — count marked accidental locations per grid cell.
+
+A :class:`ShoeRecord` holds what was measured of one shoe: its surface,
+its counts and the cut (a fixed threshold or Otsu's histogram criterion);
+it derives its binary contact and Sobel gradient itself.
 
 Array convention: 2-D arrays are indexed ``[row, col] == [y, x]`` with row 0
 at the top of the scan, and intensities live in ``[0, 1]`` with 1 meaning
@@ -24,21 +25,21 @@ full contact (dark ink). Flattened cell order is row-major.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
+# the module, not its function: a wrapper set on gradient.sobel_magnitude
+# sees the records' calls
+from . import gradient as _gradient
 from .errors import ConfigError, InputDataError
 from .util import json_int
 
 log = logging.getLogger("coxforge.grids")
 
 Side = Literal["left", "right"]
-
-# a Sobel response of a surface in [0, 1] is at most 4 per direction
-_MAX_GRADIENT = 4.0 * np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -126,35 +127,52 @@ class RawImage:
             raise InputDataError(f"side must be 'left' or 'right', got {self.side!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShoeRecord:
-    """Per-cell data for one shoe, ready for model building.
+    """What was measured of one shoe, ready for model building.
 
-    ``contact`` is the coarsened continuous surface in [0, 1];
-    ``contact_binary`` its thresholded version; ``gradient`` the edge
-    magnitude field; ``counts`` the accidentals per cell. All arrays are
-    (ny, nx).
+    ``contact`` is the coarsened continuous surface in [0, 1] and
+    ``counts`` the accidentals per cell, both (ny, nx); ``threshold`` in
+    [0, 1) is the cut of the binary contact. The binary contact and the
+    edge-magnitude gradient are derived from the contact on first use and
+    are read-only, so a record cannot disagree with its contact.
     """
 
     shoe_id: str
     side: Side
     contact: np.ndarray
-    contact_binary: np.ndarray
-    gradient: np.ndarray
     counts: np.ndarray
-    threshold: float = field(default=float("nan"))
+    threshold: float
+
+    def __post_init__(self) -> None:
+        if self.side not in ("left", "right"):
+            raise InputDataError(
+                f"shoe {self.shoe_id}: side must be 'left' or 'right', got {self.side!r}")
+        # written so that a NaN fails it
+        if not 0.0 <= self.threshold < 1.0:
+            raise ConfigError(
+                f"shoe {self.shoe_id}: threshold must lie in [0, 1), got {self.threshold}")
+
+    @cached_property
+    def contact_binary(self) -> np.ndarray:
+        """The contact cut at the threshold, uint8."""
+        return _read_only(binarize(self.contact, self.threshold))
+
+    @cached_property
+    def gradient(self) -> np.ndarray:
+        """The Sobel magnitude of the contact."""
+        return _read_only(_gradient.sobel_magnitude(self.contact))
 
     def validate(self, spec: GridSpec) -> None:
         shape = (spec.ny, spec.nx)
-        for name in ("contact", "contact_binary", "gradient", "counts"):
+        for name in ("contact", "counts"):
             arr = getattr(self, name)
             if arr.shape != shape:
                 raise ConfigError(
                     f"shoe {self.shoe_id}: {name} has shape {arr.shape}, "
                     f"expected {shape}"
                 )
-        for name in ("contact", "gradient", "counts"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.all(np.isfinite(arr)):
                 raise InputDataError(f"shoe {self.shoe_id}: non-finite {name} values")
         if np.any(self.counts < 0):
             raise InputDataError(f"shoe {self.shoe_id}: negative accidental counts")
@@ -171,14 +189,11 @@ class ShoeRecord:
                 f"shoe {self.shoe_id}: contact must lie in [0, 1], found "
                 f"[{self.contact.min()}, {self.contact.max()}]"
             )
-        if not np.all((self.contact_binary == 0) | (self.contact_binary == 1)):
-            raise InputDataError(f"shoe {self.shoe_id}: binary contact must be 0 or 1")
-        # the slack covers the 1e-9 that contact may stray outside [0, 1]
-        if np.any((self.gradient < 0) | (self.gradient > _MAX_GRADIENT + 1e-6)):
-            raise InputDataError(
-                f"shoe {self.shoe_id}: gradient must lie in [0, 4*sqrt(2)], found "
-                f"[{self.gradient.min()}, {self.gradient.max()}]"
-            )
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def crop_reflect(image: RawImage, spec: GridSpec) -> np.ndarray:
@@ -320,31 +335,6 @@ def bin_accidentals(
     return counts, rejects
 
 
-def surface_record(
-    shoe_id: str,
-    side: Side,
-    contact: np.ndarray,
-    gradient: np.ndarray,
-    counts: np.ndarray,
-    threshold: float | None = None,
-) -> ShoeRecord:
-    """The record of one shoe's (ny, nx) surface, gradient and counts.
-
-    The surface is cut at ``threshold``, or at :func:`otsu_threshold` of
-    the surface itself when none is given.
-    """
-    thr = otsu_threshold(contact) if threshold is None else float(threshold)
-    return ShoeRecord(
-        shoe_id=shoe_id,
-        side=side,
-        contact=contact,
-        contact_binary=binarize(contact, thr),
-        gradient=gradient,
-        counts=counts,
-        threshold=thr,
-    )
-
-
 def make_record(
     image: RawImage,
     shoe_id: str,
@@ -352,16 +342,15 @@ def make_record(
     spec: GridSpec,
     threshold: float | None = None,
 ) -> tuple[ShoeRecord, list[tuple[float, float]]]:
-    """Full preprocessing for one shoe: crop, coarsen, threshold, gradient, bin.
+    """Full preprocessing for one shoe: crop, coarsen, choose the cut, bin.
 
-    Returns the finished :class:`ShoeRecord` and the rejected points.
+    The surface is cut at ``threshold``, or at :func:`otsu_threshold` of
+    the surface itself when none is given. Returns the finished
+    :class:`ShoeRecord` and the rejected points.
     """
-    from .gradient import sobel_magnitude  # deferred: gradient imports nothing from here
-
     contact = coarsen(crop_reflect(image, spec), spec)
     counts, rejects = bin_accidentals(points, image.side, spec)
-    rec = surface_record(
-        shoe_id, image.side, contact, sobel_magnitude(contact), counts, threshold
-    )
+    thr = otsu_threshold(contact) if threshold is None else threshold
+    rec = ShoeRecord(shoe_id, image.side, contact, counts, thr)
     rec.validate(spec)
     return rec, rejects

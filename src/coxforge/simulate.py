@@ -15,15 +15,16 @@ independent generator seeded with ``(seed, i)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .design import ModelSpec, get_spec
 from .errors import ConfigError
 from .gmrf import sample_constrained
+# nothing here calls it, but bench/layers.py wraps simulate.sobel_magnitude
 from .gradient import sobel_magnitude
-from .grids import GridSpec, ShoeRecord, surface_record
+from .grids import GridSpec, ShoeRecord, otsu_threshold
 from .model import Design, ThetaLayout, precision_names
 
 CONTACT_KINDS = ("blobs", "stripes", "uniform_noise")
@@ -97,8 +98,8 @@ def _stripes(rng: np.random.Generator, ny: int, nx: int) -> np.ndarray:
     return 0.5 + 0.45 * wave
 
 
-def gen_contact(config: SimConfig, shoe_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """Synthetic contact surface in [0,1] and its edge-magnitude field."""
+def gen_contact(config: SimConfig, shoe_index: int) -> np.ndarray:
+    """Synthetic contact surface in [0, 1]."""
     rng = np.random.default_rng([config.seed, shoe_index])
     if config.contact_kind == "blobs":
         surface = _blobs(rng, config.ny, config.nx)
@@ -106,7 +107,7 @@ def gen_contact(config: SimConfig, shoe_index: int) -> tuple[np.ndarray, np.ndar
         surface = _stripes(rng, config.ny, config.nx)
     else:
         surface = rng.uniform(0.0, 1.0, size=(config.ny, config.nx))
-    return surface, sobel_magnitude(surface)
+    return surface
 
 
 def true_theta(config: SimConfig, rng: np.random.Generator) -> np.ndarray:
@@ -138,10 +139,11 @@ def gen_dataset(config: SimConfig) -> tuple[list[ShoeRecord], np.ndarray]:
     """Simulate shoes: surfaces, a prior draw of theta, Poisson counts."""
     rng = np.random.default_rng(config.seed)
     shape = (config.ny, config.nx)
+    contacts = [gen_contact(config, i) for i in range(config.n_shoes)]
     records = [
-        surface_record(f"sim{i:04d}", "left" if i % 2 == 0 else "right",
-                       *gen_contact(config, i), np.zeros(shape, dtype=np.int64))
-        for i in range(config.n_shoes)
+        ShoeRecord(f"sim{i:04d}", "left" if i % 2 == 0 else "right", c,
+                   np.zeros(shape, dtype=np.int64), otsu_threshold(c))
+        for i, c in enumerate(contacts)
     ]
     theta = true_theta(config, rng)
     eta = Design(records, config.spec).eta(theta)  # (S, A)
@@ -150,9 +152,7 @@ def gen_dataset(config: SimConfig) -> tuple[list[ShoeRecord], np.ndarray]:
     if not np.all(lam <= POISSON_LAM_MAX):
         raise ConfigError(f"simulated log intensity reaches {eta.max():.4g}, past what the "
                           "Poisson sampler accepts; lower the intercept or raise the precisions")
-    counts = rng.poisson(lam)
-    out = [
-        replace(rec, counts=counts[s].reshape(config.ny, config.nx).astype(np.int64))
-        for s, rec in enumerate(records)
-    ]
-    return out, theta
+    # filled in place: the records keep the gradients the design derived
+    for rec, counts in zip(records, rng.poisson(lam)):
+        rec.counts[:] = counts.reshape(shape)
+    return records, theta

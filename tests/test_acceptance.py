@@ -11,6 +11,7 @@ checks report first.
 import json
 import re
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy.integrate
@@ -45,13 +46,13 @@ def _conclude(num, ok, detail, t0, budget):
 def _shoe(nx, ny, seed=0, max_count=3):
     rng = np.random.default_rng(seed)
     contact = rng.uniform(size=(ny, nx))
+    rng.uniform(size=(ny, nx))  # a draw the record does not use; the counts follow it
     return ShoeRecord(
         shoe_id=f"a{seed}",
         side="left",
         contact=contact,
-        contact_binary=(contact > 0.5).astype(np.uint8),
-        gradient=rng.uniform(size=(ny, nx)),
         counts=rng.integers(0, max_count + 1, size=(ny, nx)),
+        threshold=0.5,
     )
 
 
@@ -107,7 +108,7 @@ SMALL_SPEC = ModelSpec(
 def _small_model(seed):
     grid = GridSpec.synthetic(3, 2)
     recs = [_shoe(3, 2, seed=seed * 10 + i, max_count=4) for i in range(2)]
-    recs[1].shoe_id += "b"
+    recs[1] = replace(recs[1], shoe_id=recs[1].shoe_id + "b")
     model = ShoeModel(recs, SMALL_SPEC, grid)
     x = np.array([0.3, -0.2, 0.5])  # free log-precisions
     rng = np.random.default_rng(seed + 100)

@@ -18,9 +18,7 @@ from hypothesis import strategies as st
 from coxforge import datasets as ds
 from coxforge import inference
 from coxforge.cli import main
-from coxforge.errors import ConfigError
-from coxforge.gradient import sobel_magnitude
-from coxforge.grids import GridSpec, surface_record
+from coxforge.grids import GridSpec, ShoeRecord
 from coxforge.metrics import uniform_metric
 
 
@@ -739,25 +737,42 @@ class TestMalformedInput:
         assert code == 1
         assert str(path) in msg and shoe["shoe_id"] in msg and "counts" in msg
 
-    @pytest.mark.parametrize("value", [-1.0, 1e308])
-    def test_gradient_outside_sobel_range(self, simdir, tmp_path, value):
-        """A file stores no gradient; a record whose gradient is not its
-        contact's Sobel magnitude is refused on the way in."""
-        records, grid = ds.load_dataset(simdir / "dataset.json")
-        records[5].gradient[0, 2] = value
-        with pytest.raises(ConfigError, match=f"shoe {records[5].shoe_id}: gradient"):
-            ds.save_dataset(records, grid, tmp_path / "data.json")
-        assert not (tmp_path / "data.json").exists()
+    @pytest.mark.parametrize("edit", [
+        lambda shoes: shoes[2].update(side="up"),
+        lambda shoes: shoes[2].update(shoe_id=5),
+        lambda shoes: shoes[2].update(shoe_id=shoes[1]["shoe_id"]),
+    ], ids=["side_up", "shoe_id_a_number", "shoe_id_repeated"])
+    def test_dataset_side_and_shoe_id(self, dataset_doc, fitfile, tmp_path, caplog, edit):
+        """A side is left or right, and shoe ids are distinct JSON strings."""
+        shoe = dataset_doc["shoes"][2]
+        edit(dataset_doc["shoes"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dataset_doc))
+        code, msg = self._exit_and_message(caplog, [
+            "evaluate", "--fit", str(fitfile), "--dataset", str(path),
+            "--out", str(tmp_path / "ev"),
+        ])
+        assert code == 1
+        assert str(path) in msg and f"shoe {shoe['shoe_id']}" in msg
+        assert caplog.records[-1].exc_info is None
+        assert not (tmp_path / "ev").exists()
 
-    def test_binary_contact_not_zero_one(self, simdir, tmp_path):
-        """Nor is a record whose binary contact is not its contact cut at its
-        threshold."""
-        records, grid = ds.load_dataset(simdir / "dataset.json")
-        records[0].contact_binary = records[0].contact_binary.astype(float)
-        records[0].contact_binary[0, 0] = 0.5
-        with pytest.raises(ConfigError, match=f"shoe {records[0].shoe_id}: contact_binary"):
-            ds.save_dataset(records, grid, tmp_path / "data.json")
-        assert not (tmp_path / "data.json").exists()
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_fit_on_another_crop_window_exits_2(self, dataset_doc, fitfile, tmp_path,
+                                                caplog, command):
+        """A dataset on another crop window has another cell area, which
+        would shift every metric."""
+        dataset_doc["grid"]["crop_x"] = [0, 9]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dataset_doc))
+        code, msg = self._exit_and_message(caplog, [
+            command, "--fit", str(fitfile), "--dataset", str(path),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert str(fitfile) in msg and str(path) in msg
+        assert caplog.records[-1].exc_info is None
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda d: d["marginal_mean"].append(0.5),
@@ -1096,8 +1111,8 @@ def test_dataset_round_trip_is_bit_exact(fuzz_dir, contact, counts, threshold):
     grid = GridSpec.synthetic(3, 4)
     shape = (grid.ny, grid.nx)
     c = np.array(contact).reshape(shape)
-    rec = surface_record("s0", "right", c, sobel_magnitude(c),
-                         np.array(counts, dtype=np.int64).reshape(shape), threshold)
+    rec = ShoeRecord("s0", "right", c, np.array(counts, dtype=np.int64).reshape(shape),
+                     threshold)
     path = fuzz_dir / "round_trip.json"
     ds.save_dataset([rec], grid, path)
     [got], got_grid = ds.load_dataset(path)
@@ -1108,29 +1123,7 @@ def test_dataset_round_trip_is_bit_exact(fuzz_dir, contact, counts, threshold):
         want, have = getattr(rec, key), getattr(got, key)
         assert have.dtype == want.dtype and have.shape == want.shape
         assert have.tobytes() == want.tobytes(), key
-        assert have.flags.writeable
-
-
-@pytest.mark.parametrize("edit", [
-    lambda r: r.gradient.__setitem__((1, 1), np.nextafter(r.gradient[1, 1], 9.0)),
-    lambda r: r.contact_binary.__setitem__((0, 0), 1 - r.contact_binary[0, 0]),
-    lambda r: setattr(r, "contact_binary", r.contact_binary.astype(np.int64)),
-    lambda r: setattr(r, "threshold", float("nan")),
-    lambda r: setattr(r, "threshold", 1.0),
-], ids=["gradient_one_ulp", "binary_cell_flipped", "binary_as_int64", "threshold_nan",
-        "threshold_one"])
-def test_save_refuses_a_record_its_contact_does_not_give(tmp_path, edit):
-    """The file stores the contact and threshold only, so a hand-set derived
-    cell would come back changed: the record is refused, naming the shoe."""
-    grid = GridSpec.synthetic(3, 4)
-    c = np.linspace(0.0, 1.0, grid.n_cells).reshape(grid.ny, grid.nx)
-    rec = surface_record("hand7", "left", c, sobel_magnitude(c),
-                         np.zeros((grid.ny, grid.nx), dtype=np.int64), 0.4)
-    ds.save_dataset([rec], grid, tmp_path / "ok.json")
-    edit(rec)
-    with pytest.raises(ConfigError, match="shoe hand7"):
-        ds.save_dataset([rec], grid, tmp_path / "data.json")
-    assert not (tmp_path / "data.json").exists()
+    assert got.contact.flags.writeable and got.counts.flags.writeable
 
 
 # ---------------------------------------------------------------------------

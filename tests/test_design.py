@@ -26,9 +26,8 @@ def _record(seed=0, nx=5, ny=4):
         shoe_id=f"r{seed}",
         side="left",
         contact=contact,
-        contact_binary=(contact > 0.5).astype(np.uint8),
-        gradient=rng.uniform(size=(ny, nx)),
         counts=np.zeros((ny, nx), dtype=int),
+        threshold=0.5,
     )
 
 

@@ -1,20 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coxforge import datasets as ds
+from coxforge.design import get_spec
 from coxforge.errors import ConfigError, InputDataError
+from coxforge.gradient import sobel_magnitude
 from coxforge.grids import (
     GridSpec,
     RawImage,
+    ShoeRecord,
     bin_accidentals,
     binarize,
     coarsen,
     crop_reflect,
     make_record,
     otsu_threshold,
-    surface_record,
 )
+from coxforge.simulate import SimConfig, gen_dataset
 
 
 def test_default_grid_geometry():
@@ -181,8 +187,9 @@ class TestOtsu:
         rng = np.random.default_rng(5)
         surf = rng.uniform(size=(7, 7))
         thr = otsu_threshold(surf)
-        zeros = np.zeros((7, 7))
-        rec = surface_record("s", "left", surf, zeros, zeros)
+        # one pixel per cell: the coarsened surface is the scan itself
+        rec, _ = make_record(RawImage(surf, "left"), "s", [], GridSpec.synthetic(7, 7))
+        assert np.array_equal(rec.contact, surf)
         assert rec.threshold == thr
         assert np.array_equal(rec.contact_binary == 1, surf > thr)
 
@@ -263,3 +270,56 @@ def test_make_record_full_pipeline():
     assert set(np.unique(rec.contact_binary)) <= {0, 1}
     assert (rec.gradient >= 0).all()
     assert 0.0 <= rec.threshold < 1.0
+
+
+def _made_records(source, tmp_path):
+    if source == "make_record":
+        rng = np.random.default_rng(4)
+        grid = GridSpec.synthetic(6, 8)
+        return [make_record(RawImage(rng.uniform(size=(8, 6)), side), f"m{i}", [], grid,
+                            threshold)[0]
+                for i, (side, threshold) in enumerate([("left", None), ("right", 0.3)])]
+    records, _ = gen_dataset(SimConfig(nx=5, ny=4, n_shoes=4, spec=get_spec("m_b"), seed=3))
+    if source == "gen_dataset":
+        return records
+    ds.save_dataset(records, GridSpec.synthetic(5, 4), tmp_path / "data.json")
+    return ds.load_dataset(tmp_path / "data.json")[0]
+
+
+class TestShoeRecord:
+    @staticmethod
+    def _record(**kw):
+        c = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+        return ShoeRecord(**{"shoe_id": "hand7", "side": "left", "contact": c,
+                             "counts": np.zeros((3, 4), dtype=np.int64), "threshold": 0.4,
+                             **kw})
+
+    @pytest.mark.parametrize("source", ["make_record", "gen_dataset", "load_dataset"])
+    def test_derived_arrays_are_those_of_the_contact(self, source, tmp_path):
+        """Bit for bit and dtype included, however the record was made."""
+        for rec in _made_records(source, tmp_path):
+            for have, want in ((rec.contact_binary, binarize(rec.contact, rec.threshold)),
+                               (rec.gradient, sobel_magnitude(rec.contact))):
+                assert have.dtype == want.dtype and have.shape == want.shape
+                assert have.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["shoe_id", "side", "contact", "counts", "threshold",
+                                      "contact_binary", "gradient"])
+    def test_no_field_can_be_reassigned(self, name):
+        rec = self._record()
+        value = getattr(rec, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rec, name, value)
+
+    @pytest.mark.parametrize("name", ["contact_binary", "gradient"])
+    def test_derived_arrays_are_read_only(self, name):
+        arr = getattr(self._record(), name)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1
+
+    @pytest.mark.parametrize("kw", [
+        {"threshold": float("nan")}, {"threshold": 1.0}, {"threshold": -0.1}, {"side": "up"},
+    ], ids=["threshold_nan", "threshold_one", "threshold_negative", "side_up"])
+    def test_construction_refuses_bad_threshold_or_side(self, kw):
+        with pytest.raises((ConfigError, InputDataError), match="shoe hand7"):
+            self._record(**kw)

@@ -577,9 +577,7 @@ def _overflowing_records():
         contact = rng.uniform(size=(2, 3))
         out.append(ShoeRecord(
             shoe_id=f"s{i}", side="left", contact=contact,
-            contact_binary=(contact > 0.5).astype(np.uint8),
-            gradient=rng.uniform(size=(2, 3)),
-            counts=np.full((2, 3), count),
+            counts=np.full((2, 3), count), threshold=0.5,
         ))
     return out
 

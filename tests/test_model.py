@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,13 +24,13 @@ def _records(n, nx, ny, seed=0, max_count=4):
     out = []
     for i in range(n):
         contact = rng.uniform(size=(ny, nx))
+        rng.uniform(size=(ny, nx))  # a draw the record does not use; the counts follow it
         out.append(ShoeRecord(
             shoe_id=f"s{i}",
             side="left" if i % 2 == 0 else "right",
             contact=contact,
-            contact_binary=(contact > 0.5).astype(np.uint8),
-            gradient=rng.uniform(size=(ny, nx)),
             counts=rng.integers(0, max_count + 1, size=(ny, nx)),
+            threshold=0.5,
         ))
     return out
 
@@ -163,8 +165,7 @@ class TestLikelihood:
         grid = GridSpec.synthetic(1, 1)
         rec = ShoeRecord(
             shoe_id="one", side="left",
-            contact=np.ones((1, 1)), contact_binary=np.ones((1, 1), dtype=np.uint8),
-            gradient=np.zeros((1, 1)), counts=np.array([[3]]),
+            contact=np.ones((1, 1)), counts=np.array([[3]]), threshold=0.5,
         )
         model = ShoeModel([rec], get_spec("uniform"), grid)
         theta = np.array([0.0, np.log(2.0)])  # shoe effect 0, intercept log 2
@@ -344,7 +345,7 @@ class TestConstruction:
 
     def test_duplicate_shoe_ids_rejected(self):
         recs = _records(2, 3, 2)
-        recs[1].shoe_id = recs[0].shoe_id
+        recs[1] = replace(recs[1], shoe_id=recs[0].shoe_id)
         with pytest.raises(ConfigError):
             ShoeModel(recs, get_spec("m_a"), GridSpec.synthetic(3, 2))
 

@@ -25,13 +25,13 @@ M_A = get_spec("m_a")
 def _shoe(nx, ny, seed=0, max_count=3):
     rng = np.random.default_rng(seed)
     contact = rng.uniform(size=(ny, nx))
+    rng.uniform(size=(ny, nx))  # a draw the record does not use; the counts follow it
     return ShoeRecord(
         shoe_id=f"p{seed}",
         side="left",
         contact=contact,
-        contact_binary=(contact > 0.5).astype(np.uint8),
-        gradient=rng.uniform(size=(ny, nx)),
         counts=rng.integers(0, max_count + 1, size=(ny, nx)),
+        threshold=0.5,
     )
 
 

@@ -52,27 +52,24 @@ class TestContactSurfaces:
     def test_surface_in_unit_interval(self, kind):
         cfg = SimConfig(nx=8, ny=10, n_shoes=1, contact_kind=kind)
         for i in range(20):
-            surface, grad = gen_contact(cfg, i)
+            surface = gen_contact(cfg, i)
             assert surface.shape == (10, 8)
             assert surface.min() >= 0.0 and surface.max() <= 1.0
-            assert grad.shape == surface.shape
-            assert (grad >= 0).all()
 
     def test_blob_surfaces_have_moderate_coverage(self):
         cfg = SimConfig(nx=12, ny=16, n_shoes=1)
-        means = [gen_contact(cfg, i)[0].mean() for i in range(100)]
+        means = [gen_contact(cfg, i).mean() for i in range(100)]
         assert 0.2 < min(means) and max(means) < 0.95
 
     def test_per_shoe_streams_independent_of_count(self):
         # shoe i's surface depends only on (seed, i), not on n_shoes
-        a = gen_contact(SimConfig(nx=6, ny=6, n_shoes=3, seed=9), 2)[0]
-        b = gen_contact(SimConfig(nx=6, ny=6, n_shoes=50, seed=9), 2)[0]
+        a = gen_contact(SimConfig(nx=6, ny=6, n_shoes=3, seed=9), 2)
+        b = gen_contact(SimConfig(nx=6, ny=6, n_shoes=50, seed=9), 2)
         assert np.array_equal(a, b)
 
     def test_different_shoes_differ(self):
         cfg = SimConfig(nx=8, ny=8, n_shoes=2, seed=4)
-        assert not np.array_equal(gen_contact(cfg, 0)[0],
-                                  gen_contact(cfg, 1)[0])
+        assert not np.array_equal(gen_contact(cfg, 0), gen_contact(cfg, 1))
 
 
 class TestTrueTheta:
