@@ -7,6 +7,7 @@ grids to keep the suite quick.
 
 import base64
 import csv
+import dataclasses
 import json
 import string
 
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from coxforge import datasets as ds
 from coxforge import inference
 from coxforge.cli import main
-from coxforge.grids import GridSpec, ShoeRecord
+from coxforge.gradient import sobel_magnitude
+from coxforge.grids import GridSpec, ShoeRecord, binarize
 from coxforge.metrics import uniform_metric
 
 
@@ -737,6 +739,36 @@ class TestMalformedInput:
         assert code == 1
         assert str(path) in msg and shoe["shoe_id"] in msg and "counts" in msg
 
+    @pytest.mark.parametrize("value", [-1.0, 1e308])
+    def test_gradient_outside_sobel_range(self, simdir, tmp_path, value):
+        """A file stores no gradient, and a record's gradient cannot be set
+        off its contact's Sobel magnitude: the edit is refused, and the
+        record saves and loads back with its contact's gradient."""
+        records, grid = ds.load_dataset(simdir / "dataset.json")
+        want = sobel_magnitude(records[5].contact)
+        with pytest.raises(ValueError):
+            records[5].gradient[0, 2] = value
+        ds.save_dataset(records, grid, tmp_path / "data.json")
+        got, _ = ds.load_dataset(tmp_path / "data.json")
+        for rec in (records[5], got[5]):
+            assert rec.gradient.tobytes() == want.tobytes()
+
+    def test_binary_contact_not_zero_one(self, simdir, tmp_path):
+        """Nor can a record's binary contact be replaced by a float array or
+        a cell of it set to 0.5: it stays its contact cut at its threshold."""
+        records, grid = ds.load_dataset(simdir / "dataset.json")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            records[0].contact_binary = records[0].contact_binary.astype(float)
+        with pytest.raises(ValueError):
+            records[0].contact_binary[0, 0] = 0.5
+        ds.save_dataset(records, grid, tmp_path / "data.json")
+        got, _ = ds.load_dataset(tmp_path / "data.json")
+        for rec in (records[0], got[0]):
+            assert rec.contact_binary.dtype == np.uint8
+            assert set(np.unique(rec.contact_binary).tolist()) <= {0, 1}
+            assert (rec.contact_binary.tobytes()
+                    == binarize(rec.contact, rec.threshold).tobytes())
+
     @pytest.mark.parametrize("edit", [
         lambda shoes: shoes[2].update(side="up"),
         lambda shoes: shoes[2].update(shoe_id=5),
@@ -1124,6 +1156,33 @@ def test_dataset_round_trip_is_bit_exact(fuzz_dir, contact, counts, threshold):
         assert have.dtype == want.dtype and have.shape == want.shape
         assert have.tobytes() == want.tobytes(), key
     assert got.contact.flags.writeable and got.counts.flags.writeable
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r.gradient.__setitem__((1, 1), np.nextafter(r.gradient[1, 1], 9.0)),
+    lambda r: r.contact_binary.__setitem__((0, 0), 1 - r.contact_binary[0, 0]),
+    lambda r: setattr(r, "contact_binary", r.contact_binary.astype(np.int64)),
+    lambda r: setattr(r, "threshold", float("nan")),
+    lambda r: setattr(r, "threshold", 1.0),
+], ids=["gradient_one_ulp", "binary_cell_flipped", "binary_as_int64", "threshold_nan",
+        "threshold_one"])
+def test_save_refuses_a_record_its_contact_does_not_give(tmp_path, edit):
+    """The file stores the contact and threshold only, so a hand-set derived
+    cell or threshold would come back changed: the record refuses the edit,
+    and saves to the same shoe entry as before it."""
+    grid = GridSpec.synthetic(3, 4)
+    c = np.linspace(0.0, 1.0, grid.n_cells).reshape(grid.ny, grid.nx)
+    rec = ShoeRecord("hand7", "left", c, np.zeros((grid.ny, grid.nx), dtype=np.int64), 0.4)
+    ds.save_dataset([rec], grid, tmp_path / "ok.json")
+    with pytest.raises((dataclasses.FrozenInstanceError, ValueError)):
+        edit(rec)
+    ds.save_dataset([rec], grid, tmp_path / "data.json")
+    shoes = [json.loads((tmp_path / name).read_text())["shoes"]
+             for name in ("ok.json", "data.json")]
+    assert shoes[1] == shoes[0]
+    [got], _ = ds.load_dataset(tmp_path / "data.json")
+    assert got.contact_binary.tobytes() == binarize(c, 0.4).tobytes()
+    assert got.gradient.tobytes() == sobel_magnitude(c).tobytes()
 
 
 # ---------------------------------------------------------------------------
