@@ -106,6 +106,14 @@ def _threshold(text: str) -> float | None:
     raise ConfigError(f"--threshold wants 'otsu' or 'fixed:C', got {text!r}")
 
 
+def _check_file_name(sid: str, path) -> None:
+    """Refuse a shoe id, read from ``path``, that is not one file-name component:
+    a file named after it would lie outside its directory, or not be made."""
+    if sid in ("", ".", "..") or "/" in sid or "\0" in sid:
+        raise InputDataError(f"{path}: shoe {sid!r} cannot name a file: an id must not "
+                             "be empty, '.' or '..', nor hold '/' or NUL")
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -116,6 +124,7 @@ def cmd_prep(args) -> int:
     imgdir = Path(args.images)
     records = []
     for sid, (side, points) in table.items():
+        _check_file_name(sid, args.accidentals)
         path = None
         for ext in (".pgm", ".csv"):
             cand = imgdir / f"{sid}{ext}"
@@ -224,7 +233,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _load_fit_and_dataset(args) -> tuple[FitResult, list, GridSpec]:
+def _load_fit_and_dataset(args) -> tuple[FitResult, list]:
     """The fit and the dataset it is applied to, which must share one grid:
     on another crop window every metric would shift by the cell area."""
     res = ds.load_fit(args.fit)
@@ -234,28 +243,30 @@ def _load_fit_and_dataset(args) -> tuple[FitResult, list, GridSpec]:
             return f"a {g.nx}x{g.ny} grid over pixels x {list(g.crop_x)}, y {list(g.crop_y)}"
         raise ConfigError(f"{args.fit} was fitted on {where(res.grid)}, "
                           f"but {args.dataset} is on {where(grid)}")
-    return res, records, grid
+    return res, records
 
 
 def cmd_predict(args) -> int:
-    res, records, _ = _load_fit_and_dataset(args)
+    res, records = _load_fit_and_dataset(args)
     if args.shoe:
         records = [r for r in records if r.shoe_id == args.shoe]
         if not records:
             raise InputDataError(f"shoe {args.shoe!r} not in dataset")
+    for rec in records:
+        _check_file_name(rec.shoe_id, args.dataset)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for rec in records:
-        field = predictive_q(res, rec, res.spec)
+        field = predictive_q(res.marginal_mean, rec, res.spec)
         ds.write_heatmap(field.q_grid(), outdir / f"q_{rec.shoe_id}")
     print(f"wrote {len(records)} predictive fields to {outdir}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    res, records, grid = _load_fit_and_dataset(args)
+    res, records = _load_fit_and_dataset(args)
     rows = [(rec.shoe_id, m, int(rec.counts.sum()))
-            for rec, m in score_shoes(res, records, grid)]
+            for rec, m in score_shoes(res, records)]
     excluded = len(records) - len(rows)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -126,15 +126,21 @@ class CvResult:
         }
 
 
-def score_shoes(
-    res: FitResult, records: Sequence[ShoeRecord], grid: GridSpec
-) -> list[tuple[ShoeRecord, float]]:
-    """Each shoe with accidentals and its held-out metric under the fit ``res``.
+def score_shoes(res: FitResult, records: Sequence[ShoeRecord]) -> list[tuple[ShoeRecord, float]]:
+    """Each shoe with accidentals and its held-out metric under the fit ``res``,
+    on the fit's grid and spec and at its posterior marginal means.
 
-    Zero-count shoes are skipped: their metric is undefined.
+    Zero-count shoes are skipped: their metric is undefined. A record off
+    the fit's grid is a ConfigError naming the shoe.
     """
+    g = res.grid
+    for rec in records:
+        if rec.contact.shape != (g.ny, g.nx):
+            ny, nx = rec.contact.shape
+            raise ConfigError(
+                f"shoe {rec.shoe_id!r} is on a {nx}x{ny} grid, the fit on {g.nx}x{g.ny}")
     return [
-        (rec, shoe_metric(rec.counts, predictive_q(res, rec, res.spec), grid))
+        (rec, shoe_metric(rec.counts, predictive_q(res.marginal_mean, rec, res.spec), g))
         for rec in records
         if rec.counts.sum() > 0
     ]
@@ -155,7 +161,7 @@ def _score_cell(
     except CoxforgeError as exc:
         log.warning("fold %d, model %s: fit failed: %s", fold, spec.name, exc)
         return fold, spec.name, {}, str(exc)
-    scores = {rec.shoe_id: m for rec, m in score_shoes(res, test, grid)}
+    scores = {rec.shoe_id: m for rec, m in score_shoes(res, test)}
     return fold, spec.name, scores, None
 
 

@@ -952,12 +952,12 @@ class FitResult:
 
 
 def _read_psi_map(d, spec: ModelSpec) -> dict[str, float]:
-    """A fit file's ``psi_map``: the spec's precisions by name, in their
-    order, each a finite and positive JSON number."""
+    """A fit file's ``psi_map``: the spec's precisions by name, each a finite
+    and positive JSON number, returned in the precision table's order."""
     names = precision_names(spec)
-    if not isinstance(d, dict) or list(d) != names:
-        raise ValueError(f"psi_map must name the precisions {names} in that order, got {d!r}")
-    out = {k: json_number(v, f"psi_map {k}") for k, v in d.items()}
+    if not isinstance(d, dict) or set(d) != set(names):
+        raise ValueError(f"psi_map must name the precisions {names}, got {d!r}")
+    out = {k: json_number(d[k], f"psi_map {k}") for k in names}
     for k, tau in out.items():
         if not (np.isfinite(tau) and tau > 0):
             raise ValueError(f"psi_map {k} must be finite and positive, got {tau}")

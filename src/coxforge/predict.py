@@ -43,36 +43,23 @@ class PredictiveField:
 def predictive_q(theta_point, shoe: ShoeRecord, spec: ModelSpec) -> PredictiveField:
     """Softmax of the shoe-effect-free predictor over the shoe's cells.
 
-    ``theta_point`` is a parameter vector laid out per the spec — with or
-    without the leading per-shoe block, which cancels anyway — or a
-    FitResult, whose posterior marginal means are used; the shoe must then
-    lie on the fit's grid.
+    ``theta_point`` is a parameter vector laid out per the spec, with or
+    without the leading per-shoe block, which cancels anyway. A fit is
+    applied to records through ``crossval.score_shoes``.
     """
-    if hasattr(theta_point, "marginal_mean"):
-        g = getattr(theta_point, "grid", None)
-        if g is not None and shoe.contact.shape != (g.ny, g.nx):
-            raise ConfigError(
-                f"shoe {shoe.shoe_id!r} is on a {shoe.contact.shape[1]}x{shoe.contact.shape[0]} "
-                f"grid, the fit on {g.nx}x{g.ny}"
-            )
-        theta_point = theta_point.marginal_mean
     theta = np.asarray(theta_point, dtype=float).reshape(-1)
     design = Design([shoe], spec)
     # the last n_total - 1 entries are the shared blocks; the one shoe
     # effect is set to 0, which adds exactly nothing to the predictor
     n_shared = design.layout.n_total - 1
     if theta.size < n_shared:
-        raise ConfigError(
-            f"theta has {theta.size} entries but the spec needs at least {n_shared}"
-        )
+        raise ConfigError(f"theta has {theta.size} entries but the spec needs at least {n_shared}")
     eta1 = design.eta(np.concatenate(([0.0], theta[theta.size - n_shared:])))[0]
 
     m = eta1.max()
     if not np.isfinite(m):
-        raise NumericError(
-            f"degenerate predictive field for shoe {shoe.shoe_id!r}: "
-            "every cell has predictor -inf"
-        )
+        raise NumericError(f"degenerate predictive field for shoe {shoe.shoe_id!r}: "
+                           "every cell has predictor -inf")
     w = np.exp(eta1 - m)
     return PredictiveField(q=w / w.sum(), eta1=eta1, grid_shape=shoe.contact.shape)
 
@@ -137,13 +124,9 @@ def poisson_marginal(
 
 
 def factorized_log_prob(
-    counts,
-    theta,
-    shoe: ShoeRecord,
-    spec: ModelSpec,
-    tau_s: float,
+    theta, shoe: ShoeRecord, spec: ModelSpec, tau_s: float
 ) -> tuple[float, float]:
-    """The two factors of the marginalized count likelihood for one shoe.
+    """The two factors of the marginalized count likelihood for one shoe's counts.
 
     Returns (log Poisson part for the total with the shoe effect
     integrated out, log multinomial part for the allocation without the
@@ -151,9 +134,8 @@ def factorized_log_prob(
     the full marginal log probability of the count vector.
     """
     field = predictive_q(theta, shoe, spec)
-    y = np.asarray(counts, dtype=float).reshape(-1)
-    total = int(round(float(y.sum())))
+    total = int(shoe.counts.sum())
     lambda1 = float(np.exp(field.eta1).sum())
     log_poisson = poisson_marginal(total, lambda1, tau_s)
-    log_multi = 0.0 if total == 0 else log_multinomial(y, field.q)
+    log_multi = 0.0 if total == 0 else log_multinomial(shoe.counts, field.q)
     return log_poisson, log_multi

@@ -11,13 +11,14 @@ from coxforge.crossval import (
     make_folds,
     pair_stem,
     run_cv,
+    score_shoes,
     write_cv_outputs,
 )
 from coxforge.datasets import save_dataset
 from coxforge.design import get_spec
 from coxforge.errors import ConfigError
-from coxforge.grids import GridSpec
-from coxforge.inference import GridConfig
+from coxforge.grids import GridSpec, ShoeRecord
+from coxforge.inference import GridConfig, fit
 from coxforge.metrics import uniform_metric
 from coxforge.simulate import SimConfig, gen_dataset
 from coxforge.util import parallel_map
@@ -225,6 +226,18 @@ class TestRunCv:
         plan = make_folds([r.shoe_id for r in records], 2, seed=3)
         with pytest.raises(ConfigError, match="threads"):
             run_cv(records, [get_spec("uniform")], plan, grid=cfg.grid, threads=0)
+
+
+class TestScoreShoes:
+    def test_record_off_the_fit_grid_refused(self, cv_dataset):
+        """A 4x6 record against a fit on 5x6: the fit's grid decides, and the
+        error names the shoe, whether or not it has accidentals."""
+        cfg, records = cv_dataset
+        res = fit(records, get_spec("uniform"), cfg.grid)
+        for counts in (np.ones((6, 4), dtype=np.int64), np.zeros((6, 4), dtype=np.int64)):
+            odd = ShoeRecord("odd7", "left", np.full((6, 4), 0.5), counts, 0.5)
+            with pytest.raises(ConfigError, match=r"'odd7' is on a 4x6 grid, the fit on 5x6"):
+                score_shoes(res, [*records, odd])
 
 
 @pytest.mark.parametrize("items", [[1, -2], [-1]])
