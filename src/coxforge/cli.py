@@ -152,7 +152,7 @@ def cmd_gradient(args) -> int:
 
     img = ds.read_image(args.image, args.side)
     if args.raw:
-        field = sobel_magnitude(img.pixels)
+        field = sobel_magnitude(img.contact())
     else:
         grid = _load_grid(args)
         field = sobel_magnitude(coarsen(crop_reflect(img, grid), grid))

@@ -49,8 +49,13 @@ def _utc_now() -> str:
 # images
 
 
-def read_pgm(path) -> np.ndarray:
-    """PGM (P2 ascii or P5 binary) to brightness in [0, 1]."""
+def read_pgm(path) -> tuple[np.ndarray, int]:
+    """A PGM's (P2 ascii or P5 binary) brightness samples, (height, width),
+    and its maxval.
+
+    The samples are as read: P5's unsigned integers, P2's numbers as
+    floats; every one is checked to lie in [0, maxval].
+    """
     raw = Path(path).read_bytes()
     if raw[:2] not in (b"P2", b"P5"):
         raise InputDataError(f"{path}: not a PGM file (magic {raw[:2]!r})")
@@ -97,8 +102,7 @@ def read_pgm(path) -> np.ndarray:
         in_range = np.all((data >= 0) & (data <= maxval))
     if not in_range:
         raise InputDataError(f"{path}: PGM samples must lie in [0, {maxval}]")
-    img = data.reshape(height, width).astype(float) / maxval
-    return img
+    return data.reshape(height, width), maxval
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -128,18 +132,18 @@ def write_csv_grid(path, values: np.ndarray) -> None:
 
 
 def read_image(path, side: Side) -> RawImage:
-    """Load a scan: PGM brightness is inverted so 1 means contact (dark ink);
-    CSV grids are taken as contact values directly."""
+    """Load a scan: a PGM keeps its samples and maxval, whose brightness
+    :class:`RawImage` inverts so 1 means contact (dark ink); CSV grids are
+    taken as contact values directly."""
     p = Path(path)
     if not p.exists():
         raise InputDataError(f"image file not found: {p}")
     if p.suffix.lower() == ".pgm":
-        pixels = 1.0 - read_pgm(p)
-    elif p.suffix.lower() == ".csv":
-        pixels = read_csv_grid(p)
-    else:
-        raise InputDataError(f"{p}: unsupported image format {p.suffix!r}")
-    return RawImage(pixels=pixels, side=side)
+        samples, maxval = read_pgm(p)
+        return RawImage(pixels=samples, side=side, maxval=maxval)
+    if p.suffix.lower() == ".csv":
+        return RawImage(pixels=read_csv_grid(p), side=side)
+    raise InputDataError(f"{p}: unsupported image format {p.suffix!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -283,8 +284,8 @@ class FactorColumns:
             n_used.append(len(used))
         first, second = columns
         self.n_u, self.n_v = n_used
-        self.u_columns = [h + (0, 0, 0) for h in first]
-        self.v_columns = [(0, 0, 0) + h for h in second]
+        self.u_columns = tuple(h + (0, 0, 0) for h in first)
+        self.v_columns = tuple((0, 0, 0) + h for h in second)
         # column of each half, by its exponents read as a base-3 number
         self._u = np.full(27, -1, dtype=np.intp)
         self._v = np.full(27, -1, dtype=np.intp)
@@ -292,6 +293,9 @@ class FactorColumns:
             table[np.array(halves, dtype=np.intp).reshape(-1, 3) @ _BASE3] = np.arange(len(halves))
         self.fixed_u, self.fixed_v = self.at(index_array(spec.fixed))
         self.varying_u, self.varying_v = self.at(index_array(spec.varying))
+        # shared by every design of the spec (factor_columns)
+        for arr in (self._u, self._v, self.fixed_u, self.fixed_v, self.varying_u, self.varying_v):
+            arr.flags.writeable = False
 
     def at(self, exponents) -> tuple[np.ndarray, np.ndarray]:
         """(column of U, column of V) of each product with these exponents.
@@ -301,3 +305,10 @@ class FactorColumns:
         """
         e = np.asarray(exponents, dtype=np.intp)
         return self._u[e[..., :3] @ _BASE3], self._v[e[..., 3:] @ _BASE3]
+
+
+@lru_cache(maxsize=64)
+def factor_columns(spec: ModelSpec, products: bool = False) -> FactorColumns:
+    """The :class:`FactorColumns` of a spec, built once per (spec, products)
+    and shared: a ModelSpec is frozen, and the columns are read-only."""
+    return FactorColumns(spec, products)

@@ -5,11 +5,14 @@ cropped scan. This module owns that geometry (:class:`GridSpec`: the cell
 counts and the crop window, whose size in pixels is derived) and the
 pipeline that turns raw material into per-cell arrays:
 
-* ``crop_reflect`` — cut the informative window out of a scan and mirror
-  right shoes so every print shares the left-shoe layout,
+* ``crop_reflect`` — cut the informative window out of a scan, mirror
+  right shoes so every print shares the left-shoe layout, and convert the
+  window, and only the window, to contact (a float scan is range-checked
+  whole; a PGM's samples were checked when read),
 * ``coarsen``     — area-weighted averaging of pixels into grid cells
   (cell edges fall at fractional pixel positions, so pixels straddling an
-  edge are split proportionally),
+  edge are split proportionally), summed along each axis over the few
+  pixels, the overlap taps, that each cell covers,
 * ``binarize``    — threshold a contact surface at a cut,
 * ``bin_accidentals`` — count marked accidental locations per grid cell.
 
@@ -115,16 +118,40 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class RawImage:
-    """A full scan plus which foot it came from."""
+    """A full scan plus which foot it came from.
 
-    pixels: np.ndarray  # (H, W) float in [0, 1], 1 = dark / contact
+    Without ``maxval`` the pixels are contact in [0, 1], 1 = dark; with it
+    they are a PGM's brightness samples as read, in [0, maxval], whose
+    contact is ``1 - sample / maxval``. Either way :meth:`contact` gives
+    contact, and :func:`crop_reflect` converts only its window.
+    """
+
+    pixels: np.ndarray  # (H, W)
     side: Side
+    maxval: int | None = None
 
     def __post_init__(self) -> None:
         if self.pixels.ndim != 2:
             raise InputDataError("scan must be a 2-D array")
         if self.side not in ("left", "right"):
             raise InputDataError(f"side must be 'left' or 'right', got {self.side!r}")
+        if self.maxval is not None and not 0 < self.maxval <= 65535:
+            raise InputDataError(f"PGM maxval must lie in [1, 65535], got {self.maxval}")
+
+    def contact(self) -> np.ndarray:
+        """The whole scan as contact, (H, W) float."""
+        return _as_contact(self.pixels, self.maxval)
+
+
+def _as_contact(pixels: np.ndarray, maxval: int | None) -> np.ndarray:
+    """Contact of scan pixels (see :class:`RawImage`), a new C-ordered array
+    unless the pixels already are contact in one."""
+    if maxval is None:
+        return np.ascontiguousarray(pixels, dtype=float)
+    # 1 - pixels / maxval, in one array
+    out = pixels.astype(float)
+    out /= maxval
+    return np.subtract(1.0, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -202,10 +229,12 @@ def crop_reflect(image: RawImage, spec: GridSpec) -> np.ndarray:
     Left shoes pass through the crop unchanged. Right shoes are flipped
     within the cropped frame (a dark pixel at cropped column ``j`` lands at
     column ``src_w - 1 - j``), so the output always has left-shoe layout.
+    A scan of contact must lie in [0, 1] as a whole; only the window is
+    converted to contact.
 
-    Returns a (src_h, src_w) array.
+    Returns a (src_h, src_w) array of contact.
     """
-    px = np.asarray(image.pixels, dtype=float)
+    px = image.pixels
     x0, x1 = spec.crop_x
     y0, y1 = spec.crop_y
     if px.shape[0] <= y1 or px.shape[1] <= x1:
@@ -213,33 +242,40 @@ def crop_reflect(image: RawImage, spec: GridSpec) -> np.ndarray:
             f"scan of shape {px.shape} too small for crop window "
             f"x={spec.crop_x}, y={spec.crop_y}"
         )
-    lo, hi = float(px.min()), float(px.max())
-    # written so that a NaN fails it
-    if not (lo >= -1e-9 and hi <= 1 + 1e-9):
-        raise InputDataError(f"scan intensities must lie in [0, 1], found [{lo}, {hi}]")
+    if image.maxval is None:
+        px = np.asarray(px, dtype=float)
+        lo, hi = float(px.min()), float(px.max())
+        # written so that a NaN fails it
+        if not (lo >= -1e-9 and hi <= 1 + 1e-9):
+            raise InputDataError(f"scan intensities must lie in [0, 1], found [{lo}, {hi}]")
     out = px[y0 : y1 + 1, x0 : x1 + 1]
     if image.side == "right":
         out = out[:, ::-1]
-    return np.ascontiguousarray(out)
+    return _as_contact(out, image.maxval)
 
 
 @lru_cache(maxsize=32)
-def _overlap_weights(n_coarse: int, n_src: int) -> np.ndarray:
-    """Row-stochastic (n_coarse, n_src) matrix of fractional pixel overlaps.
+def _overlap_taps(n_coarse: int, n_src: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of the (n_coarse, n_src) overlap matrix, by row.
 
     Cell k covers the interval [k*w, (k+1)*w) with w = n_src / n_coarse;
-    pixel p covers [p, p+1). Entry (k, p) is their overlap length divided
-    by w, so each row sums to 1 and each column sums to 1/w.
+    pixel p covers [p, p+1). The matrix's entry (k, p) is their overlap
+    length divided by w, so each row sums to 1 and each column to 1/w. Row
+    k has its entries at pixels ``index[k]`` with weights ``weight[k]``,
+    both (n_coarse, T); rows with fewer than T pixels are padded with
+    weight 0 at their first pixel.
     """
     w = n_src / n_coarse
-    W = np.zeros((n_coarse, n_src))
-    for k in range(n_coarse):
-        lo, hi = k * w, (k + 1) * w
-        p0 = int(np.floor(lo))
-        p1 = min(int(np.ceil(hi)), n_src)
-        for p in range(p0, p1):
-            W[k, p] = max(0.0, min(hi, p + 1) - max(lo, p)) / w
-    return W
+    k = np.arange(n_coarse)
+    lo, hi = k * w, (k + 1) * w
+    first = np.floor(lo).astype(np.intp)
+    stop = np.minimum(np.ceil(hi).astype(np.intp), n_src)
+    index = first[:, None] + np.arange((stop - first).max())
+    inside = index < stop[:, None]
+    overlap = np.minimum(hi[:, None], index + 1) - np.maximum(lo[:, None], index)
+    weight = np.where(inside, np.maximum(0.0, overlap) / w, 0.0)
+    index = np.where(inside, index, first[:, None])
+    return _read_only(index), _read_only(weight)
 
 
 def coarsen(cropped: np.ndarray, spec: GridSpec) -> np.ndarray:
@@ -247,16 +283,19 @@ def coarsen(cropped: np.ndarray, spec: GridSpec) -> np.ndarray:
 
     Pixels straddling a cell edge contribute proportionally to both cells,
     so the total intensity is conserved:
-    ``coarsen(img).sum() * spec.cell_area == img.sum()``.
+    ``coarsen(img).sum() * spec.cell_area == img.sum()``. Each axis is a
+    gather of the pixels under each cell and a sum weighted by their
+    overlaps.
     """
     img = np.asarray(cropped, dtype=float)
     if img.shape != (spec.src_h, spec.src_w):
         raise ConfigError(
             f"expected cropped shape {(spec.src_h, spec.src_w)}, got {img.shape}"
         )
-    wy = _overlap_weights(spec.ny, spec.src_h)
-    wx = _overlap_weights(spec.nx, spec.src_w)
-    return wy @ img @ wx.T
+    iy, wy = _overlap_taps(spec.ny, spec.src_h)
+    ix, wx = _overlap_taps(spec.nx, spec.src_w)
+    rows = np.einsum("kt,ktj->kj", wy, img[iy])      # (ny, src_w)
+    return np.einsum("kt,ikt->ik", wx, rows[:, ix])  # (ny, nx)
 
 
 # bins of the histogram Otsu's threshold is chosen on

@@ -241,18 +241,20 @@ class Design:
         self.records = list(records)
         n_cells = self.records[0].contact.size
         self.layout = ThetaLayout.for_model(len(self.records), spec, n_cells)
-        self.columns = cols = dz.FactorColumns(spec, products)
-        self.U = self._factor_map(cols.u_columns)  # (A, S, P)
-        self.V = self._factor_map(cols.v_columns)  # (A, S, Q)
+        self.columns = cols = dz.factor_columns(spec, products)
+        self.U, self.V = self._factor_maps(cols.u_columns, cols.v_columns)
         self.u = self.U[:, :, :cols.n_u]
         self.v = self.V[:, :, :cols.n_v]
 
-    def _factor_map(self, columns: list[tuple[int, ...]]) -> np.ndarray:
-        """``build_tensor`` of the columns, indexed [cell, shoe, column]."""
-        out = np.empty((self.layout.n_cells, len(self.records), len(columns)))
+    def _factor_maps(self, u_columns, v_columns) -> tuple[np.ndarray, np.ndarray]:
+        """``build_tensor`` of the columns of U (A, S, P) and of V (A, S, Q),
+        indexed [cell, shoe, column], from one build per record."""
+        A, S, P = self.layout.n_cells, len(self.records), len(u_columns)
+        U, V = np.empty((A, S, P)), np.empty((A, S, len(v_columns)))
         for s, rec in enumerate(self.records):
-            out[:, s] = dz.build_tensor(rec, columns, self.spec)
-        return out
+            both = dz.build_tensor(rec, u_columns + v_columns, self.spec)
+            U[:, s], V[:, s] = both[:, :P], both[:, P:]
+        return U, V
 
     def _cell_chunks(self) -> list[slice]:
         """Runs of cells whose rows of U hold about ``CHUNK_ENTRIES`` entries."""
@@ -359,7 +361,7 @@ class ShoeModel(Design):
         first, second = np.triu_indices(len(fields))
         self._field_pairs = ((second - first, first)
                              + self.columns.at(fields[first] + fields[second]))
-        self._bty = self._fisher(self.y)[1]  # B'y; the gradient is B'y - B' lambda
+        self._bty = self._counts_moments()  # the gradient is B'y - B' lambda
 
     # -- hyperparameter plumbing -------------------------------------------
 
@@ -489,6 +491,30 @@ class ShoeModel(Design):
         b_w[self._border] = B[:, :S].sum(axis=1)
         b_w[self._field] = field_sums.ravel()
         return ArrowMatrix(self._field, self._border, band, C, B), b_w
+
+    def _counts_moments(self) -> np.ndarray:
+        """B' y, the vector :meth:`_fisher` of the counts gives, without its matrix.
+
+        The shoe rows are each shoe's total count, the fixed rows the
+        per-shoe moments (u y)' v summed over the shoes, and the field rows
+        y times the field's covariate summed over the shoes. The chunks and
+        the order of every sum are ``_fisher``'s, so the two agree to the bit.
+        """
+        lay, cols = self.layout, self.columns
+        yt = np.ascontiguousarray(self.y.T)  # [cell, shoe], as the factor maps
+        m_sf = np.zeros((lay.n_shoes, cols.n_u, cols.n_v))
+        field_sums = np.empty((lay.n_cells, lay.n_constraints))
+        for cells in self._cell_chunks():
+            uy = self.U[cells] * yt[cells, :, None]
+            m_sf += uy.transpose(1, 2, 0)[:, :cols.n_u] @ self.v[cells].transpose(1, 0, 2)
+            for i, (p, q) in enumerate(zip(*self._field_cols)):
+                field_sums[cells, i] = (uy[:, :, p] * self.V[cells, :, q]).sum(axis=1)
+        out = np.empty(lay.n_total)
+        out[lay.shoe] = self.y.sum(axis=1)
+        # one row per fixed effect, summed over the shoes as _fisher sums B's rows
+        out[lay.fixed] = np.ascontiguousarray(m_sf[:, cols.fixed_u, cols.fixed_v].T).sum(axis=1)
+        out[self._field] = field_sums.ravel()
+        return out
 
     def _leverage(self, M: ArrowMatrix) -> np.ndarray:
         """h_i = b_i' M b_i for each design row b_i, (S, A), with M on H's arrow pattern.

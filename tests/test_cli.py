@@ -521,6 +521,33 @@ class TestPrep:
         assert code == 1
         assert str(path) in msg and "[0, 100]" in msg
 
+    @staticmethod
+    def _inner_window(toydir):
+        """A grid whose crop window leaves the scans' border pixels out."""
+        grid = GridSpec(nx=2, ny=3, crop_x=(1, 4), crop_y=(1, 6))
+        (toydir / "grid.json").write_text(json.dumps(grid.to_json_dict()))
+
+    def test_prep_csv_scan_out_of_range_outside_the_window_exits_1(self, toydir, caplog):
+        """A scan of contact is range-checked whole, not only within its window."""
+        self._inner_window(toydir)
+        path = toydir / "s2.csv"
+        scan = np.loadtxt(path, delimiter=",")
+        scan[7, 5] = 1.5
+        ds.write_csv_grid(path, scan)
+        code, msg = self._prep_exit_and_message(toydir, caplog)
+        assert code == 1
+        assert str(path) in msg and "must lie in [0, 1]" in msg
+
+    def test_prep_p5_sample_above_maxval_outside_the_window_exits_1(self, toydir, caplog):
+        self._inner_window(toydir)
+        path = toydir / "s1.pgm"
+        pixels = np.full(6 * 8, 100, dtype=np.uint8)
+        pixels[0] = 101
+        path.write_bytes(b"P5\n6 8\n100\n" + pixels.tobytes())
+        code, msg = self._prep_exit_and_message(toydir, caplog)
+        assert code == 1
+        assert str(path) in msg and "[0, 100]" in msg
+
     def test_prep_accidentals_with_byte_order_mark(self, toydir):
         """A CSV saved with the UTF-8 byte-order mark preps as its twin without."""
         acc = toydir / "acc.csv"
@@ -569,6 +596,24 @@ class TestGradient:
         assert mag.shape == (8, 6)
         # the horizontal boundary row dominates everything near the middle
         assert mag[3:5, 2:4].min() > mag[1, 2]
+
+    @pytest.mark.parametrize("fmt,maxval", [("P2", 255), ("P5", 255), ("P5", 4000)])
+    def test_raw_heatmap_is_that_of_the_whole_scan(self, tmp_path, fmt, maxval):
+        """--raw maps the edges of the whole scan, converted to contact."""
+        samples = np.random.default_rng(maxval).integers(0, maxval + 1, size=(9, 7))
+        header = f"{fmt}\n7 9\n{maxval}\n".encode()
+        if fmt == "P2":
+            body = "\n".join(" ".join(map(str, row)) for row in samples).encode()
+        else:
+            body = samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+        (tmp_path / "img.pgm").write_bytes(header + body)
+        assert main(["gradient", "--image", str(tmp_path / "img.pgm"), "--raw",
+                     "--out", str(tmp_path / "edges")]) == 0
+        ds.write_heatmap(sobel_magnitude(1.0 - samples.astype(float) / maxval),
+                         tmp_path / "want")
+        for suffix in (".csv", ".pgm", ".json"):
+            assert ((tmp_path / f"edges{suffix}").read_bytes()
+                    == (tmp_path / f"want{suffix}").read_bytes())
 
     def test_missing_image_exits_1(self, tmp_path):
         assert main(["gradient", "--image", str(tmp_path / "no.pgm"),

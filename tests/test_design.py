@@ -193,3 +193,17 @@ class TestCovariateValues:
         assert d.U.shape[:2] == (20, 3)
         solo = build_tensor(recs[1], d.columns.u_columns, spec)
         assert np.array_equal(d.U[:, 1], solo)
+        assert np.array_equal(d.V[:, 1], build_tensor(recs[1], d.columns.v_columns, spec))
+
+    def test_designs_of_a_spec_share_its_columns(self, monkeypatch):
+        """The factor columns are built once per (spec, products), and each
+        record's factors once per design."""
+        recs = [_record(seed=s) for s in range(3)]
+        spec = get_spec("m_final")
+        assert Design(recs[:1], spec).columns is Design(recs[1:], spec).columns
+        assert Design(recs, spec).columns is not Design(recs, spec, products=True).columns
+        calls = []
+        monkeypatch.setattr("coxforge.design.build_tensor",
+                            lambda rec, *a: calls.append(rec) or build_tensor(rec, *a))
+        Design(recs, spec, products=True)
+        assert calls == recs

@@ -13,6 +13,7 @@ from coxforge.grids import (
     GridSpec,
     RawImage,
     ShoeRecord,
+    _overlap_taps,
     bin_accidentals,
     binarize,
     coarsen,
@@ -138,6 +139,95 @@ class TestCoarsen:
         g = GridSpec.synthetic(4, 4)
         with pytest.raises(ConfigError):
             coarsen(np.zeros((5, 4)), g)
+
+
+def _dense_overlap(n_coarse, n_src):
+    """The whole (n_coarse, n_src) overlap matrix, entry by entry."""
+    w = n_src / n_coarse
+    W = np.zeros((n_coarse, n_src))
+    for k in range(n_coarse):
+        lo, hi = k * w, (k + 1) * w
+        for p in range(int(np.floor(lo)), min(int(np.ceil(hi)), n_src)):
+            W[k, p] = max(0.0, min(hi, p + 1) - max(lo, p)) / w
+    return W
+
+
+def _pgm_bytes(fmt, samples, maxval):
+    h, w = samples.shape
+    header = f"{fmt}\n{w} {h}\n{maxval}\n".encode()
+    if fmt == "P2":
+        return header + "\n".join(" ".join(map(str, row)) for row in samples).encode() + b"\n"
+    return header + samples.astype(">u2" if maxval > 255 else np.uint8).tobytes()
+
+
+class TestScanToCells:
+    """A scan read, cropped and coarsened agrees with the whole scan
+    converted to contact, then cropped, mirrored and coarsened by the dense
+    overlap products."""
+
+    H, W = 37, 29
+    # (crop_x, crop_y, nx, ny): the whole scan at a fractional cell width;
+    # windows touching the top-left and the bottom-right edges; one inside
+    # the scan with one pixel per cell across; more cells than pixels
+    GRIDS = {
+        "whole": ((0, 28), (0, 36), 5, 6),
+        "top_left": ((0, 16), (0, 20), 4, 7),
+        "bottom_right": ((12, 28), (15, 36), 6, 9),
+        "inside": ((3, 19), (5, 30), 17, 4),
+        "fine": ((2, 8), (4, 9), 10, 11),
+    }
+    FORMATS = {"P2": ("P2", 255), "P5_8bit": ("P5", 200), "P5_16bit": ("P5", 1000)}
+
+    @classmethod
+    def _scan(cls, tmp_path, fmt_name):
+        fmt, maxval = cls.FORMATS[fmt_name]
+        samples = np.random.default_rng(len(fmt_name)).integers(0, maxval + 1, size=(cls.H, cls.W))
+        samples[0, 0], samples[-1, -1] = 0, maxval
+        path = tmp_path / "scan.pgm"
+        path.write_bytes(_pgm_bytes(fmt, samples, maxval))
+        return path, 1.0 - samples.astype(float) / maxval
+
+    @staticmethod
+    def _window(contact, side, g):
+        out = contact[g.crop_y[0]:g.crop_y[1] + 1, g.crop_x[0]:g.crop_x[1] + 1]
+        return out[:, ::-1] if side == "right" else out
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("fmt", list(FORMATS))
+    def test_matches_whole_scan_reference(self, tmp_path, fmt, grid, side):
+        path, contact = self._scan(tmp_path, fmt)
+        crop_x, crop_y, nx, ny = self.GRIDS[grid]
+        g = GridSpec(nx=nx, ny=ny, crop_x=crop_x, crop_y=crop_y)
+        window = self._window(contact, side, g)
+        cropped = crop_reflect(ds.read_image(path, side), g)
+        # the window alone is converted, by the same elementwise operations
+        assert np.array_equal(cropped, window)
+        want = _dense_overlap(ny, g.src_h) @ window @ _dense_overlap(nx, g.src_w).T
+        got = coarsen(cropped, g)
+        assert got.shape == (ny, nx)
+        assert np.abs(got - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("fmt", list(FORMATS))
+    def test_one_pixel_per_cell_gives_the_window_back(self, tmp_path, fmt):
+        path, contact = self._scan(tmp_path, fmt)
+        g = GridSpec(nx=8, ny=10, crop_x=(4, 11), crop_y=(6, 15))
+        rec, _ = make_record(ds.read_image(path, "right"), "s", [], g)
+        assert np.array_equal(rec.contact, self._window(contact, "right", g))
+
+    def test_scan_of_contact_is_range_checked_outside_the_window(self):
+        px = np.full((6, 7), 0.5)
+        px[5, 6] = 1.5
+        g = GridSpec(nx=2, ny=2, crop_x=(1, 4), crop_y=(1, 3))
+        with pytest.raises(InputDataError, match="must lie in"):
+            crop_reflect(RawImage(px, "left"), g)
+
+    def test_overlap_taps_hold_the_overlap_matrix(self):
+        for n_coarse, n_src in [(39, 336), (91, 783), (4, 17), (11, 6), (7, 7), (1, 1)]:
+            index, weight = _overlap_taps(n_coarse, n_src)
+            dense = np.zeros((n_coarse, n_src))
+            np.add.at(dense, (np.arange(n_coarse)[:, None], index), weight)
+            assert np.array_equal(dense, _dense_overlap(n_coarse, n_src))
 
 
 class TestOtsu:

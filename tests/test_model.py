@@ -349,6 +349,19 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             ShoeModel(recs, get_spec("m_a"), GridSpec.synthetic(3, 2))
 
+    @pytest.mark.parametrize("spec, n_shoes, chunk", [
+        ("m_final", 9, None), ("m_final", 9, 5), ("variant_a", 4, None), ("uniform", 11, None),
+        ("m_b", 10, 3)])
+    def test_counts_moments_are_those_of_the_fisher_build(self, spec, n_shoes, chunk,
+                                                          monkeypatch):
+        """B'y, built without the Fisher matrix, is the vector _fisher of the
+        counts gives to the bit, with the cells in one chunk or several."""
+        model, _ = _sim_model(spec, n_shoes)
+        if chunk is not None:
+            monkeypatch.setattr("coxforge.model.CHUNK_ENTRIES", chunk * n_shoes * model.U.shape[2])
+        assert len(model._cell_chunks()) == (1 if chunk is None else -(-12 // chunk))
+        assert np.array_equal(model._counts_moments(), model._fisher(model.y)[1])
+
     def test_constraint_blocks_cover_fields(self):
         model, _, _ = _small_model()
         lay = model.layout
